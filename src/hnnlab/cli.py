@@ -6,7 +6,8 @@ the windowed automatic-structure checks on a named or user-supplied
 language.
 
 Exit codes: 0 when the requested check passes (or the command is purely
-informational), 1 when a check fails, 2 on usage errors.  All numeric
+informational), 1 when a check fails, 2 on usage errors, 3 when the two
+independent routes disagree (OracleDisagreement).  All numeric
 output is exact except decimal translation lengths, which are display-only
 renderings of exact surds.
 """
@@ -561,6 +562,9 @@ def main(argv=None) -> int:
     except (ValueError, comb.NotInSubgroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except hnn.OracleDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

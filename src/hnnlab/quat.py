@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .exact import Mat2, ProjMat, QuadExt
 
@@ -170,9 +170,15 @@ def phi_inverse(m: Mat2) -> Quaternion:
     """
     if m.d != 2:
         raise NotInImage(f"matrix lives over Q(sqrt({m.d})), not Q(sqrt(2))")
-    if m.m22 != m.m11.conj() or m.m21 != m.m12.conj() * J_SQUARE:
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    if (
+        m22.a != m11.a
+        or m22.b != -m11.b
+        or m21.a != J_SQUARE * m12.a
+        or m21.b != -J_SQUARE * m12.b
+    ):
         raise NotInImage("matrix entries do not satisfy the image constraints")
-    return Quaternion._raw(m.m11.a, m.m11.b, m.m12.a, m.m12.b)
+    return Quaternion._raw(m11.a, m11.b, m12.a, m12.b)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +267,31 @@ def solve_in_rows(
     return tuple(aug[pivot_of_col[c]][m] for c in range(m))
 
 
+def _cleared(q: Quaternion) -> tuple[int, Quaternion]:
+    """(s, s*q) with s the least positive integer making s*q integral; the
+    multiple has int coordinates, so products of multiples stay in Z."""
+    x0, x1, x2, x3 = q.x0, q.x1, q.x2, q.x3
+    s = lcm(x0.denominator, x1.denominator, x2.denominator, x3.denominator)
+    return s, Quaternion._raw(
+        x0.numerator * (s // x0.denominator),
+        x1.numerator * (s // x1.denominator),
+        x2.numerator * (s // x2.denominator),
+        x3.numerator * (s // x3.denominator),
+    )
+
+
 class OrderLattice:
     """A rank-4 lattice in the algebra, stored as an HNF basis.
 
-    When ``validate`` is set the order axioms are checked: the lattice
-    contains 1, is closed under multiplication, and its basis elements
-    have integral reduced trace and norm.
+    The inverse of the basis matrix is computed once, as an integer matrix
+    over one common denominator, so membership is four integer dot
+    products and four divisibility tests.  When ``validate`` is set the
+    order axioms are checked: the lattice contains 1, is closed under
+    multiplication, and its basis elements have integral reduced trace
+    and norm.
     """
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "_columns", "_denominator")
 
     def __init__(self, basis_rows, validate: bool = True):
         rows = [tuple(Fraction(x) for x in row) for row in basis_rows]
@@ -277,6 +299,12 @@ class OrderLattice:
         if len(basis) != 4:
             raise NotFullRank(f"lattice rank {len(basis)} < 4")
         self.basis = tuple(basis)
+        inverse = _upper_triangular_inverse(basis)
+        den = lcm(*(x.denominator for row in inverse for x in row))
+        self._denominator = den
+        self._columns = tuple(
+            tuple(int(inverse[r][c] * den) for r in range(4)) for c in range(4)
+        )
         if validate:
             self._validate()
 
@@ -287,9 +315,10 @@ class OrderLattice:
         for e in elems:
             if e.trd().denominator != 1 or e.nrd().denominator != 1:
                 raise ValueError("basis element with non-integral trd or nrd")
-        for e in elems:
-            for f in elems:
-                if not self.contains(e * f):
+        scaled = [_cleared(e) for e in elems]
+        for s, e in scaled:
+            for r, f in scaled:
+                if not self._integral(s * r, *(e * f).coords()):
                     raise ValueError("lattice is not closed under multiplication")
 
     def basis_quaternions(self) -> list[Quaternion]:
@@ -299,8 +328,39 @@ class OrderLattice:
         return solve_in_rows(list(self.basis), q.coords())
 
     def contains(self, q: Quaternion) -> bool:
-        coords = self.coordinates(q)
-        return coords is not None and all(x.denominator == 1 for x in coords)
+        den, v = _cleared(q)
+        return self._integral(den, *v.coords())
+
+    def _integral(self, den: int, v0: int, v1: int, v2: int, v3: int) -> bool:
+        """Does (v0 + v1*i + v2*j + v3*k) / den lie in the lattice?"""
+        modulus = den * self._denominator
+        for c0, c1, c2, c3 in self._columns:
+            if (v0 * c0 + v1 * c1 + v2 * c2 + v3 * c3) % modulus:
+                return False
+        return True
+
+    def dual_basis(self) -> list[tuple[Fraction, ...]]:
+        """Basis of {x : x . y in Z for all y in the lattice}, coordinatewise
+        dot product: the columns of the inverse basis matrix."""
+        den = self._denominator
+        return [tuple(Fraction(x, den) for x in col) for col in self._columns]
+
+    def intersect(self, other: "OrderLattice") -> "OrderLattice":
+        """The intersection of two orders, as the dual of the sum of their
+        dual lattices; validated as an order."""
+        dual_sum = OrderLattice(
+            self.dual_basis() + other.dual_basis(), validate=False
+        )
+        return OrderLattice(dual_sum.dual_basis())
+
+    def conjugate(self, g: Quaternion) -> "OrderLattice":
+        """The order g * L * g^-1 for an invertible g; validated as an order."""
+        _, g = _cleared(g)
+        g_bar, n = g.conj(), g.nrd()
+        rows = []
+        for s, e in map(_cleared, self.basis_quaternions()):
+            rows.append(tuple(Fraction(x, s * n) for x in (g * e * g_bar).coords()))
+        return OrderLattice(rows)
 
     def reduced_discriminant(self) -> int:
         return gram_reduced_discriminant(self.basis)
@@ -318,6 +378,18 @@ class OrderLattice:
 
     def __repr__(self):
         return f"OrderLattice({[[str(x) for x in row] for row in self.basis]})"
+
+
+def _upper_triangular_inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a nonsingular upper triangular 4x4 matrix (an HNF basis),
+    by back substitution."""
+    inv = [[Fraction(0)] * 4 for _ in range(4)]
+    for j in range(4):
+        inv[j][j] = 1 / rows[j][j]
+        for i in range(j - 1, -1, -1):
+            acc = sum(rows[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+            inv[i][j] = -acc / rows[i][i]
+    return inv
 
 
 def _det4(mat: list[list[Fraction]]) -> Fraction:
@@ -544,17 +616,16 @@ class SubgroupOracles:
     """Membership oracles for the vertex group and its distinguished subgroups.
 
     All tests work on PSL2 elements.  A projective matrix lies in the unit
-    group iff a lift pulls back to a norm-one element of the order; the
-    answer does not depend on the choice of lift because the order is
-    closed under negation.
+    group of an order iff a lift pulls back to a norm-one element of it;
+    the answer does not depend on the choice of lift because every order
+    is closed under negation.
 
-    The conjugator element g (here the image of t) produces a second
-    maximal order and with it three more subgroups:
+    The conjugator element g (here the image of t) produces three more
+    orders, each built once, and with them three more subgroups:
 
-      * conjugate unit group:  m with g^-1 m g in the unit group,
-      * target subgroup:       unit group  intersect  conjugate unit group,
-      * source subgroup:       m in the unit group with g m g^-1 in the
-                               target subgroup.
+      * conjugate unit group:  norm-one units of g O g^-1,
+      * target subgroup:       norm-one units of the Eichler order O meet g O g^-1,
+      * source subgroup:       norm-one units of the Eichler order O meet g^-1 O g.
 
     Conjugation by g carries the source subgroup onto the target subgroup,
     which is exactly the relation realised by the stable letter.
@@ -563,25 +634,32 @@ class SubgroupOracles:
     def __init__(self, order: OrderLattice, conjugator: ProjMat):
         self.order = order
         self.conjugator = conjugator
-        self._conj_inv = conjugator.inverse()
+        g = phi_inverse(conjugator.rep)
+        self.conjugate_order = order.conjugate(g)
+        self.target_order = order.intersect(self.conjugate_order)
+        self.source_order = order.intersect(order.conjugate(g.conj()))
 
-    def in_unit_group(self, m: ProjMat) -> bool:
+    @staticmethod
+    def _in_units(m: ProjMat, lattice: OrderLattice) -> bool:
         try:
             q = phi_inverse(m.rep)
         except NotInImage:
             return False
-        return self.order.contains(q) and q.nrd() == 1
+        # nrd(q) = nrd(s*q) / s^2, tested in integers
+        s, v = _cleared(q)
+        return v.nrd() == s * s and lattice._integral(s, *v.coords())
+
+    def in_unit_group(self, m: ProjMat) -> bool:
+        return self._in_units(m, self.order)
 
     def in_conjugate_unit_group(self, m: ProjMat) -> bool:
-        return self.in_unit_group(self._conj_inv * m * self.conjugator)
+        return self._in_units(m, self.conjugate_order)
 
     def in_target_subgroup(self, m: ProjMat) -> bool:
-        return self.in_unit_group(m) and self.in_conjugate_unit_group(m)
+        return self._in_units(m, self.target_order)
 
     def in_source_subgroup(self, m: ProjMat) -> bool:
-        return self.in_unit_group(m) and self.in_target_subgroup(
-            self.conjugator * m * self._conj_inv
-        )
+        return self._in_units(m, self.source_order)
 
 
 @lru_cache(maxsize=None)

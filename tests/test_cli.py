@@ -7,7 +7,7 @@ import math
 import pytest
 from jsonschema import validate
 
-from hnnlab import cli
+from hnnlab import cli, hnn
 from hnnlab.biauto import z2_normal_form_fsa
 
 
@@ -378,6 +378,25 @@ def test_tree_rejects_three_words(capsys):
     code, _, err = run(capsys, ["tree", "t", "ta", "tat"])
     assert code == 2
     assert "one or two words" in err
+
+
+def test_oracle_disagreement_exits_3(capsys, monkeypatch):
+    group = hnn.load_builtin_group()
+    tampered = hnn.HnnGroup(
+        vertex=group.vertex,
+        ambient=group.ambient,
+        pairs=group.pairs,
+        images=group.images,
+        oracles=group.oracles,
+        source_table=group.target_table,  # deliberately swapped
+        target_table=group.source_table,
+    )
+    monkeypatch.setattr(hnn, "load_builtin_group", lambda: tampered)
+    code, out, err = run(capsys, ["britton", "tdT"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: membership of d: ")
+    assert "Traceback" not in err
 
 
 def test_argparse_rejects_unknown_flags():

@@ -26,6 +26,7 @@ from hnnlab.hnn import (
     OracleDisagreement,
     load_builtin_group,
 )
+from hnnlab.quat import SubgroupOracles, lipschitz_like_order, standard_order
 
 G = load_builtin_group()
 
@@ -222,6 +223,34 @@ def test_tampered_group_raises_disagreement():
     with pytest.raises(OracleDisagreement):
         # d lies in K but not in H; the swapped tables must get caught
         broken.in_source_subgroup("d")
+
+
+def _with_oracles(oracles):
+    return HnnGroup(
+        vertex=G.vertex,
+        ambient=G.ambient,
+        pairs=G.pairs,
+        images=G.images,
+        oracles=oracles,
+        source_table=G.source_table,
+        target_table=G.target_table,
+    )
+
+
+def test_inverted_conjugator_is_caught_by_coset_tables():
+    # t^-1 as conjugator swaps the two Eichler orders: d lies in K, not H
+    broken = _with_oracles(SubgroupOracles(standard_order(), G.images[4].inverse()))
+    with pytest.raises(OracleDisagreement):
+        broken.in_source_subgroup("d")
+    with pytest.raises(OracleDisagreement):
+        broken.in_target_subgroup("d")
+
+
+def test_wrong_order_is_caught_by_coset_tables():
+    # d is not integral in Z<i, j, k>, so the oracles built on it reject d
+    broken = _with_oracles(SubgroupOracles(lipschitz_like_order(), G.images[4]))
+    with pytest.raises(OracleDisagreement):
+        broken.in_target_subgroup("d")
 
 
 def test_evaluate_respects_identities():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -291,3 +292,49 @@ def test_membership_nesting_on_random_words() -> None:
         if oracles.in_source_subgroup(m):
             conj = oracles.conjugator * m * oracles.conjugator.inverse()
             assert oracles.in_target_subgroup(conj)
+
+
+def test_contains_matches_solved_coordinates() -> None:
+    # the precomputed integer inverse against Gaussian elimination
+    oracles = standard_oracles()
+    lattices = [
+        oracles.order,
+        oracles.conjugate_order,
+        oracles.target_order,
+        oracles.source_order,
+        lipschitz_like_order(),
+    ]
+    rng = random.Random(15)
+    for lattice in lattices:
+        elems = lattice.basis_quaternions()
+        verdicts = set()
+        for _ in range(60):
+            q = Quaternion()
+            for e in elems:
+                q = q + Quaternion(rng.randint(-9, 9)) * e
+            if rng.random() < 0.5:
+                q = q + Quaternion(F(1, rng.choice([2, 3, 6, 9, 18]))) * rng.choice(elems)
+            coords = lattice.coordinates(q)
+            expected = all(x.denominator == 1 for x in coords)
+            assert lattice.contains(q) == expected, (lattice, q)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
+def test_edge_orders_are_eichler_of_level_9() -> None:
+    # O meet t O t^-1 and O meet t^-1 O t: index N = 9 in O and reduced
+    # discriminant 26 * 9; their norm-one groups then have index
+    # p^(e-1) * (p + 1) = 12 for N = 3^2 (Voight, Quaternion Algebras, GTM 288)
+    oracles = standard_oracles()
+    order = oracles.order
+    assert order.reduced_discriminant() == 26
+    assert oracles.target_order != oracles.source_order
+    for eichler in (oracles.target_order, oracles.source_order):
+        assert OrderLattice(eichler.basis) == eichler  # validates the axioms
+        assert all(order.contains(e) for e in eichler.basis_quaternions())
+        # HNF bases are upper triangular, so the index is a diagonal ratio
+        index = prod(eichler.basis[i][i] for i in range(4)) / prod(
+            order.basis[i][i] for i in range(4)
+        )
+        assert index == 9
+        assert gram_reduced_discriminant(eichler.basis) == 234 == 26 * 9
