@@ -71,13 +71,11 @@ def _cmd_verify(args) -> int:
     samples_ok = samples_total = 0
     if args.samples > 0:
         rng = random.Random(args.seed)
-        relators = [group.ambient.parse(r) if isinstance(r, str) else r
-                    for r in group.ambient.relators]
         letters = [i for i in range(1, group.ambient.ngens + 1)]
         letters += [-i for i in letters]
         for _ in range(args.samples):
             samples_total += 1
-            rel = list(rng.choice(relators))
+            rel = list(rng.choice(group.ambient.relators))
             cut = rng.randrange(len(rel))
             rel = rel[cut:] + rel[:cut]
             conj = [rng.choice(letters) for _ in range(rng.randrange(0, 7))]

@@ -97,6 +97,21 @@ def _check_field_param(d: int) -> int:
     return d
 
 
+def _power(x, n, one, inverse):
+    """x**n by square and multiply; a negative n powers inverse(x)."""
+    if not isinstance(n, int):
+        return NotImplemented
+    if n < 0:
+        x, n = inverse(x), -n
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
+
+
 @total_ordering
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
@@ -195,18 +210,8 @@ class QuadExt:
         return QuadExt._raw(self.d, -self.a, -self.b)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        result = QuadExt._raw(self.d, Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = QuadExt._raw(self.d, Fraction(1), Fraction(0))
+        return _power(self, n, one, QuadExt.inv)
 
     def conj(self) -> "QuadExt":
         """Galois conjugate a - b*sqrt(d)."""
@@ -401,24 +406,7 @@ class Mat2:
         )
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Mat2.identity(self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scalar_mul(self, c) -> "Mat2":
-        cc = c if isinstance(c, QuadExt) else QuadExt(self.d, c)
-        return Mat2._raw(
-            self.d, self.m11 * cc, self.m12 * cc, self.m21 * cc, self.m22 * cc
-        )
+        return _power(self, n, Mat2.identity(self.d), Mat2.inverse)
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -435,9 +423,6 @@ class Mat2:
 
     def is_identity(self) -> bool:
         return self == Mat2.identity(self.d)
-
-    def is_plus_minus_identity(self) -> bool:
-        return self.is_identity() or (-self).is_identity()
 
     def __repr__(self):
         return (
@@ -485,18 +470,7 @@ class ProjMat:
         return ProjMat._from_normalized(_sign_normalize(inv))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ProjMat.identity(self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ProjMat.identity(self.d), ProjMat.inverse)
 
     @classmethod
     def identity(cls, d: int) -> "ProjMat":

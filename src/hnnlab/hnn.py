@@ -24,6 +24,7 @@ from .comb import (
     Presentation,
     Word,
     _concat,
+    _validate_word,
     dehn_reduce,
     evaluate_word,
     free_reduce,
@@ -150,7 +151,9 @@ class HnnGroup:
     # -- words and matrices ------------------------------------------------
 
     def as_word(self, w) -> Word:
-        return self.ambient.parse(w) if isinstance(w, str) else tuple(w)
+        if isinstance(w, str):
+            return self.ambient.parse(w)
+        return _validate_word(w, self.ambient.ngens)
 
     def evaluate(self, w) -> ProjMat:
         return evaluate_word(self.as_word(w), self.images, self._identity)
@@ -200,41 +203,38 @@ class HnnGroup:
     # -- Britton reduction ----------------------------------------------------
 
     def britton_reduce(self, w) -> BrittonForm:
-        """Remove pinches t*g*t^-1 (g in H) and t^-1*g*t (g in K) leftmost
-        innermost until none remain."""
-        word = free_reduce(self.as_word(w))
-        segs: list[Word] = [()]
+        """Remove pinches t*g*t^-1 (g in H) and t^-1*g*t (g in K) in one
+        left-to-right pass over a stack of segments and t-exponents.
+
+        A pinch is tested once, when its closing stable letter arrives, so
+        the pinch removed is always the leftmost one in the word and a word
+        with k stable letters makes at most k - 1 membership queries.
+        """
+        segs: list[Word] = []
         exps: list[int] = []
         seg: list[int] = []
-        for g in word:
-            if abs(g) == T_LETTER:
-                segs[-1] = tuple(seg)
-                seg = []
-                exps.append(1 if g > 0 else -1)
-                segs.append(())
-            else:
-                seg.append(g)
-        segs[-1] = tuple(seg)
-
-        changed = True
-        while changed:
-            changed = False
-            for j in range(len(exps) - 1):
-                if exps[j] != -exps[j + 1]:
-                    continue
-                g = segs[j + 1]
-                if exps[j] == 1:
-                    if not self.in_source_subgroup(g):
-                        continue
-                    repl = self.conjugate_into_target(g)
+        for g in free_reduce(self.as_word(w)):
+            if abs(g) != T_LETTER:
+                if seg and seg[-1] == -g:
+                    seg.pop()
                 else:
-                    if not self.in_target_subgroup(g):
-                        continue
-                    repl = self.conjugate_into_source(g)
-                segs[j : j + 3] = [_concat(segs[j], repl, segs[j + 2])]
-                del exps[j : j + 2]
-                changed = True
-                break
+                    seg.append(g)
+                continue
+            e = 1 if g > 0 else -1
+            if exps and exps[-1] == -e:
+                member, conjugate = (
+                    (self.in_source_subgroup, self.conjugate_into_target)
+                    if e < 0
+                    else (self.in_target_subgroup, self.conjugate_into_source)
+                )
+                if member(seg):
+                    exps.pop()
+                    seg = list(_concat(segs.pop(), conjugate(seg)))
+                    continue
+            segs.append(tuple(seg))
+            exps.append(e)
+            seg = []
+        segs.append(tuple(seg))
         return BrittonForm(tuple(segs), tuple(exps))
 
     # -- word problem -----------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .exact import Mat2, ProjMat, QuadExt
 
@@ -226,13 +226,10 @@ def hnf_rational_rows(
     rows: list[tuple[Fraction, ...]],
 ) -> list[tuple[Fraction, ...]]:
     """Hermite normal form basis of the Z-lattice spanned by rational rows."""
-    lcm = 1
-    for row in rows:
-        for x in row:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    int_rows = [[int(x * lcm) for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    int_rows = [[int(x * den) for x in row] for row in rows]
     basis = _hnf_integer_rows(int_rows)
-    return [tuple(Fraction(x, lcm) for x in row) for row in basis]
+    return [tuple(Fraction(x, den) for x in row) for row in basis]
 
 
 def solve_in_rows(
@@ -449,13 +446,9 @@ def ring_closure(gens, max_rounds: int = 64) -> OrderLattice:
         raise NotFullRank(f"generators span rank {len(basis)} < 4")
     for _ in range(max_rounds):
         elems = [Quaternion._raw(*row) for row in basis]
-        extra = []
-        for e in elems:
-            for f in elems:
-                prod = e * f
-                coords = solve_in_rows(basis, prod.coords())
-                if coords is None or any(x.denominator != 1 for x in coords):
-                    extra.append(prod.coords())
+        lattice = OrderLattice(basis, validate=False)
+        products = [e * f for e in elems for f in elems]
+        extra = [p.coords() for p in products if not lattice.contains(p)]
         if not extra:
             return OrderLattice(basis)
         basis = hnf_rational_rows(basis + extra)
@@ -466,15 +459,6 @@ def ring_closure(gens, max_rounds: int = 64) -> OrderLattice:
 
 # ---------------------------------------------------------------------------
 # Hilbert symbols and ramification.
-
-
-def _odd_part(n: int) -> tuple[int, int]:
-    """n = 2**e * u with u odd; return (e, u)."""
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e, n
 
 
 def _p_part(n: int, p: int) -> tuple[int, int]:
@@ -513,8 +497,8 @@ def hilbert_symbol(a, b, p: int | None) -> int:
     if p is None:
         return -1 if (ai < 0 and bi < 0) else 1
     if p == 2:
-        alpha, u = _odd_part(abs(ai))
-        beta, v = _odd_part(abs(bi))
+        alpha, u = _p_part(abs(ai), 2)
+        beta, v = _p_part(abs(bi), 2)
         u *= 1 if ai > 0 else -1
         v *= 1 if bi > 0 else -1
         eps_u = ((u - 1) // 2) % 2

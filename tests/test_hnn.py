@@ -81,6 +81,20 @@ def test_membership_rejects_stable_letter():
         G.in_source_subgroup("t")
 
 
+@pytest.mark.parametrize("word", [(0,), (6,), (2.0,)])
+def test_bad_tuple_letters_are_rejected(word):
+    # unchecked, letter 0 would evaluate as t^-1 but read as a vertex letter
+    for method in (
+        G.evaluate,
+        G.britton_reduce,
+        G.is_trivial,
+        G.tree_distance,
+        G.in_source_subgroup,
+    ):
+        with pytest.raises(ValueError):
+            method(word)
+
+
 def test_conjugation_matches_matrices():
     t_mat = G.images[4]
     rng = random.Random(23)
