@@ -57,9 +57,9 @@ class Fsa:
         self.initial = tuple(sorted(set(initial)))
         self.accepting = frozenset(accepting)
         self._delta: dict[tuple[int, str], tuple[int, ...]] = {}
-        letters = set(self.alphabet)
+        self._letters = frozenset(self.alphabet)
         for src, letter, dst in transitions:
-            if letter not in letters:
+            if letter not in self._letters:
                 raise UnknownLetter(f"transition letter {letter!r} not in alphabet")
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
                 raise ValueError("transition endpoint out of range")
@@ -78,7 +78,7 @@ class Fsa:
                 yield src, letter, dst
 
     def step(self, states, letter):
-        if letter not in set(self.alphabet):
+        if letter not in self._letters:
             raise UnknownLetter(f"letter {letter!r} not in alphabet")
         out = set()
         for s in states:
@@ -344,6 +344,8 @@ class WindowedLanguage:
     """All accepted words of length <= radius, indexed by group element."""
 
     def __init__(self, fsa: Fsa, model: GroupModel, radius: int):
+        if radius < 0:
+            raise ValueError(f"window radius must be >= 0, got {radius}")
         for letter in fsa.alphabet:
             if letter not in model.letter_images:
                 raise UnknownLetter(f"no image for letter {letter!r}")
@@ -384,63 +386,59 @@ class WindowedLanguage:
 
     # -- fellow traveller ----------------------------------------------------
 
-    def _padded(self, pts, t):
-        return pts[t] if t < len(pts) else pts[-1]
-
     def check_fellow_traveller(
         self, pair_rule: str = "classical", cap: int | None = None
     ) -> FellowReport:
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
         mul, inv = self.model.mul, self.model.inv
+        images = list(self.model.letter_images.values())
         shifts = [(None, self.model.identity)]
         shifts += sorted(self.model.letter_images.items())
+        norm = self.ball._norm.__getitem__
+        # each word is paired many times; its path is built once per call
+        words = [w for ws in self.words_by_element.values() for w in ws]
+        paths = dict(zip(words, map(self.model.path, words)))
         zeta, witness, pairs = 0, None, 0
-        for u_words in self.words_by_element.values():
-            for u in u_words:
-                pu = self.model.path(u)
-                end_u = pu[-1]
-                for shift_name, s in shifts:
-                    shifted = (
-                        pu if shift_name is None else [mul(s, p) for p in pu]
-                    )
-                    target = shifted[-1]
-                    if pair_rule == "classical":
-                        if shift_name is None:
-                            # right multiplication: same start, ends <= 1 apart
-                            near = [target] + [
-                                mul(target, img)
-                                for img in self.model.letter_images.values()
-                            ]
-                        else:
-                            # left multiplication: shifted start, equal ends
-                            near = [target]
-                    else:
-                        near = [target] + [
-                            mul(target, img)
-                            for img in self.model.letter_images.values()
-                        ]
-                    seen = set()
-                    for h in near:
-                        if h in seen:
-                            continue
-                        seen.add(h)
-                        for v in self.words_by_element.get(h, ()):
-                            pv = self.model.path(v)
-                            pairs += 1
-                            for t in range(max(len(shifted), len(pv))):
-                                d = self.ball.dist(
-                                    self._padded(shifted, t), self._padded(pv, t)
-                                )
-                                if d > zeta:
-                                    zeta = d
-                                    witness = FellowWitness(
-                                        u=u,
-                                        v=v,
-                                        shift=shift_name,
-                                        time=t,
-                                        separation=d,
-                                    )
+        for u, pu in paths.items():
+            for shift_name, s in shifts:
+                shifted = pu if shift_name is None else [mul(s, p) for p in pu]
+                # the separation at time t is |shifted[t]^-1 * pv[t]|
+                inv_u = list(map(inv, shifted))
+                target = shifted[-1]
+                if pair_rule == "classical" and shift_name is not None:
+                    # left multiplication: shifted start, equal ends
+                    near = [target]
+                else:
+                    # right multiplication: ends at most 1 apart
+                    near = [target] + [mul(target, img) for img in images]
+                for h in dict.fromkeys(near):
+                    for v in self.words_by_element.get(h, ()):
+                        a, b = inv_u, paths[v]
+                        pairs += 1
+                        # a finished path waits at its end point
+                        if len(a) < len(b):
+                            a = a + a[-1:] * (len(b) - len(a))
+                        elif len(b) < len(a):
+                            b = b + b[-1:] * (len(a) - len(b))
+                        try:
+                            seps = list(map(norm, map(mul, a, b)))
+                        except KeyError:
+                            raise OutOfWindow(
+                                f"element outside the radius-{self.ball.radius} ball"
+                            ) from None
+                        d = max(seps)
+                        if d > zeta:
+                            # the witness is the earliest time at which the
+                            # pair reaches its worst separation
+                            zeta = d
+                            witness = FellowWitness(
+                                u=u,
+                                v=v,
+                                shift=shift_name,
+                                time=seps.index(d),
+                                separation=d,
+                            )
         return FellowReport(
             pair_rule=pair_rule,
             zeta=zeta,

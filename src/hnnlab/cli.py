@@ -26,6 +26,9 @@ from .exact import QuadExt, render_quadext
 
 COSET_CAP_ENV = "HNN_LAB_COSET_CAP"
 DISPLAY_DIGITS = 50
+# fsa-check cost grows about as radius^3 on the built-in languages: at this
+# radius one check takes a few seconds and under 60 MB
+_FSA_RADIUS_LIMIT = 64
 
 
 def _print_json(payload) -> None:
@@ -381,6 +384,10 @@ def _load_language(name: str):
 
 
 def _cmd_fsa_check(args) -> int:
+    if args.radius > _FSA_RADIUS_LIMIT:
+        raise ValueError(
+            f"--radius {args.radius} is above the limit {_FSA_RADIUS_LIMIT}"
+        )
     fsa, model = _load_language(args.language)
     lang = biauto.WindowedLanguage(fsa, model, args.radius)
     report = lang.analyze(args.rule, args.cap)

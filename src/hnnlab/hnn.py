@@ -246,7 +246,7 @@ class HnnGroup:
         (Britton's lemma); a t-free remainder is decided by Dehn's
         algorithm in the one-relator vertex presentation.
         """
-        word = self.as_word(w)
+        word = free_reduce(self.as_word(w))
         by_matrix = self.evaluate(word).is_identity()
         form = self.britton_reduce(word)
         if form.exponents:

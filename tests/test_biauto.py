@@ -5,11 +5,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnlab.biauto import (
     BallOracle,
+    FellowReport,
     FellowWitness,
     Fsa,
+    GroupModel,
     OutOfWindow,
     TauEstimate,
     UnknownLetter,
@@ -351,3 +355,133 @@ def test_trivial_group_language_has_zeta_zero():
     report = lang.check_fellow_traveller("classical")
     assert report.zeta == 0
     assert lang.check_finite_to_one().bound == 1
+
+
+# ---------------------------------------------------------------------------
+# fellow traveller against the step-by-step reference route
+
+
+def reference_check_fellow_traveller(lang, pair_rule, cap=None):
+    """Pair by pair and step by step: rebuild the path of v for every pair
+    and measure each time separately with BallOracle.dist."""
+    model = lang.model
+    mul = model.mul
+    shifts = [(None, model.identity)] + sorted(model.letter_images.items())
+    at = lambda pts, t: pts[t] if t < len(pts) else pts[-1]
+    zeta, witness, pairs = 0, None, 0
+    for u_words in lang.words_by_element.values():
+        for u in u_words:
+            pu = model.path(u)
+            for shift_name, s in shifts:
+                shifted = pu if shift_name is None else [mul(s, p) for p in pu]
+                target = shifted[-1]
+                near = [target]
+                if pair_rule == "simultaneous" or shift_name is None:
+                    near += [mul(target, img) for img in model.letter_images.values()]
+                seen = set()
+                for h in near:
+                    if h in seen:
+                        continue
+                    seen.add(h)
+                    for v in lang.words_by_element.get(h, ()):
+                        pv = model.path(v)
+                        pairs += 1
+                        for t in range(max(len(shifted), len(pv))):
+                            d = lang.ball.dist(at(shifted, t), at(pv, t))
+                            if d > zeta:
+                                zeta = d
+                                witness = FellowWitness(u, v, shift_name, t, d)
+    return FellowReport(pair_rule, zeta, pairs, witness, lang.radius, cap)
+
+
+def s5_model():
+    """S5 on x = (0 1 2 3 4), y = (0 1): non-commutative, so an inverse
+    taken on the wrong side changes the separations."""
+
+    def mul(a, b):
+        return tuple(a[i] for i in b)
+
+    def inv(a):
+        out = [0] * len(a)
+        for i, j in enumerate(a):
+            out[j] = i
+        return tuple(out)
+
+    x, y = (1, 2, 3, 4, 0), (1, 0, 2, 3, 4)
+    return GroupModel(
+        {"x": x, "X": inv(x), "y": y, "Y": inv(y)},
+        mul=mul,
+        inv=inv,
+        identity=(0, 1, 2, 3, 4),
+    )
+
+
+ALPHABET = ("x", "X", "y", "Y")
+MAX_WINDOW_WORDS = 120
+
+
+@st.composite
+def small_automata(draw):
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    initial = draw(st.lists(state, min_size=1, max_size=2))
+    accepting = draw(st.lists(state, min_size=1, max_size=n))
+    transitions = draw(
+        st.lists(
+            st.tuples(state, st.sampled_from(ALPHABET), state),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return Fsa(ALPHABET, n, initial, accepting, transitions)
+
+
+def test_fellow_traveller_matches_reference_route():
+    seen_witnesses = 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        small_automata(),
+        st.integers(0, 6),
+        st.sampled_from(("classical", "simultaneous")),
+        st.sampled_from((z2_model, s5_model)),
+    )
+    def check(fsa, radius, pair_rule, make_model):
+        nonlocal seen_witnesses
+        # keep each example small: shrink the window until it holds few words
+        while sum(1 for _ in fsa.words_up_to(radius)) > MAX_WINDOW_WORDS:
+            radius -= 1
+        model = make_model()
+        lang = WindowedLanguage(fsa, model, radius)
+        report = lang.check_fellow_traveller(pair_rule, cap=2)
+        assert report == reference_check_fellow_traveller(lang, pair_rule, cap=2)
+        if report.witness is not None:
+            seen_witnesses += 1
+            assert replay_fellow_witness(report.witness, model) == report.zeta
+
+    check()
+    assert seen_witnesses >= 100
+
+
+def test_builtin_fellow_reports_match_reference_route():
+    model = z2_model()
+    for fsa in (z2_normal_form_fsa(), z2_parity_fsa(), two_words_fsa()):
+        for radius in (0, 1, 7):
+            lang = WindowedLanguage(fsa, model, radius)
+            for rule in ("classical", "simultaneous"):
+                report = lang.check_fellow_traveller(rule)
+                assert report == reference_check_fellow_traveller(lang, rule)
+
+
+def test_fellow_traveller_outside_the_ball_raises():
+    model = z2_model()
+    lang = WindowedLanguage(z2_normal_form_fsa(), model, 4)
+    lang.ball = BallOracle(model, 1)
+    for rule in ("classical", "simultaneous"):
+        with pytest.raises(OutOfWindow):
+            lang.check_fellow_traveller(rule)
+
+
+def test_negative_radius_is_rejected():
+    with pytest.raises(ValueError):
+        WindowedLanguage(z2_normal_form_fsa(), z2_model(), -1)

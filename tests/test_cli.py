@@ -312,6 +312,23 @@ def test_fsa_check_reads_automaton_file(capsys, tmp_path):
     assert data["ok"]
 
 
+def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
+    code, out, err = run(capsys, ["fsa-check", "z2-normal", "--radius", "-1"])
+    assert code == 2
+    assert out == "" and err.startswith("error: window radius")
+
+    def no_window(*args):
+        raise AssertionError("a window was built for an over-limit radius")
+
+    monkeypatch.setattr(cli.biauto, "WindowedLanguage", no_window)
+    for radius in (cli._FSA_RADIUS_LIMIT + 1, 10**9):
+        code, out, err = run(
+            capsys, ["fsa-check", "z2-normal", "--radius", str(radius)]
+        )
+        assert code == 2
+        assert out == "" and "above the limit 64" in err
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -163,6 +163,31 @@ def test_word_problem_agreement():
     assert nontrivial > 100
 
 
+def test_word_problem_evaluates_the_free_reduction(monkeypatch):
+    rng = random.Random(43)
+    relator = G.ambient.relators[0]
+    evaluated = []
+    evaluate = G.evaluate
+
+    def spy(w):
+        evaluated.append(tuple(w))
+        return evaluate(w)
+
+    monkeypatch.setattr(G, "evaluate", spy)
+    for w in (relator, random_ambient_word(rng), random_ambient_word(rng)):
+        padded = list(w)
+        for _ in range(6):
+            x = rng.choice([1, -1, 2, -2, 3, -3, 4, -4, 5, -5])
+            i = rng.randrange(len(padded) + 1)
+            padded[i:i] = [x, -x]
+        padded = tuple(padded)
+        evaluated.clear()
+        assert G.is_trivial(padded) == G.is_trivial(w)
+        # the whole word is evaluated once, after free reduction
+        assert evaluated[0] == free_reduce(padded)
+        assert len(evaluated[0]) < len(padded)
+
+
 def test_tree_geometry():
     nbrs = G.tree_neighbors()
     assert len(nbrs) == 24
