@@ -24,8 +24,14 @@ lies in the subgroup to a word in the subgroup generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 Word = tuple[int, ...]
+
+# parse_word refuses longer words.  Matrix entries grow with the word, so
+# evaluation is superlinear: `hnn-lab trivial` on the slowest 4000-letter
+# words tried, such as (at)^2000, takes about 5 s on a 2-core x86 host.
+WORD_LETTER_LIMIT = 4000
 
 
 class NotInSubgroup(ValueError):
@@ -95,6 +101,8 @@ def parse_word(text: str, alphabet) -> Word:
     if text in ("", "1"):
         return ()
     if text.isalpha() and all(len(n) == 1 for n in names):
+        if len(text) > WORD_LETTER_LIMIT:
+            raise ValueError(f"word longer than {WORD_LETTER_LIMIT} letters")
         out = []
         for ch in text:
             base = ch.lower()
@@ -110,6 +118,8 @@ def parse_word(text: str, alphabet) -> Word:
         if name not in names:
             raise ValueError(f"unknown generator {name!r}")
         exp = int(exp_text) if exp_text else 1
+        if len(out) + abs(exp) > WORD_LETTER_LIMIT:
+            raise ValueError(f"word longer than {WORD_LETTER_LIMIT} letters")
         letter = names[name] if exp >= 0 else -names[name]
         out.extend([letter] * abs(exp))
     return tuple(out)
@@ -181,8 +191,12 @@ class Presentation:
 def symmetrized_relators(presentation: Presentation) -> tuple[Word, ...]:
     """All cyclic permutations of the cyclically reduced relators and their
     inverses, deduplicated and sorted."""
+    return _symmetrize(presentation.relators)
+
+
+def _symmetrize(relators) -> tuple[Word, ...]:
     out = set()
-    for r in presentation.relators:
+    for r in relators:
         w0 = cyclic_reduce(r)
         if not w0:
             continue
@@ -220,30 +234,71 @@ def is_metric_sixth(symmetrized) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
+def _dehn_rules(relators: tuple[Word, ...]):
+    """(rules, lengths) for Dehn's algorithm, or None when the symmetrized
+    relators are empty or fail C'(1/6).
+
+    ``rules`` maps every prefix p of a symmetrized relator r with
+    2|p| > |r| to the shorter complement invert(r[|p|:]); ``lengths`` holds
+    the prefix lengths, longest first, so lengths[0] is max |r|.  On a
+    shared prefix the first relator in sorted order wins, the tie-break of
+    dehn_reduce; under C'(1/6) relators share less than a sixth, so no such
+    prefix is shared.
+    """
+    sym = _symmetrize(relators)
+    if not sym or not is_metric_sixth(sym):
+        return None
+    rules: dict[Word, Word] = {}
+    for r in sym:
+        for k in range(len(r) // 2 + 1, len(r) + 1):
+            rules.setdefault(r[:k], invert_word(r[k:]))
+    lengths = tuple(sorted({len(p) for p in rules}, reverse=True))
+    return rules, lengths
+
+
 def dehn_reduce(word, presentation: Presentation) -> Word:
     """Dehn's algorithm: repeatedly replace a subword matching strictly more
     than half of a symmetrized relator by the shorter complement, taking the
     leftmost match and the longest match there.  Under C'(1/6) the result is
     empty exactly when the word represents the identity (Greendlinger).
+
+    One left-to-right scan (Domanski & Anshel, J. Algorithms 6, 1985):
+    ``left`` holds the scanned prefix, in which no match starts, and
+    ``right`` the rest of the word, reversed.  A replacement changes the
+    word only from the end of ``left`` on.  A new match that starts in
+    ``left`` keeps at most half of its relator there, or that part alone
+    would have matched before; so the scan steps back longest // 2 letters.
+    Every replacement shortens the word, so the scan makes O(longest * n)
+    steps.
     """
-    sym = symmetrized_relators(presentation)
-    if not sym or not is_metric_sixth(sym):
+    found = _dehn_rules(presentation.relators)
+    if found is None:
         raise NotDehnPresentation("relators do not satisfy C'(1/6)")
-    w = free_reduce(word)
-    while True:
-        replaced = False
-        for i in range(len(w)):
-            best_k, best_r = 0, None
-            for r in sym:
-                k = _common_prefix_len(w[i:], r)
-                if 2 * k > len(r) and k > best_k:
-                    best_k, best_r = k, r
-            if best_r is not None:
-                w = _concat(w[:i], invert_word(best_r[best_k:]), w[i + best_k :])
-                replaced = True
+    rules, lengths = found
+    longest = lengths[0]
+    left: list[int] = []
+    right = list(reversed(free_reduce(word)))
+    while right:
+        window = tuple(right[: -longest - 1 : -1])
+        for k in lengths:
+            if k <= len(window) and window[:k] in rules:
                 break
-        if not replaced:
-            return w
+        else:
+            left.append(right.pop())
+            continue
+        del right[-k:]
+        # the complement cancels into neither neighbour, since a letter that
+        # did would extend the match; only an empty one lets them meet
+        right.extend(reversed(rules[window[:k]]))
+        while left and right and left[-1] == -right[-1]:
+            left.pop()
+            right.pop()
+        back = min(longest // 2, len(left))
+        if back:
+            right.extend(reversed(left[-back:]))
+            del left[-back:]
+    return tuple(left)
 
 
 # ---------------------------------------------------------------------------

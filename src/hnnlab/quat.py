@@ -306,17 +306,20 @@ class OrderLattice:
             self._validate()
 
     def _validate(self) -> None:
-        if not self.contains(QUAT_ONE):
-            raise ValueError("lattice does not contain 1")
-        elems = self.basis_quaternions()
-        for e in elems:
-            if e.trd().denominator != 1 or e.nrd().denominator != 1:
-                raise ValueError("basis element with non-integral trd or nrd")
-        scaled = [_cleared(e) for e in elems]
+        self._validate_unit_and_basis()
+        scaled = [_cleared(e) for e in self.basis_quaternions()]
         for s, e in scaled:
             for r, f in scaled:
                 if not self._integral(s * r, *(e * f).coords()):
                     raise ValueError("lattice is not closed under multiplication")
+
+    def _validate_unit_and_basis(self) -> None:
+        """The order axioms other than closure under multiplication."""
+        if not self.contains(QUAT_ONE):
+            raise ValueError("lattice does not contain 1")
+        for e in self.basis_quaternions():
+            if e.trd().denominator != 1 or e.nrd().denominator != 1:
+                raise ValueError("basis element with non-integral trd or nrd")
 
     def basis_quaternions(self) -> list[Quaternion]:
         return [Quaternion._raw(*row) for row in self.basis]
@@ -450,7 +453,9 @@ def ring_closure(gens, max_rounds: int = 64) -> OrderLattice:
         products = [e * f for e in elems for f in elems]
         extra = [p.coords() for p in products if not lattice.contains(p)]
         if not extra:
-            return OrderLattice(basis)
+            # closure is what the loop just tested
+            lattice._validate_unit_and_basis()
+            return lattice
         basis = hnf_rational_rows(basis + extra)
         if len(basis) != 4:
             raise NotFullRank("saturation lost rank")

@@ -385,6 +385,14 @@ def test_bad_word_is_usage_error(capsys):
     assert code == 2
 
 
+def test_huge_exponent_is_usage_error(capsys):
+    for cmd in ("reduce", "trivial", "britton"):
+        code, out, err = run(capsys, [cmd, "a^1000000000000"])
+        assert code == 2
+        assert out == "" and err.startswith("error: word longer than")
+        assert "Traceback" not in err
+
+
 def test_unknown_language_is_usage_error(capsys):
     code, _, err = run(capsys, ["fsa-check", "nonsense"])
     assert code == 2

@@ -13,6 +13,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hnnlab.comb import (
+    WORD_LETTER_LIMIT,
     AbelianStructure,
     CapExceeded,
     NotDehnPresentation,
@@ -108,6 +109,16 @@ def test_word_grammar_multicharacter_names():
         parse_word("u7", alph)
     with pytest.raises(ValueError):
         parse_word("q", ("a", "b"))
+
+
+def test_parse_word_refuses_words_over_the_limit():
+    # exponents far beyond memory: nothing may be expanded before the check
+    alph = ("a", "b")
+    for text in ("a^1000000000000", "a^-1000000000000", "b*a^" + "9" * 30):
+        with pytest.raises(ValueError, match="longer than"):
+            parse_word(text, alph)
+    with pytest.raises(ValueError, match="longer than"):
+        parse_word("a" * (WORD_LETTER_LIMIT + 1), alph)
 
 
 def test_reduction_and_inversion():

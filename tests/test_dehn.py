@@ -1,0 +1,186 @@
+"""Dehn reduction against a reference route and against the matrices.
+
+The reference is the restart-from-zero loop: scan the freely reduced word
+from the left for a subword matching more than half of a symmetrized
+relator, replace the leftmost-longest match (first relator in sorted order
+on a tie) by the shorter complement, and rescan from the start.
+``dehn_reduce`` instead makes one left-to-right scan over two stacks and
+steps back only as far as a new match can start.  Both make the same
+replacements in the same order, so they must return the same word.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hnnlab.comb import (
+    NotDehnPresentation,
+    Presentation,
+    _concat,
+    _common_prefix_len,
+    dehn_reduce,
+    free_reduce,
+    invert_word,
+    is_metric_sixth,
+    symmetrized_relators,
+)
+from hnnlab.hnn import load_builtin_group
+
+G = load_builtin_group()
+SURFACE = G.vertex
+# genus 2 on a..d and genus 3 on e..j: relators of lengths 8 and 12
+TWO_RELATORS = Presentation("abcdefghij", ["AdcbCaBD", "efEFghGHijIJ"])
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def reference_dehn_reduce(word, presentation):
+    sym = symmetrized_relators(presentation)
+    if not sym or not is_metric_sixth(sym):
+        raise NotDehnPresentation("relators do not satisfy C'(1/6)")
+    w = free_reduce(word)
+    while True:
+        replaced = False
+        for i in range(len(w)):
+            best_k, best_r = 0, None
+            for r in sym:
+                k = _common_prefix_len(w[i:], r)
+                if 2 * k > len(r) and k > best_k:
+                    best_k, best_r = k, r
+            if best_r is not None:
+                w = _concat(w[:i], invert_word(best_r[best_k:]), w[i + best_k :])
+                replaced = True
+                break
+        if not replaced:
+            return w
+
+
+def letters(p):
+    return [g for x in range(1, p.ngens + 1) for g in (x, -x)]
+
+
+def random_words(p, max_size=60):
+    return st.lists(st.sampled_from(letters(p)), max_size=max_size).map(tuple)
+
+
+def h1_nonzero(p):
+    """Words with a nonzero exponent sum in some generator: nontrivial in a
+    surface group, whose relators have every exponent sum zero."""
+    return random_words(p, 6).filter(
+        lambda w: any(sum(g == x for g in w) != sum(g == -x for g in w)
+                      for x in range(1, p.ngens + 1))
+    )
+
+
+@st.composite
+def relator_products(draw, p, insert):
+    """(word, trivial): a product of rotated, conjugated relators and their
+    inverses, with a nonzero-H1 word inserted when ``insert`` is set."""
+    word = ()
+    for r in draw(st.lists(st.sampled_from(p.relators), min_size=1, max_size=6)):
+        r = draw(st.sampled_from((r, invert_word(r))))
+        cut = draw(st.integers(0, len(r) - 1))
+        x = draw(random_words(p, 4))
+        word += x + r[cut:] + r[:cut] + invert_word(x)
+    if insert:
+        at = draw(st.integers(0, len(word)))
+        word = word[:at] + draw(h1_nonzero(p)) + word[at:]
+    return word, not insert
+
+
+def long_pieces(p):
+    """Concatenations, without free reduction, of single letters and of
+    subwords holding at least half of a symmetrized relator.  A piece
+    replaced next to another can complete a match that starts up to
+    |r| // 2 letters to its left, which is what the scan's step back is for."""
+    pieces = [
+        r[:k] for r in symmetrized_relators(p) for k in range(len(r) // 2, len(r) + 1)
+    ]
+    single = st.sampled_from(letters(p)).map(lambda g: (g,))
+    piece = st.one_of(st.sampled_from(pieces), single)
+    return st.lists(piece, min_size=1, max_size=12).map(lambda ps: sum(ps, ()))
+
+
+def check_against_reference(p, words):
+    shortened = 0
+
+    @SETTINGS
+    @given(words)
+    def check(word):
+        nonlocal shortened
+        reduced = dehn_reduce(word, p)
+        assert reduced == reference_dehn_reduce(word, p), p.render(word)
+        shortened += len(reduced) < len(free_reduce(word))
+
+    check()
+    return shortened
+
+
+def test_second_presentation_is_sixth_metric():
+    sym = symmetrized_relators(TWO_RELATORS)
+    assert len(sym) == 16 + 24
+    assert is_metric_sixth(sym)
+
+
+@pytest.mark.parametrize("p", [SURFACE, TWO_RELATORS], ids=["genus2", "genus2+3"])
+def test_random_words_match_reference(p):
+    # a random word rarely holds more than half a relator: this checks
+    # that the scan leaves words without a match alone
+    check_against_reference(p, random_words(p))
+
+
+@pytest.mark.parametrize("p", [SURFACE, TWO_RELATORS], ids=["genus2", "genus2+3"])
+@pytest.mark.parametrize("insert", [False, True], ids=["trivial", "h1-insert"])
+def test_relator_products_match_reference(p, insert):
+    @SETTINGS
+    @given(relator_products(p, insert))
+    def check(case):
+        word, trivial = case
+        reduced = dehn_reduce(word, p)
+        assert reduced == reference_dehn_reduce(word, p), p.render(word)
+        assert (reduced == ()) == trivial, p.render(word)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [SURFACE, TWO_RELATORS], ids=["genus2", "genus2+3"])
+def test_long_relator_pieces_match_reference(p):
+    assert check_against_reference(p, long_pieces(p)) >= 150
+
+
+def test_dehn_agrees_with_matrices():
+    verdicts = set()
+    words = st.one_of(
+        random_words(SURFACE, 40),
+        relator_products(SURFACE, False).map(lambda c: c[0]),
+        relator_products(SURFACE, True).map(lambda c: c[0]),
+    )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(words)
+    def check(word):
+        by_dehn = dehn_reduce(word, SURFACE) == ()
+        assert by_dehn == G.evaluate(word).is_identity(), SURFACE.render(word)
+        verdicts.add(by_dehn)
+
+    check()
+    assert verdicts == {True, False}
+
+
+def test_non_dehn_presentation_raises_on_every_call():
+    z2 = Presentation("xy", ["xyXY"])
+    for _ in range(2):
+        with pytest.raises(NotDehnPresentation):
+            dehn_reduce((1,), z2)
+
+
+def test_presentations_keep_their_own_rules():
+    # the same alphabet with two genus-2 relators: each presentation's
+    # relator is reduced to 1 only under its own rules
+    first = Presentation("abcd", ["AdcbCaBD"])
+    second = Presentation("abcd", ["abABcdCD"])
+    u, v = first.relators[0], second.relators[0]
+    for _ in range(2):
+        assert dehn_reduce(u, first) == ()
+        assert dehn_reduce(v, second) == ()
+        assert dehn_reduce(v, first) == reference_dehn_reduce(v, first) != ()
+        assert dehn_reduce(u, second) == reference_dehn_reduce(u, second) != ()
