@@ -29,6 +29,17 @@ DISPLAY_DIGITS = 50
 # fsa-check cost grows about as radius^3 on the built-in languages: at this
 # radius one check takes a few seconds and under 60 MB
 _FSA_RADIUS_LIMIT = 64
+# the same-field ratio scan of `lengths` grows as bound^2: under 1 s at
+# this bound on a 2-core x86 host
+_LENGTHS_BOUND_LIMIT = 1024
+# each random consequence costs about 6 ms: about 6 s at this count
+_VERIFY_SAMPLES_LIMIT = 1000
+# Each letter multiplies |trace| by at most 16.2 (the largest singular value
+# of a generator, b's) and its denominator by at most 3 (the largest entry
+# denominator, t's), so tr^2 - 4, and with it a field parameter printed by
+# classify/lengths, gains under 3.4 digits a letter.  Python's default
+# limit on int <-> str conversion is 4300 digits.
+_INT_DIGITS_LIMIT = 4 * comb.WORD_LETTER_LIMIT
 
 
 def _print_json(payload) -> None:
@@ -69,6 +80,10 @@ def _render_letters(letters) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples > _VERIFY_SAMPLES_LIMIT:
+        raise ValueError(
+            f"--samples {args.samples} is above the limit {_VERIFY_SAMPLES_LIMIT}"
+        )
     group = hnn.load_builtin_group()
     report = group.verify_presentation()
     samples_ok = samples_total = 0
@@ -131,7 +146,7 @@ def _cmd_verify(args) -> int:
 # classify / lengths
 
 
-def _classify_payload(group, text: str) -> dict:
+def _classify_payload(group, text: str) -> tuple[dict, isom.IsometryClass]:
     word = group.ambient.parse(text)
     m = group.evaluate(word)
     kind = isom.classify(m)
@@ -160,12 +175,12 @@ def _classify_payload(group, text: str) -> dict:
         if kind.length is not None:
             payload["length_exact"] = f"2*log({kind.length.multiplier_str()})"
             payload["length_field"] = kind.length.field_param
-    return payload
+    return payload, kind
 
 
 def _cmd_classify(args) -> int:
     group = hnn.load_builtin_group()
-    payload = _classify_payload(group, args.word)
+    payload, _ = _classify_payload(group, args.word)
     if args.json:
         _print_json(payload)
         return 0
@@ -191,17 +206,18 @@ def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
 
 
 def _cmd_lengths(args) -> int:
+    if args.bound > _LENGTHS_BOUND_LIMIT:
+        raise ValueError(
+            f"--bound {args.bound} is above the limit {_LENGTHS_BOUND_LIMIT}"
+        )
     group = hnn.load_builtin_group()
     texts = args.words or ["a", "b", "c", "d"]
-    rows = [_classify_payload(group, t) for t in texts]
+    rows, kinds = zip(*(_classify_payload(group, t) for t in texts))
     comparison = None
     if len(rows) == 2:
-        lengths = []
-        for t in texts:
-            try:
-                lengths.append(isom.translation_length(group.evaluate(t)))
-            except (isom.NotHyperbolic, ValueError):
-                lengths.append(None)
+        lengths = [
+            k.length if isinstance(k, isom.Hyperbolic) else None for k in kinds
+        ]
         if None not in lengths:
             comparison = _dependence_payload(lengths[0], lengths[1], args.bound)
     if args.json:
@@ -503,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "check the defining data of the lattice")
     p.add_argument("--samples", type=int, default=0,
-                   help="also test this many random relator consequences")
+                   help="also test this many random relator consequences"
+                   f" (at most {_VERIFY_SAMPLES_LIMIT})")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("classify", _cmd_classify, "isometry type of a word's image")
@@ -513,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("words", nargs="*",
                    help="words to measure (default: the four surface generators)")
     p.add_argument("--bound", type=int, default=64,
-                   help="power bound for the ratio check of two words")
+                   help="power bound for the ratio check of two words"
+                   f" (at most {_LENGTHS_BOUND_LIMIT})")
 
     p = add("reduce", _cmd_reduce, "Dehn-reduce a surface-group word")
     p.add_argument("word")
@@ -554,6 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Python before 3.10.7 has no such limit to raise
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < _INT_DIGITS_LIMIT:
+        sys.set_int_max_str_digits(_INT_DIGITS_LIMIT)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:

@@ -154,6 +154,22 @@ def test_lengths_default_four_generators(capsys):
     assert data["comparison"] is None
 
 
+def test_lengths_of_4000_letter_words(capsys):
+    # tr^2 - 4 has about 6680 digits for both words and is never factored;
+    # the second word's field parameter keeps nearly all of them, beyond
+    # Python's default 4300-digit limit for int <-> str.  About 10 s, two
+    # evaluations of 4000 letters.
+    words = ["at" * 2000, "at" * 1999 + "tt"]
+    code, out, err = run(capsys, ["lengths", "--json", *words])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    first, second = data["elements"]
+    assert first["length_field"] == 2173
+    assert first["length_exact"].startswith("2*log(") and first["length_decimal"]
+    assert len(str(second["length_field"])) > 6000
+    assert data["comparison"] == {"kind": "independent-certified", "bound": 64}
+
+
 # ---------------------------------------------------------------------------
 # word problem commands
 
@@ -327,6 +343,26 @@ def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
         )
         assert code == 2
         assert out == "" and "above the limit 64" in err
+
+
+def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):
+    argv = ["lengths", "a", "c", "--json", "--bound"]
+    code, data = run_json(capsys, argv + [str(cli._LENGTHS_BOUND_LIMIT)])
+    assert code == 0
+    assert data["comparison"]["bound"] == cli._LENGTHS_BOUND_LIMIT
+
+    def no_group():
+        raise AssertionError("the group was loaded for an over-limit argument")
+
+    monkeypatch.setattr(hnn, "load_builtin_group", no_group)
+    for argv, limit in (
+        (argv, cli._LENGTHS_BOUND_LIMIT),
+        (["verify", "--samples"], cli._VERIFY_SAMPLES_LIMIT),
+    ):
+        for value in (limit + 1, 10**9):
+            code, out, err = run(capsys, argv + [str(value)])
+            assert code == 2
+            assert out == "" and f"above the limit {limit}" in err
 
 
 # ---------------------------------------------------------------------------

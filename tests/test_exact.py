@@ -4,19 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint, nextprime
 
 from hnnlab.exact import (
+    SQUAREFREE_TRIAL_BOUND,
     Mat2,
     MismatchedField,
     NotUnimodular,
     ProjMat,
     QuadExt,
     SingularMatrix,
-    parse_quadext,
-    power_rationality,
-    proj_eq,
-    quad_sign,
-    rational_sqrt_decompose,
     render_quadext,
     squarefree_part,
 )
@@ -50,13 +49,13 @@ def test_inverse_of_sqrt2() -> None:
 
 
 def test_exact_signs() -> None:
-    assert quad_sign(QuadExt(2, 0, 0)) == 0
+    assert QuadExt(2, 0, 0).sign() == 0
     # 3/2 - sqrt(2): compare (3/2)^2 = 9/4 against 2, so positive
-    assert quad_sign(QuadExt(2, Fraction(3, 2), -1)) == 1
+    assert QuadExt(2, Fraction(3, 2), -1).sign() == 1
     # 1 - sqrt(5) is negative
-    assert quad_sign(QuadExt(5, 1, -1)) == -1
-    assert quad_sign(Fraction(-2, 7)) == -1
-    assert quad_sign(0) == 0
+    assert QuadExt(5, 1, -1).sign() == -1
+    assert QuadExt(2, Fraction(-2, 7)).sign() == -1
+    assert QuadExt.rational(5, 0).sign() == 0
 
 
 def test_sign_trichotomy_and_multiplicativity() -> None:
@@ -146,31 +145,67 @@ def test_squarefree_part() -> None:
     assert squarefree_part(-12) == (2, -3)
 
 
-def test_rational_sqrt_decompose() -> None:
-    assert rational_sqrt_decompose(Fraction(5)) == (Fraction(1), 5)
-    assert rational_sqrt_decompose(Fraction(45)) == (Fraction(3), 5)
-    assert rational_sqrt_decompose(Fraction(9, 4)) == (Fraction(3, 2), 1)
-    # sqrt(21/4) = (1/2) sqrt(21)
-    assert rational_sqrt_decompose(Fraction(21, 4)) == (Fraction(1, 2), 21)
+BOUND = SQUAREFREE_TRIAL_BOUND
+# primes just above the trial-division bound
+_LARGE_PRIMES = st.integers(BOUND, 2 * BOUND).map(nextprime)
 
 
-def test_render_and_parse_round_trip() -> None:
-    cases = [
-        QuadExt(5, Fraction(3, 2), Fraction(1, 2)),
-        QuadExt(2, 0, -1),
-        QuadExt(2, Fraction(-7, 3), 0),
-        QuadExt(21, 0, Fraction(2, 9)),
-        QuadExt(2, 1, 1),
-    ]
-    for x in cases:
-        assert parse_quadext(render_quadext(x), x.d) == x
+def _squarefree_part_by_factorint(n: int) -> tuple[int, int]:
+    if n == 0:
+        return 0, 0
+    s, d = 1, 1 if n > 0 else -1
+    for p, e in factorint(abs(n)).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return s, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(BOUND**3 - 1), BOUND**3 - 1),
+        st.builds(lambda k, p: k * p * p, st.integers(-(1 << 13), 1 << 13), _LARGE_PRIMES),
+        st.builds(lambda p, q: p * q, _LARGE_PRIMES, _LARGE_PRIMES),
+    )
+)
+def test_bounded_squarefree_part_is_exact_below_bound_cubed(n: int) -> None:
+    assert abs(n) < BOUND**3
+    assert squarefree_part(n) == _squarefree_part_by_factorint(n)
+
+
+def test_squarefree_part_folds_a_square_cofactor() -> None:
+    k = nextprime(BOUND)
+    # k**2 lies above the reach of trial division; isqrt still finds it
+    assert squarefree_part(2173 * k**40) == (k**20, 2173)
+    assert squarefree_part(-(6 * 49 * k**2)) == (7 * k, -6)
+    # two distinct large squares multiply to a square as well
+    m = nextprime(k)
+    assert squarefree_part(5 * k**2 * m**2) == (k * m, 5)
+    # an unfound square factor stays in D, which is then not squarefree
+    s, d = squarefree_part(3 * k**2 * m)
+    assert (s, d) == (1, 3 * k**2 * m) and d >= BOUND**3
+
+
+def test_field_parameter_must_be_proven_squarefree() -> None:
+    k = nextprime(BOUND)
+    m = nextprime(k)
+    assert QuadExt(3 * k, 1, 1).d == 3 * k
+    assert QuadExt(k * m, 1, 1).d == k * m
+    with pytest.raises(ValueError, match="squarefree"):
+        QuadExt(3 * k * k, 1, 1)
+    # at or above BOUND**3 squarefree_part is no proof, so QuadExt refuses
+    for d in (k * k * m, k * m * nextprime(m)):
+        assert d >= BOUND**3
+        with pytest.raises(ValueError, match="too large to prove squarefree"):
+            QuadExt(d, 1, 1)
+
+
+def test_render_quadext() -> None:
     assert render_quadext(QuadExt(5, Fraction(3, 2), Fraction(1, 2))) == "3/2 + 1/2*sqrt(5)"
     assert render_quadext(QuadExt(2, 0, -1)) == "-sqrt(2)"
-    assert parse_quadext("2/3", 5) == QuadExt(5, Fraction(2, 3))
-    with pytest.raises(ValueError):
-        parse_quadext("nonsense")
-    with pytest.raises(ValueError):
-        parse_quadext("2/3")  # no field parameter to pin the field
+    assert render_quadext(QuadExt(2, Fraction(-7, 3), 0)) == "-7/3"
+    assert render_quadext(QuadExt(21, 0, Fraction(2, 9))) == "2/9*sqrt(21)"
+    assert render_quadext(QuadExt(2, 1, 1)) == "1 + sqrt(2)"
 
 
 def test_mat2_basics() -> None:
@@ -221,7 +256,7 @@ def test_mat2_random_inverse_and_det_multiplicativity() -> None:
 def test_projmat_sign_convention() -> None:
     d = 2
     ident = Mat2.identity(d)
-    assert proj_eq(ident, -ident)
+    assert ProjMat(ident) == ProjMat(-ident)
     p = ProjMat(-ident)
     assert p.is_identity()
     # first nonzero entry of the canonical representative is positive
@@ -263,22 +298,5 @@ def test_projmat_equivalence_on_random_products() -> None:
             m = m * g
         sign = rng.choice([1, -1])
         flipped = m if sign == 1 else -m
-        assert proj_eq(m, flipped)
         assert ProjMat(m) == ProjMat(flipped)
         assert hash(ProjMat(m)) == hash(ProjMat(flipped))
-
-
-def test_power_rationality_reports() -> None:
-    lam = QuadExt(5, Fraction(3, 2), Fraction(1, 2))
-    report = power_rationality(lam, 10)
-    assert len(report) == 10
-    assert all(not rational for _, rational in report)
-
-    r2 = QuadExt.sqrt_d(2)
-    assert power_rationality(r2, 2) == [(1, False), (2, True)]
-
-    one = QuadExt(5, 1)
-    assert all(rational for _, rational in power_rationality(one, 5))
-
-    with pytest.raises(ValueError):
-        power_rationality(lam, 0)

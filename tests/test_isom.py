@@ -10,8 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import nextprime
 
-from hnnlab.exact import Mat2, ProjMat, QuadExt
+from hnnlab.exact import SQUAREFREE_TRIAL_BOUND, Mat2, ProjMat, QuadExt
+from hnnlab.hnn import load_builtin_group
 from hnnlab.isom import (
     Dependent,
     EllipticFinite,
@@ -160,3 +164,191 @@ def test_dependence_rejects_bad_input():
         length_ratio_independent(
             shrinking, TransLength(Fraction(2), Fraction(0), 1), 5
         )
+
+
+# ---------------------------------------------------------------------------
+# finite order from the trace: the power search it replaced is the reference
+
+
+def _order_by_power_search(m: ProjMat, power_bound: int = 120) -> int | None:
+    power = m
+    for n in range(2, power_bound + 1):
+        power = power * m
+        if power.is_identity():
+            return n
+    return None
+
+
+_HALF = Fraction(1, 2)
+# every elliptic trace of finite order and degree <= 2, and a few of
+# infinite order, each with the field its matrix lives in
+_ELLIPTIC_TRACES = [
+    (2, QuadExt(2, 0)),
+    (2, QuadExt(2, 1)),
+    (2, QuadExt.sqrt_d(2)),
+    (3, QuadExt.sqrt_d(3)),
+    (5, QuadExt(5, _HALF, _HALF)),
+    (5, QuadExt(5, -_HALF, _HALF)),
+    (2, QuadExt(2, Fraction(2, 3))),
+    (2, QuadExt(2, Fraction(1, 2))),
+    (3, QuadExt(3, Fraction(1, 2), Fraction(1, 2))),
+    (5, QuadExt(5, 0, Fraction(1, 2))),
+]
+
+
+def _with_trace(d: int, tr: QuadExt) -> ProjMat:
+    return ProjMat(Mat2(d, 0, 1, -1, tr))
+
+
+def test_order_table_matches_power_search_on_every_entry():
+    seen = set()
+    for d, tr in _ELLIPTIC_TRACES:
+        for signed in (tr, -tr):
+            m = _with_trace(d, signed)
+            order = _order_by_power_search(m)
+            expected = EllipticInfinite() if order is None else EllipticFinite(order)
+            assert classify(m) == expected
+            seen.add(order)
+    assert seen == {2, 3, 4, 5, 6, None}
+
+
+_shear_entry = st.builds(
+    Fraction, st.integers(-4, 4), st.integers(1, 3)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_ELLIPTIC_TRACES),
+    st.booleans(),
+    st.lists(st.tuples(st.booleans(), _shear_entry, _shear_entry), max_size=4),
+)
+def test_order_table_matches_power_search_on_conjugates(entry, negate, shears):
+    d, tr = entry
+    m = _with_trace(d, -tr if negate else tr)
+    g = ProjMat.identity(d)
+    for upper, x, y in shears:
+        # x + y*sqrt(d) off the diagonal keeps the shear in SL2 over the field
+        v = QuadExt(d, x, y)
+        g = g * ProjMat(Mat2(d, 1, v, 0, 1) if upper else Mat2(d, 1, 0, v, 1))
+    c = g * m * g.inverse()
+    order = _order_by_power_search(c)
+    assert classify(c) == (
+        EllipticInfinite() if order is None else EllipticFinite(order)
+    )
+
+
+# ---------------------------------------------------------------------------
+# ratio verdicts: the Fraction power-table scan they replaced is the reference
+
+
+def _reference_power_table(l: TransLength, bound: int):
+    r, s, d = l.rational_part, l.surd_coeff, l.field_param
+    out = [(r, s)]
+    rp, sp = r, s
+    for _ in range(bound - 1):
+        rp, sp = r * rp + d * s * sp, r * sp + s * rp
+        out.append((rp, sp))
+    return out
+
+
+def _reference_same_field_scan(l1: TransLength, l2: TransLength, bound: int):
+    pows1 = _reference_power_table(l1, bound)
+    pows2 = _reference_power_table(l2, bound)
+    for total in range(2, 2 * bound + 1):
+        for p in range(max(1, total - bound), min(bound, total - 1) + 1):
+            q = total - p
+            if pows1[p - 1] == pows2[q - 1]:
+                return Dependent(p, q)
+    return IndependentUpTo(bound)
+
+
+def _length_of_power(base: TransLength, n: int) -> TransLength:
+    lam = base.multiplier() ** n
+    if base.field_param == 1:
+        return TransLength(lam, Fraction(0), 1)
+    return TransLength(lam.a, lam.b, base.field_param)
+
+
+_SAME_FIELD_BASES = [
+    TransLength(Fraction(3, 2), Fraction(1, 2), 5),  # a
+    TransLength(Fraction(2), Fraction(1), 5),  # phi**3, where lambda(a) = phi**2
+    TransLength(Fraction(5, 2), Fraction(1, 2), 21),  # c
+    TransLength(Fraction(2), Fraction(0), 1),
+    TransLength(Fraction(3), Fraction(0), 1),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_SAME_FIELD_BASES),
+    st.sampled_from(_SAME_FIELD_BASES),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 14),
+)
+def test_same_field_scan_matches_reference(b1, b2, i, j, bound):
+    if b1.field_param != b2.field_param:
+        b2 = b1
+    l1, l2 = _length_of_power(b1, i), _length_of_power(b2, j)
+    assert length_ratio_independent(l1, l2, bound) == _reference_same_field_scan(
+        l1, l2, bound
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 5))
+def test_certificate_induction_holds(p, q):
+    # the certificate behind IndependentCertified: with r > 1 and s > 0 the
+    # surd coefficients of the powers strictly increase
+    l = classify(ProjMat(Mat2(2, 0, 1, -1, 2 + Fraction(p, q)))).length
+    prev = Fraction(0)
+    for _, sp in _reference_power_table(l, 30):
+        assert sp > prev or l.field_param == 1
+        prev = sp
+
+
+def test_field_test_needs_no_squarefree_parameter():
+    k = nextprime(SQUAREFREE_TRIAL_BOUND)
+    tau_a = translation_length(proj("a"))
+    tau_c = translation_length(proj("c"))
+    tau_d = translation_length(proj("d"))
+    # lambda(a) written over 5*k**2: sqrt(5) = sqrt(5*k**2) / k
+    over_5k2 = TransLength(tau_a.rational_part, tau_a.surd_coeff / k, 5 * k * k)
+    assert length_ratio_independent(tau_a, over_5k2, 10) == Dependent(1, 1)
+    assert length_ratio_independent(over_5k2, tau_a, 10) == Dependent(1, 1)
+    assert length_ratio_independent(over_5k2, tau_d, 10) == Dependent(2, 1)
+    # different fields stay certified, whichever way one is written
+    over_21k2 = TransLength(tau_c.rational_part, tau_c.surd_coeff / k, 21 * k * k)
+    assert length_ratio_independent(over_5k2, tau_c, 10) == IndependentCertified(10)
+    assert length_ratio_independent(tau_a, over_21k2, 10) == IndependentCertified(10)
+    assert length_ratio_independent(over_5k2, over_21k2, 10) == IndependentCertified(10)
+
+
+# ---------------------------------------------------------------------------
+# long words: tr**2 - 4 has thousands of digits and is never factored
+
+
+@pytest.fixture(scope="module")
+def group():
+    return load_builtin_group()
+
+
+def test_short_power_of_at_is_classified(group):
+    m = group.evaluate("at" * 13)
+    lam = translation_length(group.evaluate("at")).multiplier()
+    assert classify(m) == Hyperbolic(translation_length(m))
+    assert translation_length(m).field_param == 2173
+    assert translation_length(m).multiplier() == lam**13
+
+
+def test_4000_letter_power_of_at_is_classified(group):
+    at = group.evaluate("at")
+    # the image of the 4000-letter word (at)^2000, by squaring: 0.05 s
+    # against 5 s for evaluating its letters one by one
+    at_2000 = at**2000
+    lam = translation_length(at).multiplier()
+    length = translation_length(at_2000)
+    assert classify(at_2000) == Hyperbolic(length)
+    assert length.field_param == 2173
+    assert length.multiplier() == lam**2000
