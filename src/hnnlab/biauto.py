@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 
 class UnknownLetter(ValueError):
@@ -169,6 +170,21 @@ class Fsa:
                         yield w2
                     nxt.append((w2, after))
             frontier = nxt
+
+    def count_paths(self, max_len: int) -> int:
+        """Paths of length <= max_len from an initial state of the trimmed
+        automaton: a bound on the prefixes words_up_to walks."""
+        live = self.trim()
+        edges = [(src, dst) for src, _, dst in live.transitions()]
+        counts = dict.fromkeys(live.initial, 1)
+        total = len(counts)
+        for _ in range(max_len):
+            nxt = dict.fromkeys(range(live.num_states), 0)
+            for src, dst in edges:
+                nxt[dst] += counts.get(src, 0)
+            counts = nxt
+            total += sum(counts.values())
+        return total
 
     def to_json(self) -> dict:
         return {
@@ -356,9 +372,11 @@ class WindowedLanguage:
         # plus 1 for a shift letter; the ball covers every distance we take
         self.ball = BallOracle(model, 2 * radius + 2)
         self.words_by_element: dict = {}
+        # each word is folded once; its path ends at the word's element
+        self._paths: dict = {}
         for w in fsa.words_up_to(radius):
-            g = model.evaluate(w)
-            self.words_by_element.setdefault(g, []).append(w)
+            path = self._paths[w] = model.path(w)
+            self.words_by_element.setdefault(path[-1], []).append(w)
 
     # -- uniform finiteness -------------------------------------------------
 
@@ -396,11 +414,10 @@ class WindowedLanguage:
         shifts = [(None, self.model.identity)]
         shifts += sorted(self.model.letter_images.items())
         norm = self.ball._norm.__getitem__
-        # each word is paired many times; its path is built once per call
-        words = [w for ws in self.words_by_element.values() for w in ws]
-        paths = dict(zip(words, map(self.model.path, words)))
+        paths = self._paths
         zeta, witness, pairs = 0, None, 0
-        for u, pu in paths.items():
+        for u in chain.from_iterable(self.words_by_element.values()):
+            pu = paths[u]
             for shift_name, s in shifts:
                 shifted = pu if shift_name is None else [mul(s, p) for p in pu]
                 # the separation at time t is |shifted[t]^-1 * pv[t]|

@@ -24,11 +24,15 @@ from decimal import Decimal, localcontext
 from . import biauto, comb, hnn, isom
 from .exact import QuadExt, render_quadext
 
-COSET_CAP_ENV = "HNN_LAB_COSET_CAP"
 DISPLAY_DIGITS = 50
 # fsa-check cost grows about as radius^3 on the built-in languages: at this
 # radius one check takes a few seconds and under 60 MB
 _FSA_RADIUS_LIMIT = 64
+# a user automaton is bounded by its window, not its radius: these admit
+# every built-in language at radius 64 (16385 prefixes, 208025 pairs) and
+# refuse the all-words automaton from radius 6 on (60 million pairs)
+_FSA_PREFIX_LIMIT = 20_000
+_FSA_PAIRS_LIMIT = 250_000
 # the same-field ratio scan of `lengths` grows as bound^2: under 1 s at
 # this bound on a 2-core x86 host
 _LENGTHS_BOUND_LIMIT = 1024
@@ -40,6 +44,12 @@ _VERIFY_SAMPLES_LIMIT = 1000
 # classify/lengths, gains under 3.4 digits a letter.  Python's default
 # limit on int <-> str conversion is 4300 digits.
 _INT_DIGITS_LIMIT = 4 * comb.WORD_LETTER_LIMIT
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    """Refuse, with exit 2, a run whose size is over its limit."""
+    if value > limit:
+        raise ValueError(f"{what} {value} is above the limit {limit}")
 
 
 def _print_json(payload) -> None:
@@ -80,10 +90,7 @@ def _render_letters(letters) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples > _VERIFY_SAMPLES_LIMIT:
-        raise ValueError(
-            f"--samples {args.samples} is above the limit {_VERIFY_SAMPLES_LIMIT}"
-        )
+    _check_limit("--samples", args.samples, _VERIFY_SAMPLES_LIMIT)
     group = hnn.load_builtin_group()
     report = group.verify_presentation()
     samples_ok = samples_total = 0
@@ -206,10 +213,7 @@ def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
 
 
 def _cmd_lengths(args) -> int:
-    if args.bound > _LENGTHS_BOUND_LIMIT:
-        raise ValueError(
-            f"--bound {args.bound} is above the limit {_LENGTHS_BOUND_LIMIT}"
-        )
+    _check_limit("--bound", args.bound, _LENGTHS_BOUND_LIMIT)
     group = hnn.load_builtin_group()
     texts = args.words or ["a", "b", "c", "d"]
     rows, kinds = zip(*(_classify_payload(group, t) for t in texts))
@@ -305,15 +309,7 @@ def _cmd_trivial(args) -> int:
 
 def _cmd_cosets(args) -> int:
     group = hnn.load_builtin_group()
-    cap = int(os.environ.get(COSET_CAP_ENV, "100000"))
-    uses_source = args.side == "source"
-    words = [
-        group.vertex.parse(u if uses_source else v) for u, v in group.pairs
-    ]
-    names = [f"{'u' if uses_source else 'v'}{i+1}" for i in range(len(words))]
-    table = comb.todd_coxeter(
-        group.vertex, words, cap=cap, subgroup_names=names
-    )
+    table = group.source_table if args.side == "source" else group.target_table
     if args.json:
         _print_json(table.to_json())
         return 0
@@ -348,7 +344,7 @@ def _cmd_tree(args) -> int:
         return 0
     w1, w2 = args.words
     dist = group.tree_distance(w1, w2)
-    same = group.same_vertex(w1, w2)
+    same = dist == 0
     if args.json:
         _print_json({"words": [w1, w2], "distance": dist, "same_vertex": same})
     else:
@@ -400,12 +396,17 @@ def _load_language(name: str):
 
 
 def _cmd_fsa_check(args) -> int:
-    if args.radius > _FSA_RADIUS_LIMIT:
-        raise ValueError(
-            f"--radius {args.radius} is above the limit {_FSA_RADIUS_LIMIT}"
-        )
+    _check_limit("--radius", args.radius, _FSA_RADIUS_LIMIT)
     fsa, model = _load_language(args.language)
+    paths = fsa.count_paths(args.radius)
+    _check_limit("automaton path count", paths, _FSA_PREFIX_LIMIT)
     lang = biauto.WindowedLanguage(fsa, model, args.radius)
+    # each word, unshifted or shifted by a letter, is paired with the words
+    # of each element at most one letter from its end
+    per_element = [len(ws) for ws in lang.words_by_element.values()]
+    pairs = (1 + len(model.letter_images)) ** 2 * sum(per_element)
+    pairs *= max(per_element, default=0)
+    _check_limit("fellow-traveller pair bound", pairs, _FSA_PAIRS_LIMIT)
     report = lang.analyze(args.rule, args.cap)
     fin, fel, quasi = report.finite_to_one, report.fellow, report.quasigeodesic
     witness = fel.witness
@@ -582,9 +583,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except comb.CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, comb.NotInSubgroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -552,33 +552,6 @@ class CosetTable:
         }
 
 
-def _standardize(table, deco):
-    """Renumber cosets in BFS order (columns scanned in order) and read off
-    breadth-first representative words."""
-    n = len(table)
-    ncols = len(table[0]) if table else 0
-    order = [0]
-    new_of_old = {0: 0}
-    reps: list[Word] = [()]
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        for c in range(ncols):
-            b = table[a][c]
-            if b not in new_of_old:
-                new_of_old[b] = len(order)
-                order.append(b)
-                reps.append(reps[new_of_old[a]] + (_letter_of_col(c),))
-    if len(order) != n:
-        raise RuntimeError("coset graph is not connected")
-    new_table = tuple(
-        tuple(new_of_old[table[a][c]] for c in range(ncols)) for a in order
-    )
-    new_deco = tuple(tuple(deco[a][c] for c in range(ncols)) for a in order)
-    return new_table, new_deco, tuple(reps)
-
-
 def todd_coxeter(
     presentation: Presentation,
     subgroup_generators,
@@ -623,20 +596,29 @@ def todd_coxeter(
         alpha += 1
     enum.verify(presentation.relators, words)
 
-    live = [a for a in range(len(enum.table)) if a not in enum.dead]
-    compact_of = {a: i for i, a in enumerate(live)}
-    table = [
-        [compact_of[enum.table[a][c]] for c in range(enum.ncols)] for a in live
-    ]
-    deco = [[enum.deco[a][c] for c in range(enum.ncols)] for a in live]
-    std_table, std_deco, reps = _standardize(table, deco)
+    # standardize: renumber in BFS order from coset 0, scanning columns in
+    # order.  No dead coset is reached: verify rejects a live row pointing at
+    # one, and coset 0 never dies (a coincidence keeps the smaller root).
+    table, deco = enum.table, enum.deco
+    order = [0]
+    new_of_old = {0: 0}
+    reps: list[Word] = [()]
+    for a in order:
+        for c in range(enum.ncols):
+            b = table[a][c]
+            if b not in new_of_old:
+                new_of_old[b] = len(order)
+                order.append(b)
+                reps.append(reps[new_of_old[a]] + (_letter_of_col(c),))
+    if len(order) != len(table) - len(enum.dead):
+        raise RuntimeError("coset graph is not connected")
     return CosetTable(
         generators=presentation.generators,
         subgroup_names=subgroup_names,
         subgroup_words=tuple(words),
-        table=std_table,
-        decorations=std_deco,
-        representatives=reps,
+        table=tuple(tuple(new_of_old[b] for b in table[a]) for a in order),
+        decorations=tuple(tuple(deco[a]) for a in order),
+        representatives=tuple(reps),
     )
 
 

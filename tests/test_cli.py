@@ -8,7 +8,7 @@ import pytest
 from jsonschema import validate
 
 from hnnlab import cli, hnn
-from hnnlab.biauto import z2_normal_form_fsa
+from hnnlab.biauto import BUILTIN_LANGUAGES, Fsa, z2_normal_form_fsa
 
 
 def run(capsys, argv):
@@ -229,13 +229,6 @@ def test_cosets_both_sides(capsys):
     assert "subgroup genus: 13" in out
 
 
-def test_coset_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(cli.COSET_CAP_ENV, "3")
-    code, _, err = run(capsys, ["cosets"])
-    assert code == 1
-    assert "more than 3 cosets" in err
-
-
 def test_tree_distances(capsys):
     code, out, _ = run(capsys, ["tree", "tat"])
     assert code == 0
@@ -343,6 +336,57 @@ def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
         )
         assert code == 2
         assert out == "" and "above the limit 64" in err
+
+
+LETTERS = ("x", "X", "y", "Y")
+# one state: every word over x/X/y/Y
+EVERY_WORD = Fsa(LETTERS, 1, 0, (0,), [(0, x, 0) for x in LETTERS])
+# a chain of 65 states, then a loop: no word of 64 letters or fewer, but
+# every prefix stays live
+LONG_WORDS_ONLY = Fsa(
+    LETTERS,
+    66,
+    0,
+    (65,),
+    [(i, x, min(i + 1, 65)) for i in range(66) for x in LETTERS],
+)
+
+
+def test_fsa_check_refuses_automata_with_too_many_prefixes(
+    capsys, monkeypatch, tmp_path
+):
+    def no_window(*args):
+        raise AssertionError("a window was built for an over-limit automaton")
+
+    monkeypatch.setattr(cli.biauto, "WindowedLanguage", no_window)
+    path = tmp_path / "lang.json"
+    for fsa, radius in ((EVERY_WORD, 7), (EVERY_WORD, 64), (LONG_WORDS_ONLY, 64)):
+        path.write_text(json.dumps(fsa.to_json()))
+        argv = ["fsa-check", str(path), "--radius", str(radius)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"above the limit {cli._FSA_PREFIX_LIMIT}\n")
+
+
+def test_fsa_check_refuses_windows_with_too_many_pairs(
+    capsys, monkeypatch, tmp_path
+):
+    class Analyzed(Exception):
+        pass
+
+    def analyze(*args):
+        raise Analyzed
+
+    monkeypatch.setattr(cli.biauto.WindowedLanguage, "analyze", analyze)
+    for name in BUILTIN_LANGUAGES:
+        with pytest.raises(Analyzed):
+            cli.main(["fsa-check", name, "--radius", str(cli._FSA_RADIUS_LIMIT)])
+    # 5461 prefixes pass, but the identity alone has 441 words
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps(EVERY_WORD.to_json()))
+    code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "6"])
+    assert code == 2 and out == ""
+    assert err.endswith(f"above the limit {cli._FSA_PAIRS_LIMIT}\n")
 
 
 def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):

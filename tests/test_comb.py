@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hnnlab.comb import (
@@ -109,6 +111,59 @@ def test_word_grammar_multicharacter_names():
         parse_word("u7", alph)
     with pytest.raises(ValueError):
         parse_word("q", ("a", "b"))
+
+
+ROUND_TRIP = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+SHORT_NAMES = ("a", "b", "c", "d", "t")
+LONG_NAMES = ("u1", "u13", "v2", "x", "gen_7")
+
+
+def words_over(alphabet):
+    gen = st.integers(1, len(alphabet))
+    letter = st.tuples(gen, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return st.lists(letter, max_size=30).map(tuple)
+
+
+@ROUND_TRIP
+@given(words_over(SHORT_NAMES))
+def test_both_grammars_round_trip(word):
+    for style in ("compact", "verbose"):
+        text = render_word(word, SHORT_NAMES, style)
+        assert parse_word(text, SHORT_NAMES) == word
+
+
+@ROUND_TRIP
+@given(words_over(LONG_NAMES))
+def test_verbose_grammar_round_trips_multicharacter_names(word):
+    text = render_word(word, LONG_NAMES, "verbose")
+    assert parse_word(text, LONG_NAMES) == word
+
+
+@ROUND_TRIP
+@given(
+    st.sampled_from((SHORT_NAMES, LONG_NAMES)).flatmap(
+        lambda alph: st.tuples(
+            st.just(alph),
+            st.lists(
+                st.tuples(st.integers(1, len(alph)), st.integers(-6, 6)),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_verbose_exponents_expand(case):
+    """Tokens name^e, unmerged and possibly cancelling, expand letter by
+    letter, and the verbose rendering of the result reads back the same."""
+    alph, tokens = case
+    text = "*".join(
+        alph[g - 1] if e == 1 else f"{alph[g - 1]}^{e}" for g, e in tokens
+    )
+    word = tuple(g if e > 0 else -g for g, e in tokens for _ in range(abs(e)))
+    assert parse_word(text, alph) == word
+    assert parse_word(render_word(word, alph, "verbose"), alph) == word
 
 
 def test_parse_word_refuses_words_over_the_limit():

@@ -7,9 +7,12 @@ split, so simply exercising them on random inputs is part of the test.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hnnlab.comb import (
@@ -93,6 +96,31 @@ def test_bad_tuple_letters_are_rejected(word):
     ):
         with pytest.raises(ValueError):
             method(word)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((0, 1)),
+    st.lists(
+        st.tuples(st.integers(0, len(STABLE_PAIRS) - 1), st.booleans()),
+        max_size=4,
+    ),
+)
+def test_rewriting_expands_back_to_the_same_element(side, factors):
+    """For w a product of u_i (or v_i), expanding rewrite(w) gives the same
+    matrix as w and a word that the table follows back to coset 0."""
+    table = (G.source_table, G.target_table)[side]
+    gens = [G.vertex.parse(pair[side]) for pair in STABLE_PAIRS]
+    w = free_reduce(
+        [
+            x
+            for i, inverse in factors
+            for x in (invert_word(gens[i]) if inverse else gens[i])
+        ]
+    )
+    expanded = table.expand_subgroup_word(table.rewrite(w))
+    assert table.follow(0, expanded) == 0
+    assert G.evaluate(expanded) == G.evaluate(w)
 
 
 def test_conjugation_matches_matrices():
@@ -264,21 +292,23 @@ def test_tampered_group_raises_disagreement():
         broken.in_source_subgroup("d")
 
 
-def _with_oracles(oracles):
-    return HnnGroup(
+def _with(**parts):
+    """G with some of its parts replaced."""
+    kwargs = dict(
         vertex=G.vertex,
         ambient=G.ambient,
         pairs=G.pairs,
         images=G.images,
-        oracles=oracles,
+        oracles=G.oracles,
         source_table=G.source_table,
         target_table=G.target_table,
     )
+    return HnnGroup(**{**kwargs, **parts})
 
 
 def test_inverted_conjugator_is_caught_by_coset_tables():
     # t^-1 as conjugator swaps the two Eichler orders: d lies in K, not H
-    broken = _with_oracles(SubgroupOracles(standard_order(), G.images[4].inverse()))
+    broken = _with(oracles=SubgroupOracles(standard_order(), G.images[4].inverse()))
     with pytest.raises(OracleDisagreement):
         broken.in_source_subgroup("d")
     with pytest.raises(OracleDisagreement):
@@ -287,9 +317,47 @@ def test_inverted_conjugator_is_caught_by_coset_tables():
 
 def test_wrong_order_is_caught_by_coset_tables():
     # d is not integral in Z<i, j, k>, so the oracles built on it reject d
-    broken = _with_oracles(SubgroupOracles(lipschitz_like_order(), G.images[4]))
+    broken = _with(oracles=SubgroupOracles(lipschitz_like_order(), G.images[4]))
     with pytest.raises(OracleDisagreement):
         broken.in_target_subgroup("d")
+
+
+def _column(letter):
+    return 2 * (abs(letter) - 1) + (letter < 0)
+
+
+def test_flipped_table_entry_is_caught_by_matrices():
+    # u1 = DaacBC lies in H; its trace leaves coset 0 through the d^-1 entry
+    u1 = STABLE_PAIRS[0][0]
+    col = _column(G.vertex.parse(u1)[0])
+    rows = [list(row) for row in G.source_table.table]
+    rows[0][col] = (rows[0][col] + 1) % G.source_table.index
+    broken = _with(
+        source_table=replace(G.source_table, table=tuple(map(tuple, rows)))
+    )
+    assert G.in_source_subgroup(u1)
+    with pytest.raises(OracleDisagreement, match="coset table says False"):
+        broken.in_source_subgroup(u1)
+
+
+def test_corrupted_decoration_is_caught_by_the_word_problem():
+    # t u1 t^-1 v1^-1 is a defining relator; the pinch t u1 t^-1 is rewritten
+    # through the decoration of u1's first edge, here with an extra u1
+    relator = G.ambient.relators[1]
+    col = _column(relator[1])
+    decorations = [list(row) for row in G.source_table.decorations]
+    decorations[0][col] += (1,)
+    broken = _with(
+        source_table=replace(
+            G.source_table, decorations=tuple(map(tuple, decorations))
+        )
+    )
+    assert G.is_trivial(relator)
+    assert broken.britton_reduce(relator).exponents == ()
+    with pytest.raises(
+        OracleDisagreement, match="matrices say True, Dehn says False"
+    ):
+        broken.is_trivial(relator)
 
 
 def test_evaluate_respects_identities():
