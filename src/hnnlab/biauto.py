@@ -57,15 +57,17 @@ class Fsa:
             initial = (initial,)
         self.initial = tuple(sorted(set(initial)))
         self.accepting = frozenset(accepting)
-        self._delta: dict[tuple[int, str], tuple[int, ...]] = {}
+        if not all(0 <= q < self.num_states for q in (*self.initial, *self.accepting)):
+            raise ValueError("initial or accepting state out of range")
         self._letters = frozenset(self.alphabet)
+        delta: dict[tuple[int, str], set[int]] = {}
         for src, letter, dst in transitions:
             if letter not in self._letters:
                 raise UnknownLetter(f"transition letter {letter!r} not in alphabet")
             if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
                 raise ValueError("transition endpoint out of range")
-            key = (src, letter)
-            self._delta[key] = tuple(sorted(set(self._delta.get(key, ()) + (dst,))))
+            delta.setdefault((src, letter), set()).add(dst)
+        self._delta = {key: tuple(sorted(dsts)) for key, dsts in delta.items()}
 
     @property
     def is_deterministic(self) -> bool:

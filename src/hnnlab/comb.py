@@ -23,6 +23,7 @@ lies in the subgroup to a word in the subgroup generators.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -235,26 +236,35 @@ def is_metric_sixth(symmetrized) -> bool:
 
 
 @lru_cache(maxsize=16)
-def _dehn_rules(relators: tuple[Word, ...]):
-    """(rules, lengths) for Dehn's algorithm, or None when the symmetrized
-    relators are empty or fail C'(1/6).
+def _dehn_rules(relators: tuple[Word, ...], ngens: int):
+    """(code, letter, pattern, rules, longest) for Dehn's algorithm, or None
+    when the symmetrized relators are empty or fail C'(1/6).
 
-    ``rules`` maps every prefix p of a symmetrized relator r with
-    2|p| > |r| to the shorter complement invert(r[|p|:]); ``lengths`` holds
-    the prefix lengths, longest first, so lengths[0] is max |r|.  On a
-    shared prefix the first relator in sorted order wins, the tie-break of
-    dehn_reduce; under C'(1/6) relators share less than a sixth, so no such
-    prefix is shared.
+    ``code`` writes letter g as the character numbered by its coset table
+    column _col(g), so a letter and its inverse differ only in the low bit,
+    and ``letter`` reads it back.  ``rules`` maps every encoded prefix p of a symmetrized relator
+    r with 2|p| > |r| to the encoded shorter complement invert(r[|p|:]).
+    ``pattern`` matches exactly those prefixes, grouped by first letter, each
+    relator's letters past its half optional and nested, so greedy.  Under
+    C'(1/6) two relators share less than a sixth of either, so at most one
+    relator has a rule prefix at any position: a search finds the leftmost
+    match and the longest there, and no rule comes from two relators.
     """
     sym = _symmetrize(relators)
     if not sym or not is_metric_sixth(sym):
         return None
-    rules: dict[Word, Word] = {}
+    code = {g: chr(_col(g)) for x in range(1, ngens + 1) for g in (x, -x)}
+    rules: dict[str, str] = {}
+    by_first: dict[str, list[str]] = {}
     for r in sym:
-        for k in range(len(r) // 2 + 1, len(r) + 1):
-            rules.setdefault(r[:k], invert_word(r[k:]))
-    lengths = tuple(sorted({len(p) for p in rules}, reverse=True))
-    return rules, lengths
+        half = len(r) // 2 + 1
+        rel, inv = "".join(map(code.get, r)), "".join(map(code.get, invert_word(r)))
+        for k in range(half, len(r) + 1):
+            rules[rel[:k]] = inv[: len(r) - k]
+        tail = "".join("(?:" + re.escape(x) for x in rel[half:]) + ")?" * (len(r) - half)
+        by_first.setdefault(re.escape(rel[0]), []).append(re.escape(rel[1:half]) + tail)
+    pattern = re.compile("|".join(f"{x}(?:{'|'.join(alts)})" for x, alts in by_first.items()))
+    return code, {c: g for g, c in code.items()}, pattern, rules, max(map(len, sym))
 
 
 def dehn_reduce(word, presentation: Presentation) -> Word:
@@ -263,42 +273,32 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     leftmost match and the longest match there.  Under C'(1/6) the result is
     empty exactly when the word represents the identity (Greendlinger).
 
-    One left-to-right scan (Domanski & Anshel, J. Algorithms 6, 1985):
-    ``left`` holds the scanned prefix, in which no match starts, and
-    ``right`` the rest of the word, reversed.  A replacement changes the
-    word only from the end of ``left`` on.  A new match that starts in
-    ``left`` keeps at most half of its relator there, or that part alone
-    would have matched before; so the scan steps back longest // 2 letters.
-    Every replacement shortens the word, so the scan makes O(longest * n)
-    steps.
+    One left-to-right scan (Domanski & Anshel, J. Algorithms 6, 1985) over
+    the word encoded as a string, with every rule in one compiled pattern.
+    A replacement changes the word only from the match on.  A new match that
+    starts before it keeps at most half of its relator there, or that part
+    alone would have matched before; so the next search starts longest // 2
+    letters back.  Every replacement shortens the word, so the scan tries
+    O(longest * n) positions; each replacement also copies the string once,
+    at C speed.  Letters outside the alphabet raise ValueError.
     """
-    found = _dehn_rules(presentation.relators)
+    found = _dehn_rules(presentation.relators, presentation.ngens)
     if found is None:
         raise NotDehnPresentation("relators do not satisfy C'(1/6)")
-    rules, lengths = found
-    longest = lengths[0]
-    left: list[int] = []
-    right = list(reversed(free_reduce(word)))
-    while right:
-        window = tuple(right[: -longest - 1 : -1])
-        for k in lengths:
-            if k <= len(window) and window[:k] in rules:
-                break
-        else:
-            left.append(right.pop())
-            continue
-        del right[-k:]
+    code, letter, pattern, rules, longest = found
+    s = "".join(map(code.get, free_reduce(_validate_word(word, presentation.ngens))))
+    pos = 0
+    while m := pattern.search(s, pos):
+        i, j = m.span()
         # the complement cancels into neither neighbour, since a letter that
         # did would extend the match; only an empty one lets them meet
-        right.extend(reversed(rules[window[:k]]))
-        while left and right and left[-1] == -right[-1]:
-            left.pop()
-            right.pop()
-        back = min(longest // 2, len(left))
-        if back:
-            right.extend(reversed(left[-back:]))
-            del left[-back:]
-    return tuple(left)
+        comp = rules[m.group()]
+        if not comp:
+            while i and j < len(s) and ord(s[i - 1]) ^ 1 == ord(s[j]):
+                i, j = i - 1, j + 1
+        s = s[:i] + comp + s[j:]
+        pos = max(i - longest // 2, 0)
+    return tuple(map(letter.__getitem__, s))
 
 
 # ---------------------------------------------------------------------------

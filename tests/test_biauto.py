@@ -1,6 +1,7 @@
 """Windowed automatic-structure checks, frozen against hand derivations
 and an independent brute-force route for the fellow traveller constants."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -119,6 +120,35 @@ def test_json_round_trip():
     for w in fsa.words_up_to(4):
         assert clone.accepts(w)
     assert not clone.accepts(("x", "y", "x"))
+
+
+def test_duplicate_transitions_collapse_in_sorted_order():
+    fsa = Fsa(
+        ("x", "y"),
+        3,
+        0,
+        (2,),
+        [(0, "x", 2), (0, "x", 1), (0, "x", 2), (1, "y", 2), (0, "x", 1), (0, "y", 0)],
+    )
+    assert list(fsa.transitions()) == [
+        (0, "x", 1), (0, "x", 2), (0, "y", 0), (1, "y", 2),
+    ]
+    assert fsa.to_json()["transitions"] == [
+        [0, "x", 1], [0, "x", 2], [0, "y", 0], [1, "y", 2],
+    ]
+    assert not fsa.is_deterministic
+    assert Fsa.from_json(fsa.to_json()).to_json() == fsa.to_json()
+
+
+def test_many_transitions_on_one_state_letter_load_quickly():
+    # each transition used to rebuild the sorted tuple of its (state,
+    # letter): 8000 of them took 1.6 s, 20000 would take about 10 s
+    n = 20000
+    start = time.perf_counter()
+    fsa = Fsa(("x",), n, 0, range(n), [(0, "x", dst) for dst in reversed(range(n))])
+    assert time.perf_counter() - start < 0.5
+    assert fsa.step({0}, "x") == frozenset(range(n))
+    assert [dst for _, _, dst in fsa.transitions()] == list(range(n))
 
 
 def test_trim_drops_dead_and_unreachable_states():

@@ -321,6 +321,17 @@ def test_fsa_check_reads_automaton_file(capsys, tmp_path):
     assert data["ok"]
 
 
+def test_fsa_check_rejects_states_out_of_range(capsys, tmp_path):
+    path = tmp_path / "lang.json"
+    for initial, accepting in (([5], [0]), ([0], [2]), ([-1], [0])):
+        data = {"alphabet": ["x"], "num_states": 2, "initial": initial,
+                "accepting": accepting, "transitions": [[0, "x", 1]]}
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: initial or accepting state out of range\n"
+
+
 def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
     code, out, err = run(capsys, ["fsa-check", "z2-normal", "--radius", "-1"])
     assert code == 2

@@ -4,8 +4,9 @@ The reference is the restart-from-zero loop: scan the freely reduced word
 from the left for a subword matching more than half of a symmetrized
 relator, replace the leftmost-longest match (first relator in sorted order
 on a tie) by the shorter complement, and rescan from the start.
-``dehn_reduce`` instead makes one left-to-right scan over two stacks and
-steps back only as far as a new match can start.  Both make the same
+``dehn_reduce`` instead makes one left-to-right scan, finding each match
+with one compiled pattern over the word encoded as a string, and steps
+back only as far as a new match can start.  Both make the same
 replacements in the same order, so they must return the same word.
 """
 
@@ -18,6 +19,7 @@ from hnnlab.comb import (
     Presentation,
     _concat,
     _common_prefix_len,
+    _dehn_rules,
     dehn_reduce,
     free_reduce,
     invert_word,
@@ -30,6 +32,14 @@ G = load_builtin_group()
 SURFACE = G.vertex
 # genus 2 on a..d and genus 3 on e..j: relators of lengths 8 and 12
 TWO_RELATORS = Presentation("abcdefghij", ["AdcbCaBD", "efEFghGHijIJ"])
+# genus 10 on a..t: one relator of length 40, the product of the ten
+# commutators [a, b] [c, d] ... [s, t]
+GENUS10 = Presentation(
+    "abcdefghijklmnopqrst",
+    ["".join(x + y + x.upper() + y.upper() for x, y in zip("acegikmoqs", "bdfhjlnprt"))],
+)
+PRESENTATIONS = [SURFACE, TWO_RELATORS, GENUS10]
+IDS = ["genus2", "genus2+3", "genus10"]
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
@@ -121,14 +131,32 @@ def test_second_presentation_is_sixth_metric():
     assert is_metric_sixth(sym)
 
 
-@pytest.mark.parametrize("p", [SURFACE, TWO_RELATORS], ids=["genus2", "genus2+3"])
+def test_genus10_presentation_has_1600_rules():
+    sym = symmetrized_relators(GENUS10)
+    assert len(sym) == 80 and {len(r) for r in sym} == {40}
+    assert is_metric_sixth(sym)
+    # prefixes of 21..40 letters of each relator, none shared
+    rules = _dehn_rules(GENUS10.relators, GENUS10.ngens)[3]
+    assert len(rules) == 80 * 20
+
+
+@pytest.mark.parametrize(
+    "word", [(0, 0), (0,), (9,), (-5, 5), (2.0,), (1, 2.0, -2.0), ("a",)]
+)
+def test_letters_outside_the_alphabet_raise(word):
+    # (0, 0) and (-5, 5) cancel freely: letters are checked before that
+    with pytest.raises(ValueError, match="outside alphabet"):
+        dehn_reduce(word, SURFACE)
+
+
+@pytest.mark.parametrize("p", PRESENTATIONS, ids=IDS)
 def test_random_words_match_reference(p):
     # a random word rarely holds more than half a relator: this checks
     # that the scan leaves words without a match alone
     check_against_reference(p, random_words(p))
 
 
-@pytest.mark.parametrize("p", [SURFACE, TWO_RELATORS], ids=["genus2", "genus2+3"])
+@pytest.mark.parametrize("p", PRESENTATIONS, ids=IDS)
 @pytest.mark.parametrize("insert", [False, True], ids=["trivial", "h1-insert"])
 def test_relator_products_match_reference(p, insert):
     @SETTINGS
@@ -142,7 +170,7 @@ def test_relator_products_match_reference(p, insert):
     check()
 
 
-@pytest.mark.parametrize("p", [SURFACE, TWO_RELATORS], ids=["genus2", "genus2+3"])
+@pytest.mark.parametrize("p", PRESENTATIONS, ids=IDS)
 def test_long_relator_pieces_match_reference(p):
     assert check_against_reference(p, long_pieces(p)) >= 150
 

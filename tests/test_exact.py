@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,83 @@ def test_field_axioms_random_triples() -> None:
         if x:
             assert x * x.inv() == 1
             assert (x / x) == 1
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# squarefree field parameters, among them the trace fields of the lattice
+FIELDS = st.sampled_from([2, 3, 5, 6, 7, 13, 21, 2173])
+RATIONALS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+def _quads(d: int, count: int):
+    return st.tuples(*[st.builds(lambda a, b: QuadExt(d, a, b), RATIONALS, RATIONALS)] * count)
+
+
+@PROPERTY
+@given(FIELDS.flatmap(lambda d: _quads(d, 3)))
+def test_field_axioms_hold(xyz) -> None:
+    x, y, z = xyz
+    zero, one = QuadExt(x.d), QuadExt(x.d, 1)
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x + y == y + x and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x + (-x) == zero
+    assert x - y == x + (-y)
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert x * x.conj() == QuadExt(x.d, x.norm())
+    if x:
+        assert x * x.inv() == one
+        assert (y / x) * x == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x
+
+
+def _sign_by_bracket(x: QuadExt) -> int:
+    """Sign of a + b*sqrt(d) from the rational bracket r/n < sqrt(d) < (r+1)/n,
+    r = isqrt(d*n*n), refined until the value's bracket excludes 0.  sqrt(d)
+    is irrational, so a + b*sqrt(d) = 0 only when a = b = 0."""
+    if x.a == 0 and x.b == 0:
+        return 0
+    n = 1
+    while True:
+        r = isqrt(x.d * n * n)
+        lo, hi = sorted((x.a + x.b * Fraction(r, n), x.a + x.b * Fraction(r + 1, n)))
+        if lo >= 0 or hi <= 0:
+            # the value lies strictly between lo and hi when b != 0
+            return 1 if hi > 0 else -1
+        n *= 2
+
+
+def _convergents(d: int):
+    """Continued-fraction convergents p/q of sqrt(d): |sqrt(d) - p/q| < 1/q^2."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    while True:
+        yield p1, q1
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+
+
+@st.composite
+def _near_zero(draw):
+    """b * (sqrt(d) - p/q) for a convergent p/q: smaller than |b|/q^2, far
+    below what a float sum a + b*sqrt(d) resolves once q passes 10^8."""
+    d = draw(FIELDS)
+    p, q = next(islice(_convergents(d), draw(st.integers(0, 40)), None))
+    b = draw(RATIONALS.filter(bool))
+    return QuadExt(d, -b * Fraction(p, q), b)
+
+
+@PROPERTY
+@given(st.one_of(FIELDS.flatmap(lambda d: _quads(d, 1)).map(lambda t: t[0]), _near_zero()))
+def test_sign_matches_rational_bracket(x) -> None:
+    assert x.sign() == _sign_by_bracket(x)
+    assert (-x).sign() == -x.sign()
 
 
 def test_ordering_is_total_and_exact() -> None:

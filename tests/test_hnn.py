@@ -6,6 +6,7 @@ problem helpers raise OracleDisagreement themselves if the routes ever
 split, so simply exercising them on random inputs is part of the test.
 """
 
+import copy
 import random
 from dataclasses import replace
 
@@ -15,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from hnnlab import hnn
 from hnnlab.comb import (
     AbelianStructure,
+    Presentation,
     abelianization,
     evaluate_word,
     free_reduce,
     invert_word,
+    todd_coxeter,
 )
 from hnnlab.exact import ProjMat
 from hnnlab.hnn import (
@@ -29,7 +33,12 @@ from hnnlab.hnn import (
     OracleDisagreement,
     load_builtin_group,
 )
-from hnnlab.quat import SubgroupOracles, lipschitz_like_order, standard_order
+from hnnlab.quat import (
+    OrderLattice,
+    SubgroupOracles,
+    lipschitz_like_order,
+    standard_order,
+)
 
 G = load_builtin_group()
 
@@ -357,6 +366,68 @@ def test_corrupted_decoration_is_caught_by_the_word_problem():
     with pytest.raises(
         OracleDisagreement, match="matrices say True, Dehn says False"
     ):
+        broken.is_trivial(relator)
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_perturbed_order_row_is_refused_or_caught(row):
+    # doubling a basis row of the maximal order gives a proper sublattice:
+    # rows 1..3 break the order axioms when the Eichler orders are built,
+    # row 0 leaves an order whose units miss u1, which the tables hold
+    rows = [list(r) for r in standard_order().basis]
+    rows[row] = [2 * x for x in rows[row]]
+    order = OrderLattice(rows, validate=False)
+    if row:
+        with pytest.raises(ValueError, match="lattice"):
+            SubgroupOracles(order, G.images[4])
+        return
+    broken = _with(oracles=SubgroupOracles(order, G.images[4]))
+    with pytest.raises(OracleDisagreement, match="matrices say False"):
+        broken.verify_presentation()
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_perturbed_eichler_order_row_is_caught_by_coset_tables(side):
+    # the same fault injected past validation, into a built Eichler order
+    oracles = copy.copy(G.oracles)
+    rows = [list(r) for r in getattr(oracles, f"{side}_order").basis]
+    rows[3] = [2 * x for x in rows[3]]
+    setattr(oracles, f"{side}_order", OrderLattice(rows, validate=False))
+    with pytest.raises(OracleDisagreement, match="matrices say False"):
+        _with(oracles=oracles).verify_presentation()
+
+
+SWAPPED = ((STABLE_PAIRS[0][0], STABLE_PAIRS[1][1]),
+           (STABLE_PAIRS[1][0], STABLE_PAIRS[0][1])) + STABLE_PAIRS[2:]
+
+
+def test_swapped_stable_pairs_fail_the_load(monkeypatch):
+    # t u1 t^-1 = v2 is false in the matrix model
+    monkeypatch.setattr(hnn, "STABLE_PAIRS", SWAPPED)
+    with pytest.raises(RuntimeError, match="defining relation fails"):
+        hnn.load_builtin_group.__wrapped__()
+
+
+def test_swapped_stable_pairs_are_caught_by_both_routes():
+    # the group assembled without the load's checks: verify reports the two
+    # false relations, and Britton's rewriting through the swapped table
+    # contradicts the matrices on a true relation of G
+    ambient = Presentation(
+        "abcdt",
+        [G.ambient.relators[0]]
+        + [(5,) + G.vertex.parse(u) + (-5,) + invert_word(G.vertex.parse(v))
+           for u, v in SWAPPED],
+    )
+    target = todd_coxeter(
+        G.vertex, [v for _, v in SWAPPED],
+        subgroup_names=[f"v{i + 1}" for i in range(len(SWAPPED))],
+    )
+    broken = _with(ambient=ambient, pairs=SWAPPED, target_table=target)
+    report = broken.verify_presentation()
+    assert [r.index for r in report.relations if not r.holds] == [2, 3]
+    assert not report.all_hold
+    relator = G.ambient.relators[1]  # t u1 t^-1 v1^-1
+    with pytest.raises(OracleDisagreement, match="matrices say True, Dehn says False"):
         broken.is_trivial(relator)
 
 
