@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 
 class UnknownLetter(ValueError):
@@ -118,18 +117,20 @@ class Fsa:
 
     def trim(self) -> "Fsa":
         """Drop states that are unreachable or cannot reach acceptance."""
-        fwd = {s: set() for s in range(self.num_states)}
-        bwd = {s: set() for s in range(self.num_states)}
+        # built from the transitions alone: a declared state count costs
+        # nothing by itself
+        fwd: dict[int, set[int]] = {}
+        bwd: dict[int, set[int]] = {}
         for src, _, dst in self.transitions():
-            fwd[src].add(dst)
-            bwd[dst].add(src)
+            fwd.setdefault(src, set()).add(dst)
+            bwd.setdefault(dst, set()).add(src)
 
         def closure(seeds, edges):
             seen = set(seeds)
             queue = deque(seeds)
             while queue:
                 s = queue.popleft()
-                for nxt in edges[s]:
+                for nxt in edges.get(s, ()):
                     if nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
@@ -181,9 +182,10 @@ class Fsa:
         counts = dict.fromkeys(live.initial, 1)
         total = len(counts)
         for _ in range(max_len):
-            nxt = dict.fromkeys(range(live.num_states), 0)
+            nxt: dict[int, int] = {}
             for src, dst in edges:
-                nxt[dst] += counts.get(src, 0)
+                if src in counts:
+                    nxt[dst] = nxt.get(dst, 0) + counts[src]
             counts = nxt
             total += sum(counts.values())
         return total
@@ -256,29 +258,60 @@ class GroupModel:
 
 class BallOracle:
     """Word-metric ball around the identity, computed once by BFS over the
-    letter images.  Norms and distances outside the ball raise OutOfWindow."""
+    letter images.  Norms and distances outside the ball raise OutOfWindow.
+
+    Each element reached gets an id, in BFS order (the identity is 0):
+    `ids` maps element to id and `norms[i]` is the norm of element i.  For
+    each letter x, `right[x][i]` is the id of g_i * x, or None when that
+    product lies outside the ball.  `inverse_left[x][i]` is the id of
+    x^-1 * g_i, derived as (g_i^-1 * x)^-1, or None when g_i^-1 or
+    g_i^-1 * x lies outside the ball; with letter images closed under
+    inversion the ball is symmetric and that happens only when x^-1 * g_i
+    itself lies outside.
+    """
 
     def __init__(self, model: GroupModel, radius: int):
         self.model = model
         self.radius = radius
-        self._norm = {model.identity: 0}
+        mul = model.mul
+        letters = list(model.letter_images.items())
+        ids = self.ids = {model.identity: 0}
+        norms = self.norms = [0]
+        right = self.right = {name: [] for name, _ in letters}
+        # the frontier is visited in id order, so each table grows by one
+        # entry per element
         frontier = [model.identity]
         for r in range(1, radius + 1):
             nxt = []
             for g in frontier:
-                for img in model.letter_images.values():
-                    h = model.mul(g, img)
-                    if h not in self._norm:
-                        self._norm[h] = r
+                for name, img in letters:
+                    h = mul(g, img)
+                    i = ids.get(h)
+                    if i is None:
+                        i = ids[h] = len(norms)
+                        norms.append(r)
                         nxt.append(h)
+                    right[name].append(i)
             frontier = nxt
+        for g in frontier:
+            for name, img in letters:
+                right[name].append(ids.get(mul(g, img)))
+        # x^-1 * g = (g^-1 * x)^-1
+        inv_id = [ids.get(model.inv(g)) for g in ids]
+        self.inverse_left = {
+            name: [
+                None if j is None or table[j] is None else inv_id[table[j]]
+                for j in inv_id
+            ]
+            for name, table in right.items()
+        }
 
     def __len__(self):
-        return len(self._norm)
+        return len(self.ids)
 
     def norm(self, g) -> int:
         try:
-            return self._norm[g]
+            return self.norms[self.ids[g]]
         except KeyError:
             raise OutOfWindow(
                 f"element outside the radius-{self.radius} ball"
@@ -288,7 +321,8 @@ class BallOracle:
         return self.norm(self.model.mul(self.model.inv(g), h))
 
     def elements_of_norm_at_most(self, r: int):
-        return [g for g, n in self._norm.items() if n <= r]
+        norms = self.norms
+        return [g for g, i in self.ids.items() if norms[i] <= r]
 
 
 @dataclass(frozen=True)
@@ -374,11 +408,8 @@ class WindowedLanguage:
         # plus 1 for a shift letter; the ball covers every distance we take
         self.ball = BallOracle(model, 2 * radius + 2)
         self.words_by_element: dict = {}
-        # each word is folded once; its path ends at the word's element
-        self._paths: dict = {}
         for w in fsa.words_up_to(radius):
-            path = self._paths[w] = model.path(w)
-            self.words_by_element.setdefault(path[-1], []).append(w)
+            self.words_by_element.setdefault(model.evaluate(w), []).append(w)
 
     # -- uniform finiteness -------------------------------------------------
 
@@ -413,51 +444,71 @@ class WindowedLanguage:
             raise ValueError(f"unknown pair rule {pair_rule!r}")
         mul, inv = self.model.mul, self.model.inv
         images = list(self.model.letter_images.values())
-        shifts = [(None, self.model.identity)]
-        shifts += sorted(self.model.letter_images.items())
-        norm = self.ball._norm.__getitem__
-        paths = self._paths
+        ball = self.ball
+        norms, right, left = ball.norms, ball.right, ball.inverse_left
+        # the separation at time t of u shifted by s and v is the norm of
+        # e_t = (s * u[:t])^-1 * v[:t]: e_0 = s^-1 and
+        # e_{t+1} = x_t^-1 * e_t * y_t for the letters x_t of u and y_t of v,
+        # one step in an inverse-left and one in a right table
+        shifts = [(None, self.model.identity, 0)]
+        shifts += [
+            (name, s, ball.ids.get(inv(s)))
+            for name, s in sorted(self.model.letter_images.items())
+        ]
+        words = {
+            g: [(w, [left[x] for x in w], [right[x] for x in w]) for w in ws]
+            for g, ws in self.words_by_element.items()
+        }
         zeta, witness, pairs = 0, None, 0
-        for u in chain.from_iterable(self.words_by_element.values()):
-            pu = paths[u]
-            for shift_name, s in shifts:
-                shifted = pu if shift_name is None else [mul(s, p) for p in pu]
-                # the separation at time t is |shifted[t]^-1 * pv[t]|
-                inv_u = list(map(inv, shifted))
-                target = shifted[-1]
-                if pair_rule == "classical" and shift_name is not None:
-                    # left multiplication: shifted start, equal ends
-                    near = [target]
-                else:
-                    # right multiplication: ends at most 1 apart
-                    near = [target] + [mul(target, img) for img in images]
-                for h in dict.fromkeys(near):
-                    for v in self.words_by_element.get(h, ()):
-                        a, b = inv_u, paths[v]
-                        pairs += 1
-                        # a finished path waits at its end point
-                        if len(a) < len(b):
-                            a = a + a[-1:] * (len(b) - len(a))
-                        elif len(b) < len(a):
-                            b = b + b[-1:] * (len(a) - len(b))
-                        try:
-                            seps = list(map(norm, map(mul, a, b)))
-                        except KeyError:
-                            raise OutOfWindow(
-                                f"element outside the radius-{self.ball.radius} ball"
-                            ) from None
-                        d = max(seps)
-                        if d > zeta:
-                            # the witness is the earliest time at which the
-                            # pair reaches its worst separation
-                            zeta = d
-                            witness = FellowWitness(
-                                u=u,
-                                v=v,
-                                shift=shift_name,
-                                time=seps.index(d),
-                                separation=d,
-                            )
+        for end, entries in words.items():
+            for u, lu, _ in entries:
+                for shift_name, s, e0 in shifts:
+                    target = end if shift_name is None else mul(s, end)
+                    if pair_rule == "classical" and shift_name is not None:
+                        # left multiplication: shifted start, equal ends
+                        near = [target]
+                    else:
+                        # right multiplication: ends at most 1 apart
+                        near = [target] + [mul(target, img) for img in images]
+                    for h in dict.fromkeys(near):
+                        for v, _, rv in words.get(h, ()):
+                            pairs += 1
+                            # a finished word waits at its end point; a
+                            # None entry (outside the ball) ends the walk
+                            try:
+                                e = e0
+                                d = norms[e]
+                                for lx, ry in zip(lu, rv):
+                                    e = ry[lx[e]]
+                                    if norms[e] > d:
+                                        d = norms[e]
+                                for lx in lu[len(rv):]:
+                                    e = lx[e]
+                                    if norms[e] > d:
+                                        d = norms[e]
+                                for ry in rv[len(lu):]:
+                                    e = ry[e]
+                                    if norms[e] > d:
+                                        d = norms[e]
+                            except TypeError:
+                                d = None
+                            if d is None or d > zeta:
+                                # the group's own products measure a pair
+                                # whose walk left the ball, and date a new
+                                # worst separation
+                                seps = self._separations(u, shift_name, v)
+                                d = max(seps)
+                                if d > zeta:
+                                    # the witness is the earliest time
+                                    # at which the pair reaches it
+                                    zeta = d
+                                    witness = FellowWitness(
+                                        u=u,
+                                        v=v,
+                                        shift=shift_name,
+                                        time=seps.index(d),
+                                        separation=d,
+                                    )
         return FellowReport(
             pair_rule=pair_rule,
             zeta=zeta,
@@ -466,6 +517,23 @@ class WindowedLanguage:
             window=self.radius,
             cap=cap,
         )
+
+    def _separations(self, u, shift_name, v) -> list:
+        """The separations of one pair at times 0, 1, ..., from the group's
+        own products; OutOfWindow if one lies outside the ball."""
+        mul = self.model.mul
+        pu = self.model.path(u)
+        if shift_name is not None:
+            s = self.model.letter_images[shift_name]
+            pu = [mul(s, p) for p in pu]
+        a = list(map(self.model.inv, pu))
+        b = self.model.path(v)
+        # a finished path waits at its end point
+        if len(a) < len(b):
+            a += a[-1:] * (len(b) - len(a))
+        elif len(b) < len(a):
+            b += b[-1:] * (len(a) - len(b))
+        return list(map(self.ball.norm, map(mul, a, b)))
 
     # -- geodesics -------------------------------------------------------------
 

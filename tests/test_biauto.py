@@ -515,3 +515,130 @@ def test_fellow_traveller_outside_the_ball_raises():
 def test_negative_radius_is_rejected():
     with pytest.raises(ValueError):
         WindowedLanguage(z2_normal_form_fsa(), z2_model(), -1)
+
+
+# ---------------------------------------------------------------------------
+# the ball's integer tables
+
+
+def skew_z2_model():
+    """Z^2 with X -> (-1, 1): the letter images are not closed under
+    inversion (x^-1 = X*Y), so the ball is not symmetric and the tables of
+    BallOracle have gaps near its edge."""
+    return GroupModel(
+        {"x": (1, 0), "X": (-1, 1), "y": (0, 1), "Y": (0, -1)},
+        mul=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        inv=lambda a: (-a[0], -a[1]),
+        identity=(0, 0),
+    )
+
+
+def table_entries(ball):
+    """(table entry, id of the product by model.mul or None) for every
+    entry of the right and inverse-left tables."""
+    model = ball.model
+    elements = list(ball.ids)
+    assert [ball.ids[g] for g in elements] == list(range(len(ball)))
+    assert elements[0] == model.identity and len(ball.norms) == len(ball)
+    for name, img in model.letter_images.items():
+        right, left = ball.right[name], ball.inverse_left[name]
+        assert len(right) == len(left) == len(ball)
+        for i, g in enumerate(elements):
+            yield right[i], ball.ids.get(model.mul(g, img))
+            yield left[i], ball.ids.get(model.mul(model.inv(img), g))
+
+
+@pytest.mark.parametrize(
+    "make_model, radius",
+    [(z2_model, 0), (z2_model, 1), (z2_model, 6), (s5_model, 3), (s5_model, 12)],
+)
+def test_ball_tables_hold_the_ids_of_products(make_model, radius):
+    ball = BallOracle(make_model(), radius)
+    entries = list(table_entries(ball))
+    assert all(got == want for got, want in entries)
+    outside = sum(1 for got, _ in entries if got is None)
+    if make_model is s5_model and radius == 12:
+        assert len(ball) == 120 and outside == 0
+    else:
+        assert outside > 0
+
+
+def test_ball_tables_have_gaps_when_inverses_are_not_letters():
+    # x^-1 * g is derived through g^-1 and g^-1 * x, which can leave the
+    # ball while x^-1 * g stays inside: such an entry is None, never wrong
+    entries = list(table_entries(BallOracle(skew_z2_model(), 5)))
+    assert all(got is None or got == want for got, want in entries)
+    assert any(got is None and want is not None for got, want in entries)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [[(), ("x", "Y")], [(), ("X", "Y")], [("x",), ("x", "x", "Y")]],
+)
+def test_a_finished_word_waits_in_either_role(words):
+    # with X -> (-1, 1) a pair and its reverse have different separations,
+    # so the longer word must be walked on its own in either role
+    trie = {(): 0}
+    transitions = []
+    for w in words:
+        for i, letter in enumerate(w):
+            if w[: i + 1] not in trie:
+                trie[w[: i + 1]] = len(trie)
+                transitions.append((trie[w[:i]], letter, trie[w[: i + 1]]))
+    fsa = Fsa(ALPHABET, len(trie), 0, [trie[w] for w in words], transitions)
+    lang = WindowedLanguage(fsa, skew_z2_model(), max(map(len, words)))
+    for rule in ("classical", "simultaneous"):
+        report = lang.check_fellow_traveller(rule)
+        assert report == reference_check_fellow_traveller(lang, rule)
+        assert report.zeta >= 2
+
+
+def test_table_walk_matches_reference_without_inverse_letters():
+    outcomes = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        small_automata(),
+        st.integers(2, 6),
+        st.sampled_from(("classical", "simultaneous")),
+        st.data(),
+    )
+    def check(fsa, radius, pair_rule, data):
+        while sum(1 for _ in fsa.words_up_to(radius)) > MAX_WINDOW_WORDS:
+            radius -= 1
+        model = skew_z2_model()
+        lang = WindowedLanguage(fsa, model, radius)
+        # a ball smaller than the window's: the walk misses more often, and
+        # some separations fall outside the ball
+        ball_radius = data.draw(st.integers(radius, lang.ball.radius))
+        lang.ball = BallOracle(model, ball_radius)
+        maxima = []
+        separations = lang._separations
+
+        def measured(*pair):
+            seps = separations(*pair)
+            maxima.append(max(seps))
+            return seps
+
+        lang._separations = measured
+        try:
+            want = reference_check_fellow_traveller(lang, pair_rule, cap=2)
+        except OutOfWindow as exc:
+            with pytest.raises(OutOfWindow) as got:
+                lang.check_fellow_traveller(pair_rule, cap=2)
+            assert str(got.value) == str(exc)
+            outcomes["out of window"] += 1
+            return
+        assert lang.check_fellow_traveller(pair_rule, cap=2) == want
+        # a pair is measured by products to date a new worst separation or
+        # because its walk left the ball; one that sets no new worst did
+        worst = 0
+        for d in maxima:
+            if d <= worst:
+                outcomes["walk left the ball"] += 1
+                break
+            worst = d
+
+    check()
+    assert outcomes["out of window"] >= 20
+    assert outcomes["walk left the ball"] >= 10

@@ -3,6 +3,7 @@ and byte-for-byte determinism."""
 
 import json
 import math
+import time
 
 import pytest
 from jsonschema import validate
@@ -398,6 +399,20 @@ def test_fsa_check_refuses_windows_with_too_many_pairs(
     code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "6"])
     assert code == 2 and out == ""
     assert err.endswith(f"above the limit {cli._FSA_PAIRS_LIMIT}\n")
+
+
+def test_fsa_check_declared_states_cost_nothing_by_themselves(capsys, tmp_path):
+    # trim and count_paths used to build dicts over every declared state
+    # before any cap applied: 10**6 states took 7.7 s and 631 MB
+    path = tmp_path / "lang.json"
+    data = {"alphabet": list(LETTERS), "num_states": 10**6, "initial": [0],
+            "accepting": [0], "transitions": []}
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["fsa-check", str(path), "--radius", "1"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert "zeta=0 (no cap, 1 pairs)" in out and out.splitlines()[-1] == "OK"
 
 
 def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):
