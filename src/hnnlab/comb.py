@@ -29,9 +29,10 @@ from functools import lru_cache
 
 Word = tuple[int, ...]
 
-# parse_word refuses longer words.  Matrix entries grow with the word, so
-# evaluation is superlinear: `hnn-lab trivial` on the slowest 4000-letter
-# words tried, such as (at)^2000, takes about 5 s on a 2-core x86 host.
+# parse_word refuses longer words.  Quaternion coordinates grow with the
+# word, so evaluation is superlinear: `hnn-lab trivial` on the slowest
+# 4000-letter words tried, such as (at)^2000 and (atAT)^1000, takes about
+# 3 s on a 2-core x86 host.
 WORD_LETTER_LIMIT = 4000
 
 

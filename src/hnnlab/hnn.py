@@ -9,9 +9,14 @@ index-12 subgroup H = <u1..u26> onto an index-12 subgroup K = <v1..v26>:
     t * u_i * t^-1 = v_i.
 
 Every question about the extension is answered along two independent
-routes and cross-checked: exact 2x2 matrices over Q(sqrt(2)) on one side,
-decorated coset tables over the one-relator surface presentation on the
-other.  A disagreement raises OracleDisagreement instead of guessing.
+routes and cross-checked: exact arithmetic in the quaternion algebra on one
+side, decorated coset tables over the one-relator surface presentation on
+the other.  A disagreement raises OracleDisagreement instead of guessing.
+
+The arithmetic route multiplies a word out as norm-one quaternions with
+rational coordinates, one product per letter, and embeds the product once
+into PSL2 over Q(sqrt(2)) (quat.phi), so every value it returns is an
+exact, sign-normalized ProjMat.
 """
 
 from __future__ import annotations
@@ -32,8 +37,15 @@ from .comb import (
     schreier_graph_arith,
     todd_coxeter,
 )
-from .exact import ProjMat
-from .quat import SubgroupOracles, phi, standard_generators, standard_oracles
+from .exact import ProjMat, _sign_normalize
+from .quat import (
+    QUAT_ONE,
+    SubgroupOracles,
+    phi,
+    phi_inverse,
+    standard_generators,
+    standard_oracles,
+)
 
 
 class OracleDisagreement(RuntimeError):
@@ -127,7 +139,11 @@ class VerificationReport:
 
 
 class HnnGroup:
-    """The HNN extension with its exact matrix model and decorated tables."""
+    """The HNN extension with its exact matrix model and decorated tables.
+
+    Each image must lie in the image of quat.phi; one that does not raises
+    NotInImage here, not in the middle of a query.
+    """
 
     def __init__(
         self,
@@ -142,7 +158,9 @@ class HnnGroup:
         self.vertex = vertex
         self.ambient = ambient
         self.pairs = tuple(pairs)
-        self.images = list(images)
+        # a tuple: evaluate reads the table built from it here
+        self.images = tuple(images)
+        self._units = _fold_table(self.images)
         self.oracles = oracles
         self.source_table = source_table
         self.target_table = target_table
@@ -156,7 +174,7 @@ class HnnGroup:
         return _validate_word(w, self.ambient.ngens)
 
     def evaluate(self, w) -> ProjMat:
-        return evaluate_word(self.as_word(w), self.images, self._identity)
+        return _fold(self.as_word(w), self._units)
 
     # -- dual membership oracles --------------------------------------------
 
@@ -336,6 +354,29 @@ class HnnGroup:
         return schreier_graph_arith(member, self.images[:4], self._identity)
 
 
+def _fold_table(images) -> list:
+    """The letters' norm-one quaternions: the n images pulled back along
+    phi, then their conjugates (their inverses) in reverse order."""
+    units = [phi_inverse(m.rep) for m in images]
+    return units + [q.conj() for q in reversed(units)]
+
+
+def _fold(word: Word, units) -> ProjMat:
+    """The value of a word, multiplied out over a _fold_table.
+
+    Inverse letters are renumbered past the n generators, so every letter
+    reads its quaternion from the table: -k becomes 2n + 1 - k.  A product
+    of quaternions costs about half of a product of matrices over
+    Q(sqrt(2)) and needs no sign normalization; only the result is embedded.
+    Its determinant is not recomputed: det(phi(q)) = nrd(q), nrd is
+    multiplicative, and every unit comes from a ProjMat, of determinant 1.
+    """
+    top = len(units) + 1
+    letters = [g if g > 0 else top + g for g in word]
+    q = evaluate_word(letters, units, QUAT_ONE)
+    return ProjMat._from_normalized(_sign_normalize(phi(q)))
+
+
 def _ambient_presentation(vertex: Presentation) -> Presentation:
     relators: list[Word] = [vertex.parse(SURFACE_RELATOR) ]
     for u, v in STABLE_PAIRS:
@@ -357,9 +398,9 @@ def load_builtin_group() -> HnnGroup:
     gens = standard_generators()
     images = [ProjMat(phi(gens[n])) for n in "abcd"] + [ProjMat(phi(gens["t"]))]
 
-    identity = ProjMat.identity(2)
+    units = _fold_table(images)
     for r in ambient.relators:
-        if not evaluate_word(r, images, identity).is_identity():
+        if not _fold(r, units).is_identity():
             raise RuntimeError(
                 f"defining relation fails in the matrix model: "
                 f"{ambient.render(r, 'compact')}"

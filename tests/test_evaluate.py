@@ -1,0 +1,58 @@
+"""HnnGroup.evaluate against the matrix fold it replaced.
+
+The reference multiplies the letters' matrices over Q(sqrt(2)) one at a
+time and normalizes the sign after every product: comb.evaluate_word over
+the group's ProjMat images.  The group multiplies norm-one quaternions and
+embeds only the product, so the two must agree exactly, down to the
+canonical sign of the representative.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hnnlab.comb import evaluate_word, invert_word
+from hnnlab.exact import ProjMat
+from hnnlab.hnn import load_builtin_group
+
+G = load_builtin_group()
+IDENTITY = ProjMat.identity(2)
+LETTERS = [g for x in range(1, 6) for g in (x, -x)]
+
+
+def reference_evaluate(word) -> ProjMat:
+    return evaluate_word(word, G.images, IDENTITY)
+
+
+RANDOM_WORDS = st.lists(st.sampled_from(LETTERS), max_size=300).map(tuple)
+
+
+@st.composite
+def relator_products(draw):
+    """Products of conjugated ambient relators (trivial), sometimes with
+    one letter inserted (then usually not)."""
+    word: tuple[int, ...] = ()
+    for _ in range(draw(st.integers(1, 6))):
+        g = tuple(draw(st.lists(st.sampled_from(LETTERS), max_size=8)))
+        r = draw(st.sampled_from(G.ambient.relators))
+        word += g + r + invert_word(g)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(word)))
+        word = word[:i] + (draw(st.sampled_from(LETTERS)),) + word[i:]
+    return word
+
+
+def test_evaluate_matches_the_matrix_fold():
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(RANDOM_WORDS, relator_products()))
+    def check(word):
+        assert len(word) <= 300
+        got, want = G.evaluate(word), reference_evaluate(word)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert got.is_identity() == want.is_identity()
+        verdicts.add(got.is_identity())
+
+    check()
+    assert verdicts == {True, False}

@@ -26,7 +26,7 @@ from hnnlab.comb import (
     invert_word,
     todd_coxeter,
 )
-from hnnlab.exact import ProjMat
+from hnnlab.exact import Mat2, ProjMat
 from hnnlab.hnn import (
     STABLE_PAIRS,
     HnnGroup,
@@ -34,6 +34,7 @@ from hnnlab.hnn import (
     load_builtin_group,
 )
 from hnnlab.quat import (
+    NotInImage,
     OrderLattice,
     SubgroupOracles,
     lipschitz_like_order,
@@ -429,6 +430,33 @@ def test_swapped_stable_pairs_are_caught_by_both_routes():
     relator = G.ambient.relators[1]  # t u1 t^-1 v1^-1
     with pytest.raises(OracleDisagreement, match="matrices say True, Dehn says False"):
         broken.is_trivial(relator)
+
+
+def test_swapped_generator_images_are_caught_by_both_routes():
+    # a and b exchange their matrices: the surface relator no longer holds
+    # in the model and u1 = DaacBC leaves the source subgroup, while Dehn
+    # and the coset tables still read the presentation
+    broken = _with(images=(G.images[1], G.images[0]) + G.images[2:])
+    with pytest.raises(
+        OracleDisagreement, match="matrices say False, Dehn says True"
+    ):
+        broken.is_trivial("AdcbCaBD")
+    with pytest.raises(
+        OracleDisagreement, match="matrices say False, coset table says True"
+    ):
+        broken.in_source_subgroup("DaacBC")
+
+
+@pytest.mark.parametrize(
+    "outside",
+    [
+        Mat2(2, 1, 1, 0, 1),  # m21 = 0, not 13 * conj(m12)
+        Mat2(3, 1, 1, 0, 1),  # over Q(sqrt(3))
+    ],
+)
+def test_image_outside_the_embedding_is_refused_at_construction(outside):
+    with pytest.raises(NotInImage):
+        _with(images=G.images[:4] + (ProjMat(outside),))
 
 
 def test_evaluate_respects_identities():
