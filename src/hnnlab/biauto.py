@@ -26,6 +26,7 @@ rule already forces 3 (translate x^2y^2 by one x and compare with y^2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -393,7 +394,21 @@ class StructureReport:
 
 
 class WindowedLanguage:
-    """All accepted words of length <= radius, indexed by group element."""
+    """All accepted words of length <= radius, indexed by group element.
+
+    The ball's radius depends on whether the letter images are closed under
+    inversion (every image's inverse is itself an image).  If they are, the
+    word metric is symmetric, and a pair (u, shift s, v) separates by at
+    most floor((|s^-1| + |e_T| + |u| + |v|) / 2) <= L + 1, where e_T is
+    the offset of the two end points and L the longest word in the window:
+    the triangle inequality along the walk from e_0 = s^-1 bounds each
+    separation by |s^-1| plus the letters walked so far, and along the walk
+    back from e_T by |e_T| plus the letters still to come.  A ball of radius
+    L + 2 then holds every step of every walk, and radius // 2 keeps the
+    half window that surjectivity is checked on; the ball has the larger of
+    the two radii.  Otherwise separations are bounded only by the path
+    lengths, and the ball has radius 2 * radius + 2.
+    """
 
     def __init__(self, fsa: Fsa, model: GroupModel, radius: int):
         if radius < 0:
@@ -404,12 +419,18 @@ class WindowedLanguage:
         self.fsa = fsa
         self.model = model
         self.radius = radius
-        # paths of two radius-length words can separate by at most 2*radius,
-        # plus 1 for a shift letter; the ball covers every distance we take
-        self.ball = BallOracle(model, 2 * radius + 2)
+        images = set(model.letter_images.values())
+        self._inverse_closed = all(model.inv(g) in images for g in images)
         self.words_by_element: dict = {}
+        longest = 0
+        # shortest first, so each element's words are sorted by length
         for w in fsa.words_up_to(radius):
             self.words_by_element.setdefault(model.evaluate(w), []).append(w)
+            longest = len(w)
+        if self._inverse_closed:
+            self.ball = BallOracle(model, max(longest + 2, radius // 2))
+        else:
+            self.ball = BallOracle(model, 2 * radius + 2)
 
     # -- uniform finiteness -------------------------------------------------
 
@@ -440,6 +461,23 @@ class WindowedLanguage:
     def check_fellow_traveller(
         self, pair_rule: str = "classical", cap: int | None = None
     ) -> FellowReport:
+        """The largest separation over all near pairs of window words.
+
+        Every near pair is counted in `pairs_checked`.  When the letter
+        images are closed under inversion, two kinds of pair are counted
+        but not walked, since neither can change the report:
+
+          * a pair whose separation bound (see the class docstring) is at
+            most the worst separation found so far; each element's words
+            are shortest first, so these form a prefix of its list;
+          * a pair (u, s, v) whose mirror (v, s^-1, u), with the same
+            separations, came earlier: its v ends at an element before u's
+            in `words_by_element`, or at the same element with a smaller
+            word index.
+
+        The worst pair is still the first one in enumeration order, so the
+        witness and its time do not change.
+        """
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
         mul, inv = self.model.mul, self.model.inv
@@ -455,14 +493,23 @@ class WindowedLanguage:
             (name, s, ball.ids.get(inv(s)))
             for name, s in sorted(self.model.letter_images.items())
         ]
-        words = {
-            g: [(w, [left[x] for x in w], [right[x] for x in w]) for w in ws]
-            for g, ws in self.words_by_element.items()
-        }
+        # element -> (its rank in words_by_element, its words with their
+        # tables, their lengths)
+        words = {}
+        for g, ws in self.words_by_element.items():
+            words[g] = (
+                len(words),
+                [(w, [left[x] for x in w], [right[x] for x in w]) for w in ws],
+                [len(w) for w in ws],
+            )
+        closed = self._inverse_closed
         zeta, witness, pairs = 0, None, 0
-        for end, entries in words.items():
-            for u, lu, _ in entries:
+        for end, (rank, entries, _) in words.items():
+            for index, (u, lu, _) in enumerate(entries):
                 for shift_name, s, e0 in shifts:
+                    # e_0 = s^-1 and e_T are at most one letter each, so the
+                    # bound is at most zeta when |v| + |e_T| <= room
+                    room = 2 * zeta + 1 - len(u) - (shift_name is not None)
                     target = end if shift_name is None else mul(s, end)
                     if pair_rule == "classical" and shift_name is not None:
                         # left multiplication: shifted start, equal ends
@@ -471,8 +518,19 @@ class WindowedLanguage:
                         # right multiplication: ends at most 1 apart
                         near = [target] + [mul(target, img) for img in images]
                     for h in dict.fromkeys(near):
-                        for v, _, rv in words.get(h, ()):
-                            pairs += 1
+                        got = words.get(h)
+                        if got is None:
+                            continue
+                        k, vs, lengths = got
+                        pairs += len(vs)
+                        first = 0
+                        if closed:
+                            if k < rank:
+                                continue
+                            first = bisect_right(lengths, room - (h != target))
+                            if k == rank and first < index:
+                                first = index
+                        for v, _, rv in vs[first:]:
                             # a finished word waits at its end point; a
                             # None entry (outside the ball) ends the walk
                             try:
@@ -555,18 +613,19 @@ class WindowedLanguage:
 
     def _language_lengths(self) -> dict:
         """Shortest accepted-word length per element, by breadth-first search
-        on the product of the automaton with the ball.  A word of length k
-        never leaves the radius-k ball, so searching to the ball radius finds
-        every element whose language length fits the window."""
+        on the product of the automaton with the group, to depth
+        2 * radius + 2 whatever the ball's radius: an element's language
+        length counts as inside the window when it is at most that."""
         best: dict = {}
         seen = {(s, self.model.identity) for s in self.fsa.initial}
         frontier = list(seen)
         accepting = self.fsa.accepting
-        for depth in range(self.ball.radius + 1):
+        max_depth = 2 * self.radius + 2
+        for depth in range(max_depth + 1):
             for state, elem in frontier:
                 if state in accepting and elem not in best:
                     best[elem] = depth
-            if depth == self.ball.radius:
+            if depth == max_depth:
                 break
             nxt = []
             for state, elem in frontier:

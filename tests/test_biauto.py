@@ -642,3 +642,114 @@ def test_table_walk_matches_reference_without_inverse_letters():
     check()
     assert outcomes["out of window"] >= 20
     assert outcomes["walk left the ball"] >= 10
+
+
+# ---------------------------------------------------------------------------
+# the separation bound: ball radius, pruned and mirrored pairs
+
+
+def symmetric_s5_model():
+    """S5 on x = (0 1 2 3 4), X = x^-1 and y = (0 1): the letter images are
+    distinct and closed under inversion, and the group is non-commutative,
+    so a mirrored pair walks the inverses e_t^-1, not the same elements."""
+    five = s5_model()
+    return GroupModel(
+        {name: five.letter_images[name] for name in ("x", "X", "y")},
+        mul=five.mul,
+        inv=five.inv,
+        identity=five.identity,
+    )
+
+
+@pytest.mark.parametrize("make_model", [z2_model, symmetric_s5_model])
+def test_pruned_walk_matches_reference_route(make_model):
+    outcomes = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        small_automata(),
+        st.integers(0, 6),
+        st.sampled_from(("classical", "simultaneous")),
+        st.data(),
+    )
+    def check(fsa, radius, pair_rule, data):
+        model = make_model()
+        # drop the transitions on letters the model has no image for
+        fsa = Fsa(
+            tuple(model.letter_images),
+            fsa.num_states,
+            fsa.initial,
+            fsa.accepting,
+            [t for t in fsa.transitions() if t[1] in model.letter_images],
+        )
+        while sum(1 for _ in fsa.words_up_to(radius)) > MAX_WINDOW_WORDS:
+            radius -= 1
+        lang = WindowedLanguage(fsa, model, radius)
+        # any ball up to radius 2 * radius + 2, the radius without the bound
+        lang.ball = BallOracle(model, data.draw(st.integers(0, 2 * radius + 2)))
+        try:
+            want = reference_check_fellow_traveller(lang, pair_rule, cap=2)
+        except OutOfWindow as exc:
+            with pytest.raises(OutOfWindow) as got:
+                lang.check_fellow_traveller(pair_rule, cap=2)
+            assert str(got.value) == str(exc)
+            outcomes["out of window"] += 1
+            return
+        assert lang.check_fellow_traveller(pair_rule, cap=2) == want
+        outcomes["zeta above 1" if want.zeta > 1 else "zeta at most 1"] += 1
+
+    check()
+    assert outcomes["out of window"] >= 30
+    assert outcomes["zeta above 1"] >= 40
+    assert outcomes["zeta at most 1"] >= 40
+
+
+def test_ball_radius_follows_the_separation_bound():
+    z2 = z2_model()
+    # the longest word plus 2, but never below half the window
+    assert WindowedLanguage(two_words_fsa(), z2, 64).ball.radius == 32
+    assert WindowedLanguage(two_words_fsa(), z2, 3).ball.radius == 4
+    assert WindowedLanguage(z2_normal_form_fsa(), z2, 20).ball.radius == 22
+    assert WindowedLanguage(z2_parity_fsa(), z2, 0).ball.radius == 2
+    # s5_model is closed under inversion too: its y is a transposition, so
+    # Y = y^-1 = y
+    assert WindowedLanguage(z2_normal_form_fsa(), s5_model(), 5).ball.radius == 7
+    x_only = Fsa(("x", "X", "y"), 1, 0, (0,), [(0, "x", 0)])
+    assert WindowedLanguage(x_only, symmetric_s5_model(), 9).ball.radius == 11
+    # without inverse letters the separations are bounded by the path
+    # lengths alone
+    for radius in (0, 3, 8):
+        lang = WindowedLanguage(z2_normal_form_fsa(), skew_z2_model(), radius)
+        assert lang.ball.radius == 2 * radius + 2
+
+
+@pytest.mark.parametrize("radius", [0, 2, 4, 6])
+def test_language_lengths_search_past_the_ball(radius):
+    # ell and tau_estimate search the language to depth 2 * radius + 2,
+    # whatever the radius of the ball
+    model = z2_model()
+    for make_fsa in (z2_normal_form_fsa, z2_parity_fsa, two_words_fsa):
+        lang = WindowedLanguage(make_fsa(), model, radius)
+        wide = WindowedLanguage(make_fsa(), model, radius)
+        wide.ball = BallOracle(model, 2 * radius + 2)
+        assert lang.ball.radius <= wide.ball.radius
+        found = 0
+        for g in wide.ball.elements_of_norm_at_most(2 * radius + 2):
+            try:
+                want = wide.ell(g)
+            except OutOfWindow:
+                with pytest.raises(OutOfWindow):
+                    lang.ell(g)
+                continue
+            assert lang.ell(g) == want
+            found += want > lang.ball.radius
+        if make_fsa is not two_words_fsa and radius:
+            assert found > 0
+        for g in [(1, 0), (1, 1), (0, -2), (2, -1)]:
+            try:
+                want = wide.tau_estimate(g, max_power=4)
+            except OutOfWindow:
+                with pytest.raises(OutOfWindow):
+                    lang.tau_estimate(g, max_power=4)
+                continue
+            assert lang.tau_estimate(g, max_power=4) == want

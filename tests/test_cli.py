@@ -3,6 +3,7 @@ and byte-for-byte determinism."""
 
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -169,6 +170,24 @@ def test_lengths_of_4000_letter_words(capsys):
     assert first["length_exact"].startswith("2*log(") and first["length_decimal"]
     assert len(str(second["length_field"])) > 6000
     assert data["comparison"] == {"kind": "independent-certified", "bound": 64}
+
+
+def test_classify_json_loads_under_the_default_digit_limit(capsys):
+    # the field parameter of (at)^1999 t^2 has over 6000 digits, more than
+    # Python's default limit for int <-> str, so it is printed as a string;
+    # one that fits stays an integer.  About 3 s, one 4000-letter evaluation.
+    code, out, err = run(capsys, ["classify", "--json", "at" * 1999 + "tt"])
+    assert code == 0 and err == ""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        data = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(before)
+    field = data["length_field"]
+    assert isinstance(field, str) and len(field) > 6000 and field.isdigit()
+    code, data = run_json(capsys, ["classify", "--json", "at" * 13])
+    assert code == 0 and data["length_field"] == 2173
 
 
 # ---------------------------------------------------------------------------
