@@ -40,6 +40,11 @@ class OutOfWindow(RuntimeError):
     """The computation needs a group element beyond the precomputed ball."""
 
 
+def _check_length(max_len: int) -> None:
+    if max_len < 0:
+        raise ValueError(f"word length bound must be >= 0, got {max_len}")
+
+
 class Fsa:
     """A finite-state automaton over named letters.
 
@@ -158,26 +163,56 @@ class Fsa:
     def words_up_to(self, max_len: int):
         """Yield all accepted words of length <= max_len (letter tuples),
         shortest first, pruning branches that cannot reach acceptance."""
+        _check_length(max_len)
+        words = self._fold_words(max_len, None, lambda value, letter: None)
+        return (word for word, _ in words)
+
+    def _fold_words(self, max_len: int, start, extend):
+        """Yield (word, value) for the words of words_up_to, in its order.
+        The empty word has value `start` and a word w + (x,) has value
+        extend(value of w, x): each word costs one step past its prefix.
+
+        The frontier holds every live prefix of the current length.  The
+        step of a set of states by a letter is computed once per call, the
+        first time a prefix reaches that set."""
         live = self.trim()
-        frontier = [((), frozenset(live.initial))]
-        if frontier[0][1] & live.accepting:
-            yield ()
+        first = frozenset(live.initial)
+        numbering = {first: 0}
+        subsets = [first]
+        # moves[i]: (letter, number of the next set, whether it accepts)
+        # for each letter that keeps set i alive, None until first reached
+        moves = [None]
+        if first & live.accepting:
+            yield (), start
+        frontier = [((), 0, start)]
         for _ in range(max_len):
             nxt = []
-            for word, states in frontier:
-                for letter in live.alphabet:
-                    after = live.step(states, letter)
-                    if not after:
-                        continue
+            for word, i, value in frontier:
+                row = moves[i]
+                if row is None:
+                    row = moves[i] = []
+                    for letter in live.alphabet:
+                        after = live.step(subsets[i], letter)
+                        if not after:
+                            continue
+                        j = numbering.get(after)
+                        if j is None:
+                            j = numbering[after] = len(subsets)
+                            subsets.append(after)
+                            moves.append(None)
+                        row.append((letter, j, bool(after & live.accepting)))
+                for letter, j, accepted in row:
                     w2 = word + (letter,)
-                    if after & live.accepting:
-                        yield w2
-                    nxt.append((w2, after))
+                    v2 = extend(value, letter)
+                    if accepted:
+                        yield w2, v2
+                    nxt.append((w2, j, v2))
             frontier = nxt
 
     def count_paths(self, max_len: int) -> int:
         """Paths of length <= max_len from an initial state of the trimmed
         automaton: a bound on the prefixes words_up_to walks."""
+        _check_length(max_len)
         live = self.trim()
         edges = [(src, dst) for src, _, dst in live.transitions()]
         counts = dict.fromkeys(live.initial, 1)
@@ -239,20 +274,23 @@ class GroupModel:
         self.inv = inv
         self.identity = identity
 
+    def _image(self, letter):
+        try:
+            return self.letter_images[letter]
+        except KeyError:
+            raise UnknownLetter(f"letter {letter!r} has no image") from None
+
     def evaluate(self, word):
         g = self.identity
         for letter in word:
-            try:
-                g = self.mul(g, self.letter_images[letter])
-            except KeyError:
-                raise UnknownLetter(f"letter {letter!r} has no image") from None
+            g = self.mul(g, self._image(letter))
         return g
 
     def path(self, word, start=None):
         g = start if start is not None else self.identity
         pts = [g]
         for letter in word:
-            g = self.mul(g, self.letter_images[letter])
+            g = self.mul(g, self._image(letter))
             pts.append(g)
         return pts
 
@@ -423,9 +461,13 @@ class WindowedLanguage:
         self._inverse_closed = all(model.inv(g) in images for g in images)
         self.words_by_element: dict = {}
         longest = 0
+        # each word's element is its prefix's times its last letter's image;
         # shortest first, so each element's words are sorted by length
-        for w in fsa.words_up_to(radius):
-            self.words_by_element.setdefault(model.evaluate(w), []).append(w)
+        mul, letter_images = model.mul, model.letter_images
+        for w, g in fsa._fold_words(
+            radius, model.identity, lambda g, letter: mul(g, letter_images[letter])
+        ):
+            self.words_by_element.setdefault(g, []).append(w)
             longest = len(w)
         if self._inverse_closed:
             self.ball = BallOracle(model, max(longest + 2, radius // 2))
@@ -477,58 +519,126 @@ class WindowedLanguage:
 
         The worst pair is still the first one in enumeration order, so the
         witness and its time do not change.
+
+        Words are keyed by ball id, and the targets s * end are reached
+        through the ball's tables.  Each target's near words are listed
+        once per check and shared by every (end, shift) that lands on it;
+        `pairs_checked` grows by a whole list at a time.
         """
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
-        mul, inv = self.model.mul, self.model.inv
-        images = list(self.model.letter_images.values())
+        model = self.model
+        mul, inv = model.mul, model.inv
+        letters = list(model.letter_images.items())
         ball = self.ball
-        norms, right, left = ball.norms, ball.right, ball.inverse_left
+        ids, norms = ball.ids, ball.norms
+        right, left = ball.right, ball.inverse_left
         # the separation at time t of u shifted by s and v is the norm of
         # e_t = (s * u[:t])^-1 * v[:t]: e_0 = s^-1 and
         # e_{t+1} = x_t^-1 * e_t * y_t for the letters x_t of u and y_t of v,
         # one step in an inverse-left and one in a right table
-        shifts = [(None, self.model.identity, 0)]
-        shifts += [
-            (name, s, ball.ids.get(inv(s)))
-            for name, s in sorted(self.model.letter_images.items())
-        ]
-        # element -> (its rank in words_by_element, its words with their
-        # tables, their lengths)
-        words = {}
-        for g, ws in self.words_by_element.items():
-            words[g] = (
-                len(words),
-                [(w, [left[x] for x in w], [right[x] for x in w]) for w in ws],
-                [len(w) for w in ws],
-            )
+        #
+        # elements are keyed by ball id; one the ball lacks (a swapped-in
+        # ball can be small) gets the next key past the ids, so no two
+        # elements share a key, and elements[k] is the element of key k
+        elements = list(ids)
+        inside = len(elements)
+        outside: dict = {}
+        # words[k]: the rank of key k in words_by_element, the words ending
+        # there with their tables, and their lengths; None if there are none
+        words: list = [None] * inside
+        # near_lists[k]: (pairs counted, rank of key k or -1, [words[h], ...])
+        # over h = k and the keys one letter right of it, built the first
+        # time a pair needs it
+        near_lists: list = [None] * inside
+
+        def key(g):
+            k = ids.get(g)
+            if k is None:
+                k = outside.get(g)
+                if k is None:
+                    k = outside[g] = len(elements)
+                    elements.append(g)
+                    words.append(None)
+                    near_lists.append(None)
+            return k
+
+        def near(t):
+            if near_lists[t] is None:
+                keys = [t]
+                for name, img in letters:
+                    h = right[name][t] if t < inside else None
+                    if h is None:
+                        # past the ball: the group's own product, which has
+                        # words only if it already has a key
+                        g = mul(elements[t], img)
+                        h = ids.get(g, outside.get(g))
+                    if h is not None:
+                        keys.append(h)
+                found = [words[h] for h in dict.fromkeys(keys) if words[h] is not None]
+                near_lists[t] = (
+                    sum(len(entry[1]) for entry in found),
+                    -1 if words[t] is None else words[t][0],
+                    found,
+                )
+            return near_lists[t]
+
+        ends = []
+        for rank, (g, ws) in enumerate(self.words_by_element.items()):
+            ends.append(k := key(g))
+            tables = [
+                (w, list(map(left.__getitem__, w)), list(map(right.__getitem__, w)))
+                for w in ws
+            ]
+            words[k] = (rank, tables, [len(w) for w in ws])
+        # s * g is one inverse-left step by a letter whose image is s^-1
+        named = {img: name for name, img in letters}
+        # no shift: e_0 is the identity, id 0
+        shifts = [(None, None, 0, None)]
+        for name, s in sorted(model.letter_images.items()):
+            s_inv = inv(s)
+            table = left[named[s_inv]] if s_inv in named else None
+            shifts.append((name, s, ids.get(s_inv), table))
+        classical = pair_rule == "classical"
         closed = self._inverse_closed
         zeta, witness, pairs = 0, None, 0
-        for end, (rank, entries, _) in words.items():
+        for end in ends:
+            rank, entries, _ = words[end]
+            # each shift's near words, shared by the words ending here
+            targets = []
+            for shift_name, s, e0, table in shifts:
+                if shift_name is None:
+                    # right multiplication: ends at most 1 apart
+                    near_words = near(end)
+                else:
+                    t = None if table is None or end >= inside else table[end]
+                    if t is None:
+                        t = key(mul(s, elements[end]))
+                    # left multiplication: a shifted start, and under the
+                    # classical rule equal ends
+                    got = words[t]
+                    if not classical:
+                        near_words = near(t)
+                    elif got is None:
+                        near_words = (0, -1, ())
+                    else:
+                        near_words = (len(got[1]), got[0], (got,))
+                targets.append((shift_name, e0, near_words))
             for index, (u, lu, _) in enumerate(entries):
-                for shift_name, s, e0 in shifts:
+                for shift_name, e0, (count, t_rank, near_words) in targets:
+                    pairs += count
                     # e_0 = s^-1 and e_T are at most one letter each, so the
                     # bound is at most zeta when |v| + |e_T| <= room
                     room = 2 * zeta + 1 - len(u) - (shift_name is not None)
-                    target = end if shift_name is None else mul(s, end)
-                    if pair_rule == "classical" and shift_name is not None:
-                        # left multiplication: shifted start, equal ends
-                        near = [target]
-                    else:
-                        # right multiplication: ends at most 1 apart
-                        near = [target] + [mul(target, img) for img in images]
-                    for h in dict.fromkeys(near):
-                        got = words.get(h)
-                        if got is None:
-                            continue
-                        k, vs, lengths = got
-                        pairs += len(vs)
+                    for h_rank, vs, lengths in near_words:
                         first = 0
                         if closed:
-                            if k < rank:
+                            if h_rank < rank:
                                 continue
-                            first = bisect_right(lengths, room - (h != target))
-                            if k == rank and first < index:
+                            # words one letter right of the target have
+                            # |e_T| = 1
+                            first = bisect_right(lengths, room - (h_rank != t_rank))
+                            if h_rank == rank and first < index:
                                 first = index
                         for v, _, rv in vs[first:]:
                             # a finished word waits at its end point; a
@@ -706,7 +816,7 @@ def replay_fellow_witness(witness: FellowWitness, model: GroupModel) -> int:
     """Recompute the separation recorded in a witness from scratch."""
     pu = model.path(witness.u)
     if witness.shift is not None:
-        s = model.letter_images[witness.shift]
+        s = model._image(witness.shift)
         pu = [model.mul(s, p) for p in pu]
     pv = model.path(witness.v)
     at = lambda pts, t: pts[t] if t < len(pts) else pts[-1]

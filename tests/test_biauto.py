@@ -1,6 +1,7 @@
 """Windowed automatic-structure checks, frozen against hand derivations
 and an independent brute-force route for the fellow traveller constants."""
 
+import itertools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -753,3 +754,132 @@ def test_language_lengths_search_past_the_ball(radius):
                     lang.tau_estimate(g, max_power=4)
                 continue
             assert lang.tau_estimate(g, max_power=4) == want
+
+
+# ---------------------------------------------------------------------------
+# unknown letters and negative lengths
+
+
+def test_path_and_replay_refuse_unknown_letters():
+    model = z2_model()
+    with pytest.raises(UnknownLetter):
+        model.evaluate(("x", "q"))
+    with pytest.raises(UnknownLetter):
+        model.path(("x", "q"))
+    assert model.path(("x", "y")) == [(0, 0), (1, 0), (1, 1)]
+    for witness in (
+        FellowWitness(u=("x",), v=("y",), shift="q", time=1, separation=2),
+        FellowWitness(u=("q",), v=("y",), shift=None, time=1, separation=2),
+        FellowWitness(u=("x",), v=("q",), shift="x", time=1, separation=2),
+    ):
+        with pytest.raises(UnknownLetter):
+            replay_fellow_witness(witness, model)
+
+
+def test_negative_lengths_are_refused():
+    fsa = z2_normal_form_fsa()
+    with pytest.raises(ValueError):
+        fsa.words_up_to(-1)
+    with pytest.raises(ValueError):
+        fsa.count_paths(-1)
+    assert list(fsa.words_up_to(0)) == [()]
+    assert fsa.count_paths(0) == 1
+    # an automaton whose initial state does not accept has no word of
+    # length 0, and still one path of length 0
+    assert list(two_words_fsa().words_up_to(0)) == []
+    assert two_words_fsa().count_paths(0) == 1
+
+
+# ---------------------------------------------------------------------------
+# the window built by prefix
+
+
+def test_prefix_built_window_matches_evaluated_words():
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        small_automata(),
+        st.integers(0, 5),
+        st.sampled_from((z2_model, s5_model, skew_z2_model)),
+    )
+    def check(fsa, radius, make_model):
+        while sum(1 for _ in fsa.words_up_to(radius)) > MAX_WINDOW_WORDS:
+            radius -= 1
+        model = make_model()
+        # words_up_to lists the accepted words by length, then in the
+        # alphabet's order, as a product over the alphabet does
+        brute = [
+            w
+            for n in range(radius + 1)
+            for w in itertools.product(fsa.alphabet, repeat=n)
+            if fsa.accepts(w)
+        ]
+        assert list(fsa.words_up_to(radius)) == brute
+        want: dict = {}
+        for w in fsa.words_up_to(radius):
+            want.setdefault(model.evaluate(w), []).append(w)
+        got = WindowedLanguage(fsa, model, radius).words_by_element
+        assert list(got.items()) == list(want.items())
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# a model whose elements are plain ints, like the ball's ids
+
+
+def z12_model():
+    """Z/12 on x = 1, y = 5 and their inverses: every element is an int, so
+    an element that a small ball lacks looks like one of the ball's ids."""
+    return GroupModel(
+        {"x": 1, "X": 11, "y": 5, "Y": 7},
+        mul=lambda a, b: (a + b) % 12,
+        inv=lambda a: -a % 12,
+        identity=0,
+    )
+
+
+def test_int_elements_and_ball_ids_stay_apart():
+    # X ends at 11, which has id 2 in the radius-1 ball; xx ends at 2,
+    # which that ball lacks
+    model = z12_model()
+    fsa = Fsa(ALPHABET, 4, 0, (1, 3), [(0, "X", 1), (0, "x", 2), (2, "x", 3)])
+    lang = WindowedLanguage(fsa, model, 2)
+    lang.ball = BallOracle(model, 1)
+    assert lang.ball.ids[11] == 2 and 2 not in lang.ball.ids
+    for rule in ("classical", "simultaneous"):
+        report = lang.check_fellow_traveller(rule)
+        assert report == reference_check_fellow_traveller(lang, rule)
+    outcomes = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        small_automata(),
+        st.integers(1, 4),
+        st.sampled_from(("classical", "simultaneous")),
+        st.data(),
+    )
+    def check(fsa, radius, pair_rule, data):
+        while sum(1 for _ in fsa.words_up_to(radius)) > MAX_WINDOW_WORDS:
+            radius -= 1
+        model = z12_model()
+        lang = WindowedLanguage(fsa, model, radius)
+        # the whole group lies within radius 3; a smaller ball lacks some
+        # of the elements, and its ids are ints below 12 as well
+        lang.ball = BallOracle(model, data.draw(st.integers(1, 3)))
+        try:
+            want = reference_check_fellow_traveller(lang, pair_rule, cap=2)
+        except OutOfWindow as exc:
+            with pytest.raises(OutOfWindow) as got:
+                lang.check_fellow_traveller(pair_rule, cap=2)
+            assert str(got.value) == str(exc)
+            outcomes["out of window"] += 1
+            return
+        assert lang.check_fellow_traveller(pair_rule, cap=2) == want
+        if any(g not in lang.ball.ids for g in lang.words_by_element):
+            outcomes["words end outside the ball"] += 1
+        outcomes["whole ball" if len(lang.ball) == 12 else "part ball"] += 1
+
+    check()
+    assert outcomes["out of window"] >= 30
+    assert outcomes["words end outside the ball"] >= 10
+    assert outcomes["whole ball"] >= 30
