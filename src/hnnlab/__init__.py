@@ -17,122 +17,94 @@ Layers, bottom up:
   cli     the hnn-lab command line tool
 """
 
-from .biauto import (
-    BallOracle,
-    Fsa,
-    GroupModel,
-    OutOfWindow,
-    StructureReport,
-    UnknownLetter,
-    WindowedLanguage,
-    replay_fellow_witness,
-)
-from .comb import (
-    AbelianStructure,
-    CapExceeded,
-    CosetTable,
-    NotInSubgroup,
-    Presentation,
-    abelianization,
-    dehn_reduce,
-    genus_from_index,
-    parse_word,
-    render_word,
-    schreier_graph_arith,
-    smith_invariants,
-    todd_coxeter,
-)
-from .exact import (
-    Mat2,
-    MismatchedField,
-    NotUnimodular,
-    ProjMat,
-    QuadExt,
-)
-from .hnn import (
-    BrittonForm,
-    HnnGroup,
-    OracleDisagreement,
-    VerificationReport,
-    load_builtin_group,
-)
-from .isom import (
-    Dependent,
-    EllipticFinite,
-    EllipticInfinite,
-    Hyperbolic,
-    Identity,
-    IndependentCertified,
-    IndependentUpTo,
-    NotHyperbolic,
-    Parabolic,
-    TransLength,
-    classify,
-    length_ratio_independent,
-    translation_length,
-)
-from .quat import (
-    Quaternion,
-    phi,
-    phi_inverse,
-    ring_closure,
-    standard_generators,
-    standard_oracles,
-    standard_order,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianStructure",
-    "BallOracle",
-    "BrittonForm",
-    "CapExceeded",
-    "CosetTable",
-    "Dependent",
-    "EllipticFinite",
-    "EllipticInfinite",
-    "Fsa",
-    "GroupModel",
-    "HnnGroup",
-    "Hyperbolic",
-    "Identity",
-    "IndependentCertified",
-    "IndependentUpTo",
-    "Mat2",
-    "MismatchedField",
-    "NotHyperbolic",
-    "NotInSubgroup",
-    "NotUnimodular",
-    "OracleDisagreement",
-    "OutOfWindow",
-    "Parabolic",
-    "Presentation",
-    "ProjMat",
-    "QuadExt",
-    "Quaternion",
-    "StructureReport",
-    "TransLength",
-    "UnknownLetter",
-    "VerificationReport",
-    "WindowedLanguage",
-    "abelianization",
-    "classify",
-    "dehn_reduce",
-    "genus_from_index",
-    "length_ratio_independent",
-    "load_builtin_group",
-    "parse_word",
-    "phi",
-    "phi_inverse",
-    "render_word",
-    "replay_fellow_witness",
-    "ring_closure",
-    "schreier_graph_arith",
-    "smith_invariants",
-    "standard_generators",
-    "standard_oracles",
-    "standard_order",
-    "todd_coxeter",
-    "translation_length",
-]
+# The public names by the submodule that defines them.  A submodule is
+# imported when one of its names is first read (PEP 562), so a caller pays
+# only for the layers it uses: the lattice never loads `biauto` or `isom`,
+# and the windowed checks load nothing but `biauto`.
+_PUBLIC = {
+    "biauto": (
+        "BallOracle",
+        "Fsa",
+        "GroupModel",
+        "OutOfWindow",
+        "StructureReport",
+        "UnknownLetter",
+        "WindowedLanguage",
+        "replay_fellow_witness",
+    ),
+    "comb": (
+        "AbelianStructure",
+        "CapExceeded",
+        "CosetTable",
+        "NotInSubgroup",
+        "Presentation",
+        "abelianization",
+        "dehn_reduce",
+        "genus_from_index",
+        "parse_word",
+        "render_word",
+        "schreier_graph_arith",
+        "smith_invariants",
+        "todd_coxeter",
+    ),
+    "exact": (
+        "Mat2",
+        "MismatchedField",
+        "NotUnimodular",
+        "ProjMat",
+        "QuadExt",
+    ),
+    "hnn": (
+        "BrittonForm",
+        "HnnGroup",
+        "OracleDisagreement",
+        "VerificationReport",
+        "load_builtin_group",
+    ),
+    "isom": (
+        "Dependent",
+        "EllipticFinite",
+        "EllipticInfinite",
+        "Hyperbolic",
+        "Identity",
+        "IndependentCertified",
+        "IndependentUpTo",
+        "NotHyperbolic",
+        "Parabolic",
+        "TransLength",
+        "classify",
+        "length_ratio_independent",
+        "translation_length",
+    ),
+    "quat": (
+        "Quaternion",
+        "phi",
+        "phi_inverse",
+        "ring_closure",
+        "standard_generators",
+        "standard_oracles",
+        "standard_order",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        # importing a submodule also binds it here, so this runs once
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_PUBLIC})

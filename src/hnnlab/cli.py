@@ -20,9 +20,25 @@ import os
 import random
 import sys
 from decimal import Decimal, localcontext
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from . import biauto, comb, hnn, isom
-from .exact import QuadExt, render_quadext
+# each command imports the layers it uses: a cold `fsa-check` loads only
+# `biauto`, the lattice's commands never load `biauto`, and only `classify`
+# and `lengths` load `isom`
+from . import comb
+
+if TYPE_CHECKING:
+    from . import isom
+    from .exact import QuadExt
+
+
+def __getattr__(name: str):
+    # the layers imported per command stay readable as attributes of this
+    # module (`cli.biauto`), each loaded on first read (PEP 562)
+    if name in ("biauto", "hnn", "isom"):
+        return import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 DISPLAY_DIGITS = 50
 # fsa-check cost grows about as radius^3 on the built-in languages: at this
@@ -57,6 +73,18 @@ def _check_limit(what: str, value: int, limit: int) -> None:
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _load_group():
+    from . import hnn
+
+    return hnn.load_builtin_group()
+
+
+def _oracle_disagreement() -> type:
+    from .hnn import OracleDisagreement
+
+    return OracleDisagreement
 
 
 def _decimal_length(trace: QuadExt) -> str:
@@ -94,7 +122,7 @@ def _render_letters(letters) -> str:
 
 def _cmd_verify(args) -> int:
     _check_limit("--samples", args.samples, _VERIFY_SAMPLES_LIMIT)
-    group = hnn.load_builtin_group()
+    group = _load_group()
     report = group.verify_presentation()
     samples_ok = samples_total = 0
     if args.samples > 0:
@@ -157,6 +185,9 @@ def _cmd_verify(args) -> int:
 
 
 def _classify_payload(group, text: str) -> tuple[dict, isom.IsometryClass]:
+    from . import isom
+    from .exact import render_quadext
+
     word = group.ambient.parse(text)
     m = group.evaluate(word)
     kind = isom.classify(m)
@@ -192,7 +223,7 @@ def _classify_payload(group, text: str) -> tuple[dict, isom.IsometryClass]:
 
 
 def _cmd_classify(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     payload, _ = _classify_payload(group, args.word)
     if args.json:
         _print_json(payload)
@@ -210,6 +241,8 @@ def _cmd_classify(args) -> int:
 
 
 def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
+    from . import isom
+
     verdict = isom.length_ratio_independent(t1, t2, bound)
     if isinstance(verdict, isom.Dependent):
         return {"kind": "dependent", "p": verdict.p, "q": verdict.q}
@@ -219,8 +252,10 @@ def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
 
 
 def _cmd_lengths(args) -> int:
+    from . import isom
+
     _check_limit("--bound", args.bound, _LENGTHS_BOUND_LIMIT)
-    group = hnn.load_builtin_group()
+    group = _load_group()
     texts = args.words or ["a", "b", "c", "d"]
     rows, kinds = zip(*(_classify_payload(group, t) for t in texts))
     comparison = None
@@ -261,7 +296,7 @@ def _cmd_lengths(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     word = group.vertex.parse(args.word)
     reduced = comb.dehn_reduce(word, group.vertex)
     if args.json:
@@ -278,7 +313,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_britton(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     form = group.britton_reduce(args.word)
     rendered = form.render()
     if args.json:
@@ -300,7 +335,7 @@ def _cmd_britton(args) -> int:
 
 
 def _cmd_trivial(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     verdict = group.is_trivial(args.word)
     if args.json:
         _print_json({"word": args.word, "trivial": verdict})
@@ -314,7 +349,7 @@ def _cmd_trivial(args) -> int:
 
 
 def _cmd_cosets(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     table = group.source_table if args.side == "source" else group.target_table
     if args.json:
         _print_json(table.to_json())
@@ -336,7 +371,7 @@ def _cmd_cosets(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     if len(args.words) > 2:
         print("error: tree takes one or two words", file=sys.stderr)
         return 2
@@ -360,7 +395,7 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     pres = group.ambient if args.which == "ambient" else group.vertex
     structure = comb.abelianization(pres)
     if args.json:
@@ -382,6 +417,8 @@ def _cmd_abelianize(args) -> int:
 
 
 def _load_language(name: str):
+    from . import biauto
+
     if name in biauto.BUILTIN_LANGUAGES:
         fsa_factory, model_factory = biauto.BUILTIN_LANGUAGES[name]
         return fsa_factory(), model_factory()
@@ -402,6 +439,8 @@ def _load_language(name: str):
 
 
 def _cmd_fsa_check(args) -> int:
+    from . import biauto
+
     _check_limit("--radius", args.radius, _FSA_RADIUS_LIMIT)
     fsa, model = _load_language(args.language)
     # the window's own message, before count_paths refuses it in other words
@@ -477,7 +516,7 @@ def _cmd_fsa_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    group = hnn.load_builtin_group()
+    group = _load_group()
     pres = group.ambient if args.which == "ambient" else group.vertex
     if args.format == "json":
         _print_json(
@@ -592,10 +631,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, comb.NotInSubgroup) as exc:
+    except ValueError as exc:  # comb.NotInSubgroup among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except hnn.OracleDisagreement as exc:
+    # an except clause evaluates its class only when an exception reaches it,
+    # so a run that returns or raises ValueError never imports `hnn`
+    except _oracle_disagreement() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
