@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class UnknownLetter(ValueError):
@@ -364,8 +364,7 @@ class BallOracle:
         return [g for g, i in self.ids.items() if norms[i] <= r]
 
 
-@dataclass(frozen=True)
-class FiniteToOneReport:
+class FiniteToOneReport(NamedTuple):
     bound: int
     witness_element: object
     witness_words: tuple
@@ -378,8 +377,7 @@ class FiniteToOneReport:
         return self.bound >= 1 and self.surjective
 
 
-@dataclass(frozen=True)
-class FellowWitness:
+class FellowWitness(NamedTuple):
     """A replayable record of the worst separation found: translate the
     path of u by the shift letter (if any) and compare with the path of v
     at the given time."""
@@ -391,8 +389,7 @@ class FellowWitness:
     separation: int
 
 
-@dataclass(frozen=True)
-class FellowReport:
+class FellowReport(NamedTuple):
     pair_rule: str
     zeta: int
     pairs_checked: int
@@ -405,22 +402,19 @@ class FellowReport:
         return self.cap is None or self.zeta <= self.cap
 
 
-@dataclass(frozen=True)
-class QuasiGeodesicReport:
+class QuasiGeodesicReport(NamedTuple):
     multiplicative: Fraction
     additive: int
     window: int
 
 
-@dataclass(frozen=True)
-class TauEstimate:
+class TauEstimate(NamedTuple):
     value: Fraction
     stabilized: bool
     norms: tuple
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     radius: int
     finite_to_one: FiniteToOneReport
     fellow: FellowReport

@@ -442,6 +442,9 @@ def _cmd_fsa_check(args) -> int:
     from . import biauto
 
     _check_limit("--radius", args.radius, _FSA_RADIUS_LIMIT)
+    # no separation is negative, so such a cap could only ever fail
+    if args.cap is not None and args.cap < 0:
+        raise ValueError(f"fellow-traveller cap must be >= 0, got {args.cap}")
     fsa, model = _load_language(args.language)
     # the window's own message, before count_paths refuses it in other words
     if args.radius < 0:

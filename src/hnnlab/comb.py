@@ -24,8 +24,8 @@ lies in the subgroup to a word in the subgroup generators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -74,7 +74,7 @@ def cyclic_reduce(word) -> Word:
 
 
 def invert_word(word) -> Word:
-    return tuple(-g for g in reversed(word))
+    return tuple([-g for g in reversed(word)])
 
 
 def _concat(*words) -> Word:
@@ -299,7 +299,8 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
                 i, j = i - 1, j + 1
         s = s[:i] + comp + s[j:]
         pos = max(i - longest // 2, 0)
-    return tuple(map(letter.__getitem__, s))
+    # through a list: tuple() of a bare iterator over-allocates, then resizes
+    return tuple(list(map(letter.__getitem__, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +480,7 @@ class _Enumerator:
         return a
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """A finished, standardized coset table with subgroup decorations.
 
     Cosets are numbered in breadth-first discovery order from coset 0
@@ -495,13 +495,15 @@ class CosetTable:
     decorations: tuple[tuple[Word, ...], ...]
     representatives: tuple[Word, ...]
 
+    # the subgroup's index; it shadows tuple.index, as in SchreierGraph
     @property
     def index(self) -> int:
         return len(self.table)
 
     def follow(self, coset: int, word) -> int:
+        table = self.table
         for g in word:
-            coset = self.table[coset][_col(g)]
+            coset = table[coset][_col(g)]
         return coset
 
     def rewrite(self, word) -> Word:
@@ -511,19 +513,21 @@ class CosetTable:
         rep(0) * word = result * rep(end), and rep(0) is empty, so the
         scan must end back at coset 0 for word to lie in the subgroup.
         """
+        table, decorations = self.table, self.decorations
         a, acc = 0, ()
         for g in word:
-            acc = _concat(acc, self.decorations[a][_col(g)])
-            a = self.table[a][_col(g)]
+            c = _col(g)
+            acc = _concat(acc, decorations[a][c])
+            a = table[a][c]
         if a != 0:
             raise NotInSubgroup(f"word ends at coset {a}, not at the subgroup")
         return acc
 
     def expand_subgroup_word(self, word) -> Word:
         """Substitute each subgroup letter by its defining ambient word."""
-        parts = []
+        words, parts = self.subgroup_words, []
         for g in word:
-            w = self.subgroup_words[abs(g) - 1]
+            w = words[abs(g) - 1]
             parts.append(w if g > 0 else invert_word(w))
         return _concat(*parts)
 
@@ -627,8 +631,7 @@ def todd_coxeter(
 # arithmetic Schreier graph
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
+class SchreierGraph(NamedTuple):
     """Coset action computed from concrete group elements and a membership
     oracle, numbered in the same breadth-first order as CosetTable."""
 
@@ -736,8 +739,7 @@ def smith_invariants(rows) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(NamedTuple):
     betti: int
     torsion: tuple[int, ...]
 

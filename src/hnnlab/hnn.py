@@ -21,8 +21,8 @@ exact, sign-normalized ProjMat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .comb import (
     CosetTable,
@@ -87,8 +87,7 @@ STABLE_PAIRS = (
 T_LETTER = 5  # index of t in the ambient alphabet (a, b, c, d, t)
 
 
-@dataclass(frozen=True)
-class BrittonForm:
+class BrittonForm(NamedTuple):
     """word = segments[0] * t^exponents[0] * segments[1] * ... ; segments are
     t-free and freely reduced, and no pinch t*g*t^-1 (g in H) or t^-1*g*t
     (g in K) remains."""
@@ -113,15 +112,13 @@ class BrittonForm:
         return render_word(self.to_word(), alphabet, "compact")
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     index: int
     relator: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     relations: tuple[RelationCheck, ...]
     pair_memberships_ok: bool
     source_index: int

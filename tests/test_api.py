@@ -1,7 +1,21 @@
 """The public API is pinned: a name leaves or joins hnnlab.__all__ only
-together with this list."""
+together with this list, and the public record types keep their value
+semantics."""
+
+from fractions import Fraction
+
+import pytest
 
 import hnnlab
+from hnnlab.biauto import (
+    FellowReport,
+    FellowWitness,
+    FiniteToOneReport,
+    QuasiGeodesicReport,
+    StructureReport,
+)
+from hnnlab.comb import AbelianStructure, CosetTable, SchreierGraph
+from hnnlab.hnn import BrittonForm, RelationCheck, VerificationReport
 
 PUBLIC_NAMES = [
     "AbelianStructure",
@@ -65,3 +79,80 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert getattr(hnnlab, name) is not None
+
+
+WITNESS = FellowWitness(u=(1,), v=(1, 2), shift="x", time=1, separation=2)
+
+RECORDS = [
+    (BrittonForm, {"segments": ((1,), (-2,)), "exponents": (-5,)}),
+    (
+        VerificationReport,
+        {
+            "relations": (RelationCheck(index=0, relator="AdcbCaBD", holds=True),),
+            "pair_memberships_ok": True,
+            "source_index": 12,
+            "target_index": 12,
+            "mutants_detected": 27,
+            "mutants_total": 27,
+        },
+    ),
+    (
+        CosetTable,
+        {
+            "generators": ("a",),
+            "subgroup_names": ("h1",),
+            "subgroup_words": ((1, 1),),
+            "table": ((1, 1), (0, 0)),
+            "decorations": (((), ()), ((1,), (-1,))),
+            "representatives": ((), (1,)),
+        },
+    ),
+    (SchreierGraph, {"table": ((1, 1), (0, 0)), "representatives": ((), (1,))}),
+    (AbelianStructure, {"betti": 4, "torsion": (2,)}),
+    (FellowWitness, WITNESS._asdict()),
+    (
+        FellowReport,
+        {
+            "pair_rule": "classical",
+            "zeta": 2,
+            "pairs_checked": 20,
+            "witness": WITNESS,
+            "window": 3,
+            "cap": None,
+        },
+    ),
+    (
+        StructureReport,
+        {
+            "radius": 3,
+            "finite_to_one": FiniteToOneReport(
+                bound=1,
+                witness_element=(0, 0),
+                witness_words=((),),
+                surjective=True,
+                missing=(),
+                window=3,
+            ),
+            "fellow": FellowReport("classical", 2, 20, WITNESS, 3, 2),
+            "quasigeodesic": QuasiGeodesicReport(Fraction(1), 0, 3),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS]
+)
+def test_records_are_immutable_values(cls, values):
+    record = cls(**values)
+    assert cls(*values.values()) == record
+    for name, value in values.items():
+        assert getattr(record, name) == value
+    with pytest.raises(AttributeError):
+        setattr(record, next(iter(values)), None)
+    with pytest.raises(AttributeError):
+        record.not_a_field = None
+    twin = cls(**values)
+    assert twin == record and hash(twin) == hash(record)
+    fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
+    assert repr(record) == f"{cls.__name__}({fields})"

@@ -369,6 +369,16 @@ def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
         assert out == "" and "above the limit 64" in err
 
 
+def test_fsa_check_rejects_negative_cap(capsys, monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a window was built for a negative cap")
+
+    monkeypatch.setattr(cli.biauto, "WindowedLanguage", no_window)
+    code, out, err = run(capsys, ["fsa-check", "z2-normal", "--cap", "-5"])
+    assert (code, out) == (2, "")
+    assert err == "error: fellow-traveller cap must be >= 0, got -5\n"
+
+
 LETTERS = ("x", "X", "y", "Y")
 # one state: every word over x/X/y/Y
 EVERY_WORD = Fsa(LETTERS, 1, 0, (0,), [(0, x, 0) for x in LETTERS])

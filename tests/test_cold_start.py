@@ -1,6 +1,7 @@
 """A cold process loads only the layers it uses: `import hnnlab` loads no
-submodule, the lattice never loads `biauto` or `isom`, and `fsa-check` never
-loads the lattice.  Each cold case runs in a fresh `python -I` process."""
+submodule, the lattice never loads `biauto` or `isom`, `fsa-check` never
+loads the lattice, and neither loads `dataclasses` or `inspect`.  Each cold
+case runs in a fresh `python -I` process."""
 
 import json
 import subprocess
@@ -14,20 +15,23 @@ from hnnlab import cli
 
 SRC = str(Path(hnnlab.__file__).resolve().parent.parent)
 
-# runs BODY with its output captured, then prints what it returned and which
-# hnnlab submodules the process loaded
+# runs BODY with its output captured, then prints what it returned, which
+# hnnlab submodules the process loaded and every module that `import hnnlab`
+# and BODY added
 PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 out, err = io.StringIO(), io.StringIO()
+before = set(sys.modules)
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     import hnnlab
     result = None
 {body}
 assert hnnlab.__file__.startswith(sys.argv[1]), hnnlab.__file__
 modules = sorted(m for m in sys.modules if m.startswith("hnnlab."))
+added = sorted(set(sys.modules) - before)
 print(json.dumps({{"result": result, "out": out.getvalue(),
-                   "err": err.getvalue(), "modules": modules}}))
+                   "err": err.getvalue(), "modules": modules, "added": added}}))
 """
 
 
@@ -51,6 +55,21 @@ def test_the_lattice_loads_neither_biauto_nor_isom():
     run = cold("hnnlab.load_builtin_group()")
     assert "hnnlab.hnn" in run["modules"]
     assert not {"hnnlab.biauto", "hnnlab.isom"} & set(run["modules"])
+
+
+@pytest.mark.parametrize(
+    "layer, statements",
+    [
+        ("hnnlab.hnn", ["hnnlab.load_builtin_group()"]),
+        ("hnnlab.biauto", ["from hnnlab import cli",
+                           "result = cli.main(['fsa-check', 'z2-normal', '--radius', '6'])"]),
+    ],
+    ids=["lattice", "fsa-check"],
+)
+def test_no_dataclasses_machinery_is_loaded(layer, statements):
+    run = cold(*statements)
+    assert run["result"] in (None, 0) and layer in run["added"]
+    assert not {"dataclasses", "inspect"} & set(run["added"])
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ split, so simply exercising them on random inputs is part of the test.
 
 import copy
 import random
-from dataclasses import replace
 
 import pytest
 import sympy
@@ -343,7 +342,7 @@ def test_flipped_table_entry_is_caught_by_matrices():
     rows = [list(row) for row in G.source_table.table]
     rows[0][col] = (rows[0][col] + 1) % G.source_table.index
     broken = _with(
-        source_table=replace(G.source_table, table=tuple(map(tuple, rows)))
+        source_table=G.source_table._replace(table=tuple(map(tuple, rows)))
     )
     assert G.in_source_subgroup(u1)
     with pytest.raises(OracleDisagreement, match="coset table says False"):
@@ -358,8 +357,8 @@ def test_corrupted_decoration_is_caught_by_the_word_problem():
     decorations = [list(row) for row in G.source_table.decorations]
     decorations[0][col] += (1,)
     broken = _with(
-        source_table=replace(
-            G.source_table, decorations=tuple(map(tuple, decorations))
+        source_table=G.source_table._replace(
+            decorations=tuple(map(tuple, decorations))
         )
     )
     assert G.is_trivial(relator)
