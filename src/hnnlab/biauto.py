@@ -237,13 +237,54 @@ class Fsa:
 
     @classmethod
     def from_json(cls, data: dict) -> "Fsa":
+        """The inverse of to_json; a malformed field raises ValueError naming
+        it.  States are ints (not bools), letters are strings, and initial
+        may be a single state."""
+        if not isinstance(data, dict):
+            raise ValueError("automaton must be a JSON object")
+        missing = [key for key in _FSA_FIELDS if key not in data]
+        if missing:
+            raise ValueError(f"automaton is missing {', '.join(missing)}")
+        if not _is_state(data["num_states"]):
+            raise ValueError("automaton field num_states must be an integer")
+        initial = data["initial"]
+        if not _is_state(initial):
+            initial = _json_list(data, "initial", _is_state, "integers")
         return cls(
-            data["alphabet"],
+            _json_list(data, "alphabet", _is_letter, "strings"),
             data["num_states"],
-            data["initial"],
-            data["accepting"],
-            data["transitions"],
+            initial,
+            _json_list(data, "accepting", _is_state, "integers"),
+            _json_list(data, "transitions", _is_transition, "[int, str, int] triples"),
         )
+
+
+_FSA_FIELDS = ("alphabet", "num_states", "initial", "accepting", "transitions")
+
+
+def _is_state(x) -> bool:
+    return type(x) is int
+
+
+def _is_letter(x) -> bool:
+    return type(x) is str
+
+
+def _is_transition(x) -> bool:
+    return (
+        isinstance(x, (list, tuple))
+        and len(x) == 3
+        and _is_state(x[0])
+        and _is_letter(x[1])
+        and _is_state(x[2])
+    )
+
+
+def _json_list(data: dict, key: str, ok, entries: str) -> list:
+    items = data[key]
+    if not isinstance(items, (list, tuple)) or not all(map(ok, items)):
+        raise ValueError(f"automaton field {key} must be a list of {entries}")
+    return items
 
 
 def parse_letters(text: str, alphabet) -> tuple[str, ...]:

@@ -423,8 +423,12 @@ def _load_language(name: str):
         fsa_factory, model_factory = biauto.BUILTIN_LANGUAGES[name]
         return fsa_factory(), model_factory()
     if os.path.exists(name):
-        with open(name) as fh:
-            fsa = biauto.Fsa.from_json(json.load(fh))
+        try:
+            with open(name) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read {name!r}: {exc.strerror}") from None
+        fsa = biauto.Fsa.from_json(data)
         model = biauto.z2_model()
         missing = [x for x in fsa.alphabet if x not in model.letter_images]
         if missing:

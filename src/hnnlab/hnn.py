@@ -14,9 +14,11 @@ side, decorated coset tables over the one-relator surface presentation on
 the other.  A disagreement raises OracleDisagreement instead of guessing.
 
 The arithmetic route multiplies a word out as norm-one quaternions with
-rational coordinates, one product per letter, and embeds the product once
-into PSL2 over Q(sqrt(2)) (quat.phi), so every value it returns is an
-exact, sign-normalized ProjMat.
+rational coordinates, one product per letter, and decides on that product:
+a word is trivial when it folds to +-1, and a t-free word lies in H or K
+when it folds to a unit of the matching Eichler order.  Only evaluate()
+embeds the product into PSL2 over Q(sqrt(2)) (quat.phi), as an exact,
+sign-normalized ProjMat.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from .comb import (
     schreier_graph_arith,
     todd_coxeter,
 )
-from .exact import ProjMat, _sign_normalize
+from .exact import ProjMat
 from .quat import (
     QUAT_ONE,
+    Quaternion,
     SubgroupOracles,
     phi,
     phi_inverse,
@@ -161,7 +164,6 @@ class HnnGroup:
         self.oracles = oracles
         self.source_table = source_table
         self.target_table = target_table
-        self._identity = ProjMat.identity(2)
 
     # -- words and matrices ------------------------------------------------
 
@@ -171,14 +173,14 @@ class HnnGroup:
         return _validate_word(w, self.ambient.ngens)
 
     def evaluate(self, w) -> ProjMat:
-        return _fold(self.as_word(w), self._units)
+        return ProjMat(phi(_fold(self.as_word(w), self._units)))
 
     # -- dual membership oracles --------------------------------------------
 
-    def _dual_membership(self, g: Word, table: CosetTable, arith) -> bool:
+    def _dual_membership(self, g: Word, table: CosetTable, lattice) -> bool:
         if any(abs(x) == T_LETTER for x in g):
             raise ValueError("membership test needs a word in a, b, c, d")
-        by_matrix = arith(self.evaluate(g))
+        by_matrix = lattice.contains_unit(_fold(g, self._units))
         by_table = table.follow(0, g) == 0
         if by_matrix != by_table:
             raise OracleDisagreement(
@@ -190,13 +192,13 @@ class HnnGroup:
     def in_source_subgroup(self, g) -> bool:
         """Is the t-free word in H = <u1..u26>?  Both routes must agree."""
         return self._dual_membership(
-            self.as_word(g), self.source_table, self.oracles.in_source_subgroup
+            self.as_word(g), self.source_table, self.oracles.source_order
         )
 
     def in_target_subgroup(self, g) -> bool:
         """Is the t-free word in K = <v1..v26>?  Both routes must agree."""
         return self._dual_membership(
-            self.as_word(g), self.target_table, self.oracles.in_target_subgroup
+            self.as_word(g), self.target_table, self.oracles.target_order
         )
 
     # -- the defining isomorphism H -> K -------------------------------------
@@ -262,7 +264,7 @@ class HnnGroup:
         algorithm in the one-relator vertex presentation.
         """
         word = free_reduce(self.as_word(w))
-        by_matrix = self.evaluate(word).is_identity()
+        by_matrix = _is_one(_fold(word, self._units))
         form = self.britton_reduce(word)
         if form.exponents:
             if by_matrix:
@@ -317,7 +319,7 @@ class HnnGroup:
                 RelationCheck(
                     index=idx,
                     relator=self.ambient.render(r, "compact"),
-                    holds=self.evaluate(r).is_identity(),
+                    holds=_is_one(_fold(r, self._units)),
                 )
             )
         memberships = True
@@ -328,7 +330,7 @@ class HnnGroup:
         detected = 0
         for r in self.ambient.relators:
             mutant = free_reduce(r + (1,))
-            if not self.evaluate(mutant).is_identity():
+            if not _is_one(_fold(mutant, self._units)):
                 detected += 1
         return VerificationReport(
             relations=tuple(checks),
@@ -343,12 +345,12 @@ class HnnGroup:
         """The coset action recomputed purely arithmetically, for comparison
         with the decorated tables (same breadth-first numbering)."""
         if side == "source":
-            member = self.oracles.in_source_subgroup
+            lattice = self.oracles.source_order
         elif side == "target":
-            member = self.oracles.in_target_subgroup
+            lattice = self.oracles.target_order
         else:
             raise ValueError("side must be 'source' or 'target'")
-        return schreier_graph_arith(member, self.images[:4], self._identity)
+        return schreier_graph_arith(lattice.contains_unit, self._units[:4], QUAT_ONE)
 
 
 def _fold_table(images) -> list:
@@ -358,20 +360,23 @@ def _fold_table(images) -> list:
     return units + [q.conj() for q in reversed(units)]
 
 
-def _fold(word: Word, units) -> ProjMat:
-    """The value of a word, multiplied out over a _fold_table.
+def _fold(word: Word, units) -> Quaternion:
+    """The value of a word, multiplied out over a _fold_table: a norm-one
+    quaternion, defined up to sign as an element of PSL2.
 
     Inverse letters are renumbered past the n generators, so every letter
     reads its quaternion from the table: -k becomes 2n + 1 - k.  A product
     of quaternions costs about half of a product of matrices over
-    Q(sqrt(2)) and needs no sign normalization; only the result is embedded.
-    Its determinant is not recomputed: det(phi(q)) = nrd(q), nrd is
-    multiplicative, and every unit comes from a ProjMat, of determinant 1.
+    Q(sqrt(2)) and needs no sign normalization.
     """
     top = len(units) + 1
     letters = [g if g > 0 else top + g for g in word]
-    q = evaluate_word(letters, units, QUAT_ONE)
-    return ProjMat._from_normalized(_sign_normalize(phi(q)))
+    return evaluate_word(letters, units, QUAT_ONE)
+
+
+def _is_one(q: Quaternion) -> bool:
+    """Is the norm-one q equal to +-1, the identity of PSL2?"""
+    return not (q.x1 or q.x2 or q.x3)
 
 
 def _ambient_presentation(vertex: Presentation) -> Presentation:
@@ -397,7 +402,7 @@ def load_builtin_group() -> HnnGroup:
 
     units = _fold_table(images)
     for r in ambient.relators:
-        if not _fold(r, units).is_identity():
+        if not _is_one(_fold(r, units)):
             raise RuntimeError(
                 f"defining relation fails in the matrix model: "
                 f"{ambient.render(r, 'compact')}"

@@ -106,6 +106,11 @@ class Quaternion:
         """Standard involution: trd(q) - q."""
         return Quaternion._raw(self.x0, -self.x1, -self.x2, -self.x3)
 
+    def inverse(self) -> "Quaternion":
+        """conj(q) / nrd(q); ZeroDivisionError when nrd(q) = 0."""
+        n = Fraction(self.nrd())
+        return Quaternion._raw(self.x0 / n, -self.x1 / n, -self.x2 / n, -self.x3 / n)
+
     def trd(self) -> Fraction:
         """Reduced trace 2*x0."""
         return 2 * self.x0
@@ -330,6 +335,12 @@ class OrderLattice:
     def contains(self, q: Quaternion) -> bool:
         den, v = _cleared(q)
         return self._integral(den, *v.coords())
+
+    def contains_unit(self, q: Quaternion) -> bool:
+        """Is q a norm-one element of the lattice?"""
+        # nrd(q) = nrd(s*q) / s^2, tested in integers
+        s, v = _cleared(q)
+        return v.nrd() == s * s and self._integral(s, *v.coords())
 
     def _integral(self, den: int, v0: int, v1: int, v2: int, v3: int) -> bool:
         """Does (v0 + v1*i + v2*j + v3*k) / den lie in the lattice?"""
@@ -604,10 +615,11 @@ def lipschitz_like_order() -> OrderLattice:
 class SubgroupOracles:
     """Membership oracles for the vertex group and its distinguished subgroups.
 
-    All tests work on PSL2 elements.  A projective matrix lies in the unit
-    group of an order iff a lift pulls back to a norm-one element of it;
-    the answer does not depend on the choice of lift because every order
-    is closed under negation.
+    The tests take PSL2 elements.  A projective matrix lies in the unit
+    group of an order iff a lift pulls back to a norm-one element of it,
+    which OrderLattice.contains_unit decides; the answer does not depend
+    on the choice of lift because every order is closed under negation.
+    HnnGroup asks contains_unit directly of the quaternion it folds.
 
     The conjugator element g (here the image of t) produces three more
     orders, each built once, and with them three more subgroups:
@@ -634,9 +646,7 @@ class SubgroupOracles:
             q = phi_inverse(m.rep)
         except NotInImage:
             return False
-        # nrd(q) = nrd(s*q) / s^2, tested in integers
-        s, v = _cleared(q)
-        return v.nrd() == s * s and lattice._integral(s, *v.coords())
+        return lattice.contains_unit(q)
 
     def in_unit_group(self, m: ProjMat) -> bool:
         return self._in_units(m, self.order)

@@ -352,6 +352,44 @@ def test_fsa_check_rejects_states_out_of_range(capsys, tmp_path):
         assert err == "error: initial or accepting state out of range\n"
 
 
+MISSING = object()
+GOOD_AUTOMATON = {"alphabet": ["x"], "num_states": 2, "initial": [0],
+                  "accepting": [1], "transitions": [[0, "x", 1]]}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"initial": ["0"]}, "initial"),
+        ({"initial": True}, "initial"),
+        ({"accepting": 1}, "accepting"),
+        ({"alphabet": [["x"]]}, "alphabet"),
+        ({"transitions": [[0, ["x"], 1]]}, "transitions"),
+        ({"transitions": [[0, "x"]]}, "transitions"),
+        ({"transitions": [[0.0, "x", 1]]}, "transitions"),
+        ({"num_states": None}, "num_states"),
+        ({"num_states": True}, "num_states"),
+        ({"num_states": "2"}, "num_states"),
+        ({"num_states": MISSING}, "num_states"),
+        ([], "object"),
+        ("directory", "cannot read"),
+    ],
+)
+def test_fsa_check_rejects_malformed_automaton_files(capsys, tmp_path, change, field):
+    path = tmp_path / "lang.json"
+    if change == "directory":
+        path.mkdir()
+    elif isinstance(change, dict):
+        data = {**GOOD_AUTOMATON, **change}
+        path.write_text(json.dumps({k: v for k, v in data.items() if v is not MISSING}))
+    else:
+        path.write_text(json.dumps(change))
+    code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
     code, out, err = run(capsys, ["fsa-check", "z2-normal", "--radius", "-1"])
     assert code == 2

@@ -4,7 +4,8 @@ The reference multiplies the letters' matrices over Q(sqrt(2)) one at a
 time and normalizes the sign after every product: comb.evaluate_word over
 the group's ProjMat images.  The group multiplies norm-one quaternions and
 embeds only the product, so the two must agree exactly, down to the
-canonical sign of the representative.
+canonical sign of the representative, and the group's own identity test
+on the product (it is +-1) must agree with the matrix one.
 """
 
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from hnnlab.comb import evaluate_word, invert_word
 from hnnlab.exact import ProjMat
+from hnnlab import hnn
 from hnnlab.hnn import load_builtin_group
 
 G = load_builtin_group()
@@ -52,6 +54,7 @@ def test_evaluate_matches_the_matrix_fold():
         assert got == want
         assert repr(got) == repr(want)
         assert got.is_identity() == want.is_identity()
+        assert got.is_identity() == hnn._is_one(hnn._fold(word, G._units))
         verdicts.add(got.is_identity())
 
     check()

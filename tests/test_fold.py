@@ -1,0 +1,117 @@
+"""The verdicts of the built-in group read the folded quaternion; only
+HnnGroup.evaluate embeds it into PSL2 over Q(sqrt(2)).
+
+The group's own queries (word problem, Britton reduction, tree distance,
+membership, presentation checks, arithmetic Schreier graphs) must give the
+same answers with the embedding and its inverse patched to raise, and the
+quaternion verdicts must agree with the ProjMat ones of SubgroupOracles.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hnnlab import exact, hnn, quat
+from hnnlab.hnn import STABLE_PAIRS, load_builtin_group
+from hnnlab.quat import Quaternion
+
+G = load_builtin_group()
+VERTEX_LETTERS = [g for x in range(1, 5) for g in (x, -x)]
+WORDS = ("tDaacBCTD", "AdcbCaBD", "atbTc", "tat", "TdtaTdt", "tDaacBCT")
+
+
+class Embedded(AssertionError):
+    """Raised by the patched embedding functions."""
+
+
+def _refuse(name):
+    def call(*args):
+        raise Embedded(name)
+
+    return call
+
+
+QUERIES = {
+    "is_trivial": lambda: [G.is_trivial(w) for w in WORDS],
+    "tree_distance": lambda: [G.tree_distance(w) for w in WORDS]
+    + [G.tree_distance("t", "ta")],
+    "britton_reduce": lambda: [G.britton_reduce(w) for w in WORDS],
+    "in_source_subgroup": lambda: [
+        G.in_source_subgroup(w) for w in ("d", "a", STABLE_PAIRS[0][0])
+    ],
+    "in_target_subgroup": lambda: [
+        G.in_target_subgroup(w) for w in ("d", "a", STABLE_PAIRS[1][1])
+    ],
+    "verify_presentation": G.verify_presentation,
+    "schreier_graph": lambda: [G.schreier_graph(s) for s in ("source", "target")],
+}
+
+
+def test_verdicts_do_not_embed_the_fold(monkeypatch):
+    want = {name: query() for name, query in QUERIES.items()}
+    assert want["tree_distance"][2] == 2 and want["is_trivial"][0]
+    assert want["in_source_subgroup"] == [False, False, True]
+    assert want["in_target_subgroup"] == [True, False, True]
+    assert want["verify_presentation"].all_hold
+    for owner, name in (
+        (hnn, "phi"),
+        (hnn, "phi_inverse"),
+        (quat, "phi_inverse"),
+        (exact, "_sign_normalize"),
+    ):
+        monkeypatch.setattr(owner, name, _refuse(name))
+    for name, query in QUERIES.items():
+        assert query() == want[name], name
+    # evaluate() is the one place a fold becomes a ProjMat
+    with pytest.raises(Embedded, match="^phi$"):
+        G.evaluate("a")
+
+
+@st.composite
+def vertex_words(draw):
+    """Random t-free words, or products of the u_i or of the v_i (members
+    of H or K), sometimes with one letter inserted."""
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(st.sampled_from(VERTEX_LETTERS), max_size=40)))
+    side = draw(st.sampled_from((0, 1)))
+    word: tuple[int, ...] = ()
+    for i in draw(st.lists(st.integers(0, len(STABLE_PAIRS) - 1), max_size=4)):
+        word += G.vertex.parse(STABLE_PAIRS[i][side])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(word)))
+        word = word[:i] + (draw(st.sampled_from(VERTEX_LETTERS)),) + word[i:]
+    return word
+
+
+def test_quaternion_and_matrix_verdicts_agree():
+    memberships = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(vertex_words())
+    def check(word):
+        m = G.evaluate(word)
+        source, target = G.in_source_subgroup(word), G.in_target_subgroup(word)
+        assert G.oracles.in_source_subgroup(m) == source
+        assert G.oracles.in_target_subgroup(m) == target
+        assert m.is_identity() == hnn._is_one(hnn._fold(word, G._units))
+        memberships.update((source, target))
+
+    check()
+    assert memberships == {True, False}
+
+
+COORDS = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(COORDS, COORDS, COORDS, COORDS))
+def test_inverse_is_a_two_sided_inverse(coords):
+    q = Quaternion(*coords)
+    if not q:
+        with pytest.raises(ZeroDivisionError):
+            q.inverse()
+        return
+    assert q * q.inverse() == 1
+    assert q.inverse() * q == Quaternion(Fraction(1))

@@ -204,13 +204,13 @@ def test_word_problem_evaluates_the_free_reduction(monkeypatch):
     rng = random.Random(43)
     relator = G.ambient.relators[0]
     evaluated = []
-    evaluate = G.evaluate
+    fold = hnn._fold
 
-    def spy(w):
+    def spy(w, units):
         evaluated.append(tuple(w))
-        return evaluate(w)
+        return fold(w, units)
 
-    monkeypatch.setattr(G, "evaluate", spy)
+    monkeypatch.setattr(hnn, "_fold", spy)
     for w in (relator, random_ambient_word(rng), random_ambient_word(rng)):
         padded = list(w)
         for _ in range(6):
@@ -220,7 +220,7 @@ def test_word_problem_evaluates_the_free_reduction(monkeypatch):
         padded = tuple(padded)
         evaluated.clear()
         assert G.is_trivial(padded) == G.is_trivial(w)
-        # the whole word is evaluated once, after free reduction
+        # the whole word is folded once, after free reduction
         assert evaluated[0] == free_reduce(padded)
         assert len(evaluated[0]) < len(padded)
 
