@@ -121,6 +121,8 @@ def _render_letters(letters) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     _check_limit("--samples", args.samples, _VERIFY_SAMPLES_LIMIT)
     group = _load_group()
     report = group.verify_presentation()

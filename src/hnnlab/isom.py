@@ -24,7 +24,6 @@ needs no factoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, lcm
@@ -36,8 +35,49 @@ class NotHyperbolic(ValueError):
     """Translation length requested for a non-hyperbolic element."""
 
 
-@dataclass(frozen=True)
-class TransLength:
+class _Record:
+    """An immutable value with the fields named by its class's __slots__:
+    built from positional or keyword fields, equal only to a record of its
+    own class with equal fields, hashable, and shown as Name(field=value).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        given = names[: len(args)] + tuple(kwargs)  # each field exactly once
+        if len(args) > len(names) or sorted(given) != sorted(names):
+            raise TypeError(f"{type(self).__name__} takes fields {names}")
+        values = dict(zip(names, args), **kwargs)
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class TransLength(_Record):
     """Translation length 2*log(lambda) with lambda = rational_part +
     surd_coeff*sqrt(field_param).
 
@@ -52,9 +92,7 @@ class TransLength:
     the two field parameters is a square.
     """
 
-    rational_part: Fraction
-    surd_coeff: Fraction
-    field_param: int
+    __slots__ = ("rational_part", "surd_coeff", "field_param")
 
     def multiplier(self) -> QuadExt | Fraction:
         """The eigenvalue lambda as an exact number."""
@@ -67,31 +105,27 @@ class TransLength:
         return str(self.multiplier())
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EllipticFinite:
-    order: int
+class EllipticFinite(_Record):
+    __slots__ = ("order",)
 
 
-@dataclass(frozen=True)
-class EllipticInfinite:
-    pass
+class EllipticInfinite(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Parabolic:
-    pass
+class Parabolic(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
-    # None when the trace is irrational: the multiplier then lives in a
-    # degree-four field, outside the scope of this toolkit.
-    length: TransLength | None
+class Hyperbolic(_Record):
+    # length, a TransLength, is None when the trace is irrational: the
+    # multiplier then lives in a degree-four field, outside the scope of
+    # this toolkit.
+    __slots__ = ("length",)
 
 
 IsometryClass = Identity | EllipticFinite | EllipticInfinite | Parabolic | Hyperbolic
@@ -152,24 +186,20 @@ def translation_length(m: ProjMat) -> TransLength:
     return result.length
 
 
-@dataclass(frozen=True)
-class Dependent:
+class Dependent(_Record):
     """p * tau_1 = q * tau_2 established exactly."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
 
-@dataclass(frozen=True)
-class IndependentUpTo:
+class IndependentUpTo(_Record):
     """No relation p*tau_1 = q*tau_2 with p, q <= bound; nothing is claimed
     beyond the scanned range."""
 
-    bound: int
+    __slots__ = ("bound",)
 
 
-@dataclass(frozen=True)
-class IndependentCertified:
+class IndependentCertified(_Record):
     """No relation for any p, q >= 1.
 
     The certificate: the two multipliers lie in distinct quadratic fields
@@ -181,7 +211,7 @@ class IndependentCertified:
     and Q(sqrt(D1)) meets Q(sqrt(D2)) in Q only.
     """
 
-    bound: int
+    __slots__ = ("bound",)
 
 
 DependenceVerdict = Dependent | IndependentUpTo | IndependentCertified

@@ -2,6 +2,8 @@
 together with this list, and the public record types keep their value
 semantics."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,17 @@ from hnnlab.biauto import (
 )
 from hnnlab.comb import AbelianStructure, CosetTable, SchreierGraph
 from hnnlab.hnn import BrittonForm, RelationCheck, VerificationReport
+from hnnlab.isom import (
+    Dependent,
+    EllipticFinite,
+    EllipticInfinite,
+    Hyperbolic,
+    Identity,
+    IndependentCertified,
+    IndependentUpTo,
+    Parabolic,
+    TransLength,
+)
 
 PUBLIC_NAMES = [
     "AbelianStructure",
@@ -82,6 +95,9 @@ def test_every_public_name_resolves():
 
 
 WITNESS = FellowWitness(u=(1,), v=(1, 2), shift="x", time=1, separation=2)
+LENGTH = TransLength(
+    rational_part=Fraction(3, 2), surd_coeff=Fraction(1, 2), field_param=5
+)
 
 RECORDS = [
     (BrittonForm, {"segments": ((1,), (-2,)), "exponents": (-5,)}),
@@ -137,6 +153,19 @@ RECORDS = [
             "quasigeodesic": QuasiGeodesicReport(Fraction(1), 0, 3),
         },
     ),
+    (
+        TransLength,
+        {
+            "rational_part": Fraction(3, 2),
+            "surd_coeff": Fraction(1, 2),
+            "field_param": 5,
+        },
+    ),
+    (EllipticFinite, {"order": 3}),
+    (Hyperbolic, {"length": LENGTH}),
+    (Dependent, {"p": 2, "q": 3}),
+    (IndependentUpTo, {"bound": 8}),
+    (IndependentCertified, {"bound": 8}),
 ]
 
 
@@ -156,3 +185,23 @@ def test_records_are_immutable_values(cls, values):
     assert twin == record and hash(twin) == hash(record)
     fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
     assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_isometry_records_are_told_apart_and_copied():
+    empty = [Identity, EllipticInfinite, Parabolic]
+    for cls in empty:
+        assert repr(cls()) == f"{cls.__name__}()"
+        assert [other() == cls() for other in empty] == [
+            other is cls for other in empty
+        ]
+    assert IndependentUpTo(8) != IndependentCertified(8)
+    records = [cls() for cls in empty] + [
+        cls(*values.values()) for cls, values in RECORDS[-6:]
+    ]
+    for record in records:
+        for clone in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert type(clone) is type(record) and clone == record

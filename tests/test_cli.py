@@ -502,6 +502,18 @@ def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):
             assert out == "" and f"above the limit {limit}" in err
 
 
+def test_verify_refuses_negative_samples(capsys, monkeypatch):
+    # a negative count used to run no samples and report OK
+    def no_group():
+        raise AssertionError("the group was loaded for a negative --samples")
+
+    monkeypatch.setattr(hnn, "load_builtin_group", no_group)
+    for argv in (["verify", "--samples", "-3"], ["verify", "--samples", "-3", "--json"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and err == "error: --samples must be >= 0, got -3\n"
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -1,7 +1,8 @@
 """A cold process loads only the layers it uses: `import hnnlab` loads no
 submodule, the lattice never loads `biauto` or `isom`, `fsa-check` never
-loads the lattice, and neither loads `dataclasses` or `inspect`.  Each cold
-case runs in a fresh `python -I` process."""
+loads the lattice, and none of them, nor `classify` or `lengths`, loads
+`dataclasses` or `inspect`.  Each cold case runs in a fresh `python -I`
+process."""
 
 import json
 import subprocess
@@ -63,8 +64,12 @@ def test_the_lattice_loads_neither_biauto_nor_isom():
         ("hnnlab.hnn", ["hnnlab.load_builtin_group()"]),
         ("hnnlab.biauto", ["from hnnlab import cli",
                            "result = cli.main(['fsa-check', 'z2-normal', '--radius', '6'])"]),
+        ("hnnlab.isom", ["from hnnlab import cli",
+                         "result = cli.main(['classify', 'at'])"]),
+        ("hnnlab.isom", ["from hnnlab import cli",
+                         "result = cli.main(['lengths', 'a', 'c'])"]),
     ],
-    ids=["lattice", "fsa-check"],
+    ids=["lattice", "fsa-check", "classify", "lengths"],
 )
 def test_no_dataclasses_machinery_is_loaded(layer, statements):
     run = cold(*statements)

@@ -37,10 +37,12 @@ from hnnlab.quat import (
     OrderLattice,
     SubgroupOracles,
     lipschitz_like_order,
+    standard_generators,
     standard_order,
 )
 
 G = load_builtin_group()
+T = standard_generators()["t"]
 
 
 def random_vertex_word(rng, max_len=12):
@@ -317,7 +319,7 @@ def _with(**parts):
 
 def test_inverted_conjugator_is_caught_by_coset_tables():
     # t^-1 as conjugator swaps the two Eichler orders: d lies in K, not H
-    broken = _with(oracles=SubgroupOracles(standard_order(), G.images[4].inverse()))
+    broken = _with(oracles=SubgroupOracles(standard_order(), T.conj()))
     with pytest.raises(OracleDisagreement):
         broken.in_source_subgroup("d")
     with pytest.raises(OracleDisagreement):
@@ -326,7 +328,7 @@ def test_inverted_conjugator_is_caught_by_coset_tables():
 
 def test_wrong_order_is_caught_by_coset_tables():
     # d is not integral in Z<i, j, k>, so the oracles built on it reject d
-    broken = _with(oracles=SubgroupOracles(lipschitz_like_order(), G.images[4]))
+    broken = _with(oracles=SubgroupOracles(lipschitz_like_order(), T))
     with pytest.raises(OracleDisagreement):
         broken.in_target_subgroup("d")
 
@@ -379,9 +381,9 @@ def test_perturbed_order_row_is_refused_or_caught(row):
     order = OrderLattice(rows, validate=False)
     if row:
         with pytest.raises(ValueError, match="lattice"):
-            SubgroupOracles(order, G.images[4])
+            SubgroupOracles(order, T)
         return
-    broken = _with(oracles=SubgroupOracles(order, G.images[4]))
+    broken = _with(oracles=SubgroupOracles(order, T))
     with pytest.raises(OracleDisagreement, match="matrices say False"):
         broken.verify_presentation()
 

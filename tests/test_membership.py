@@ -1,15 +1,17 @@
-"""The arithmetic membership oracles against a reference route.
+"""The arithmetic membership tests against a reference route.
 
 The reference reads the definitions directly: pull the matrix back to a
 quaternion, solve for its coordinates in the basis of O by Gaussian
-elimination over the rationals, and conjugate by t explicitly.  The
-oracles under test instead check integrality once against orders built
-in advance: O, t O t^-1 and the two Eichler orders.
+elimination over the rationals, and conjugate by t explicitly.  The tests
+under check take the verdicts' own path instead: the folded quaternion's
+contains_unit in orders built in advance, O, t O t^-1 and the two Eichler
+orders.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnnlab import hnn
 from hnnlab.hnn import STABLE_PAIRS, load_builtin_group
 from hnnlab.quat import NotInImage, phi_inverse, solve_in_rows, standard_order
 
@@ -44,11 +46,12 @@ def ref_in_source_subgroup(m) -> bool:
     return ref_in_unit_group(m) and ref_in_target_subgroup(T * m * T_INV)
 
 
+# each order of G.oracles with the reference for its norm-one units
 ORACLES = {
-    "in_unit_group": ref_in_unit_group,
-    "in_conjugate_unit_group": ref_in_conjugate_unit_group,
-    "in_target_subgroup": ref_in_target_subgroup,
-    "in_source_subgroup": ref_in_source_subgroup,
+    "order": ref_in_unit_group,
+    "conjugate_order": ref_in_conjugate_unit_group,
+    "target_order": ref_in_target_subgroup,
+    "source_order": ref_in_source_subgroup,
 }
 
 LETTERS = [(g,) for x in range(1, 6) for g in (x, -x)]
@@ -78,8 +81,9 @@ def test_oracles_agree_with_reference_route():
     @given(WORDS)
     def check(word):
         m = G.evaluate(word)
+        q = hnn._fold(word, G._units)
         for name, reference in ORACLES.items():
-            verdict = getattr(oracles, name)(m)
+            verdict = getattr(oracles, name).contains_unit(q)
             assert verdict == reference(m), (name, G.ambient.render(word))
             seen[name].add(verdict)
 

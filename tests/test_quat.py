@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from hnnlab.exact import Mat2, ProjMat, QuadExt
+from hnnlab.exact import Mat2, QuadExt
 from hnnlab.quat import (
     QUAT_I,
     QUAT_J,
@@ -264,34 +264,34 @@ def _is_prime_local(n: int) -> bool:
 def test_membership_oracles() -> None:
     oracles = standard_oracles()
     gens = standard_generators()
-    mats = {n: ProjMat(phi(q)) for n, q in gens.items()}
 
     for n in "abcd":
-        assert oracles.in_unit_group(mats[n]), n
-    assert not oracles.in_unit_group(mats["t"])
+        assert oracles.order.contains_unit(gens[n]), n
+    assert not oracles.order.contains_unit(gens["t"])
     # d lies in the intersection subgroup
-    assert oracles.in_target_subgroup(mats["d"])
+    assert oracles.target_order.contains_unit(gens["d"])
     # membership is stable under products inside the unit group
-    prod = mats["a"] * mats["b"] * mats["c"].inverse()
-    assert oracles.in_unit_group(prod)
+    prod = gens["a"] * gens["b"] * gens["c"].inverse()
+    assert oracles.order.contains_unit(prod)
 
 
 def test_membership_nesting_on_random_words() -> None:
     oracles = standard_oracles()
     gens = standard_generators()
-    mats = [ProjMat(phi(gens[n])) for n in "abcd"]
-    mats += [m.inverse() for m in mats]
+    t = gens["t"]
+    units = [gens[n] for n in "abcd"]
+    units += [q.inverse() for q in units]
     rng = random.Random(14)
     for _ in range(40):
-        m = ProjMat.identity(2)
+        q = QUAT_ONE
         for _ in range(rng.randint(1, 10)):
-            m = m * rng.choice(mats)
-        assert oracles.in_unit_group(m)
-        if oracles.in_target_subgroup(m):
-            assert oracles.in_conjugate_unit_group(m)
-        if oracles.in_source_subgroup(m):
-            conj = oracles.conjugator * m * oracles.conjugator.inverse()
-            assert oracles.in_target_subgroup(conj)
+            q = q * rng.choice(units)
+        assert oracles.order.contains_unit(q)
+        if oracles.target_order.contains_unit(q):
+            assert oracles.conjugate_order.contains_unit(q)
+        if oracles.source_order.contains_unit(q):
+            conj = t * q * t.inverse()
+            assert oracles.target_order.contains_unit(conj)
 
 
 def test_contains_matches_solved_coordinates() -> None:
@@ -314,7 +314,7 @@ def test_contains_matches_solved_coordinates() -> None:
                 q = q + Quaternion(rng.randint(-9, 9)) * e
             if rng.random() < 0.5:
                 q = q + Quaternion(F(1, rng.choice([2, 3, 6, 9, 18]))) * rng.choice(elems)
-            coords = lattice.coordinates(q)
+            coords = solve_in_rows(list(lattice.basis), q.coords())
             expected = all(x.denominator == 1 for x in coords)
             assert lattice.contains(q) == expected, (lattice, q)
             verdicts.add(expected)
