@@ -26,7 +26,6 @@ rule already forces 3 (translate x^2y^2 by one x and compare with y^2).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
@@ -544,21 +543,26 @@ class WindowedLanguage:
         images are closed under inversion, two kinds of pair are counted
         but not walked, since neither can change the report:
 
-          * a pair whose separation bound (see the class docstring) is at
-            most the worst separation found so far; each element's words
-            are shortest first, so these form a prefix of its list;
           * a pair (u, s, v) whose mirror (v, s^-1, u), with the same
             separations, came earlier: its v ends at an element before u's
             in `words_by_element`, or at the same element with a smaller
-            word index.
+            word index;
+          * a pair whose separation bound (see the class docstring) is at
+            most the worst separation found so far.
 
         The worst pair is still the first one in enumeration order, so the
         witness and its time do not change.
 
         Words are keyed by ball id, and the targets s * end are reached
         through the ball's tables.  Each target's near words are listed
-        once per check and shared by every (end, shift) that lands on it;
-        `pairs_checked` grows by a whole list at a time.
+        once per check as one flat list of entries (rank of v's element,
+        word index of v, |v| + |e_T|, v, v's right rows): first the
+        target's own words (e_T the identity), then the words one letter
+        right of it (|e_T| = 1), in letter order, each element once.  The
+        list is shared by every (end, shift) that lands on the target, and
+        each entry by every list that holds it.  So the two skips above
+        are integer comparisons on the entry, each pair is one loop
+        iteration, and `pairs_checked` grows by a whole list at a time.
         """
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
@@ -579,12 +583,12 @@ class WindowedLanguage:
         elements = list(ids)
         inside = len(elements)
         outside: dict = {}
-        # words[k]: the rank of key k in words_by_element, the words ending
-        # there with their tables, and their lengths; None if there are none
+        # words[k]: the rank of key k in words_by_element, the inverse-left
+        # rows of the words ending there, and their near entries with
+        # |e_T| = 0 and with |e_T| = 1; None if no word ends there
         words: list = [None] * inside
-        # near_lists[k]: (pairs counted, rank of key k or -1, [words[h], ...])
-        # over h = k and the keys one letter right of it, built the first
-        # time a pair needs it
+        # near_lists[k]: (pairs counted, near entries) over k and the keys
+        # one letter right of it, built the first time a pair needs it
         near_lists: list = [None] * inside
 
         def key(g):
@@ -610,22 +614,31 @@ class WindowedLanguage:
                         h = ids.get(g, outside.get(g))
                     if h is not None:
                         keys.append(h)
-                found = [words[h] for h in dict.fromkeys(keys) if words[h] is not None]
-                near_lists[t] = (
-                    sum(len(entry[1]) for entry in found),
-                    -1 if words[t] is None else words[t][0],
-                    found,
-                )
+                found = []
+                for h in dict.fromkeys(keys):
+                    if words[h] is not None:
+                        found += words[h][2 if h == t else 3]
+                near_lists[t] = (len(found), found)
             return near_lists[t]
 
         ends = []
         for rank, (g, ws) in enumerate(self.words_by_element.items()):
             ends.append(k := key(g))
-            tables = [
-                (w, list(map(left.__getitem__, w)), list(map(right.__getitem__, w)))
-                for w in ws
-            ]
-            words[k] = (rank, tables, [len(w) for w in ws])
+            # tuples, not lists, per element: a list is two allocations,
+            # and with lists ten rounds of the 60 fsa-window cases in one
+            # process read about 0.6 MB more peak RSS
+            own = tuple(
+                [
+                    (rank, j, len(w), w, list(map(right.__getitem__, w)))
+                    for j, w in enumerate(ws)
+                ]
+            )
+            words[k] = (
+                rank,
+                tuple([list(map(left.__getitem__, w)) for w in ws]),
+                own,
+                tuple([(r, j, size + 1, w, rv) for r, j, size, w, rv in own]),
+            )
         # s * g is one inverse-left step by a letter whose image is s^-1
         named = {img: name for name, img in letters}
         # no shift: e_0 is the identity, id 0
@@ -638,80 +651,82 @@ class WindowedLanguage:
         closed = self._inverse_closed
         zeta, witness, pairs = 0, None, 0
         for end in ends:
-            rank, entries, _ = words[end]
-            # each shift's near words, shared by the words ending here
+            rank, lefts, own = words[end][:3]
+            # each shift's near entries, shared by the words ending here
             targets = []
             for shift_name, s, e0, table in shifts:
                 if shift_name is None:
                     # right multiplication: ends at most 1 apart
-                    near_words = near(end)
+                    count, entries = near(end)
                 else:
                     t = None if table is None or end >= inside else table[end]
                     if t is None:
                         t = key(mul(s, elements[end]))
                     # left multiplication: a shifted start, and under the
                     # classical rule equal ends
-                    got = words[t]
                     if not classical:
-                        near_words = near(t)
-                    elif got is None:
-                        near_words = (0, -1, ())
+                        count, entries = near(t)
+                    elif words[t] is None:
+                        # no word ends there: no pair
+                        continue
                     else:
-                        near_words = (len(got[1]), got[0], (got,))
-                targets.append((shift_name, e0, near_words))
-            for index, (u, lu, _) in enumerate(entries):
-                for shift_name, e0, (count, t_rank, near_words) in targets:
+                        entries = words[t][2]
+                        count = len(entries)
+                # 1 - |e_0|: e_0 = s^-1 is at most one letter
+                targets.append(
+                    (shift_name, e0, count, entries, 1 if shift_name is None else 0)
+                )
+            # without inversion-closed images no pair is skipped: no rank is
+            # below -1 and no |v| + |e_T| at most -1
+            lowest = rank if closed else -1
+            for index, ((_, _, n, u, _), lu) in enumerate(zip(own, lefts)):
+                for shift_name, e0, count, entries, slack in targets:
                     pairs += count
-                    # e_0 = s^-1 and e_T are at most one letter each, so the
-                    # bound is at most zeta when |v| + |e_T| <= room
-                    room = 2 * zeta + 1 - len(u) - (shift_name is not None)
-                    for h_rank, vs, lengths in near_words:
-                        first = 0
-                        if closed:
-                            if h_rank < rank:
-                                continue
-                            # words one letter right of the target have
-                            # |e_T| = 1
-                            first = bisect_right(lengths, room - (h_rank != t_rank))
-                            if h_rank == rank and first < index:
-                                first = index
-                        for v, _, rv in vs[first:]:
-                            # a finished word waits at its end point; a
-                            # None entry (outside the ball) ends the walk
-                            try:
-                                e = e0
-                                d = norms[e]
-                                for lx, ry in zip(lu, rv):
-                                    e = ry[lx[e]]
+                    # the bound is at most zeta when |v| + |e_T| <= room
+                    room = 2 * zeta + slack - n if closed else -1
+                    for h_rank, j, size, v, rv in entries:
+                        if (
+                            h_rank < lowest
+                            or size <= room
+                            or (h_rank == lowest and j < index)
+                        ):
+                            continue
+                        # a finished word waits at its end point; a None
+                        # entry (outside the ball) ends the walk
+                        try:
+                            e = e0
+                            d = norms[e]
+                            for lx, ry in zip(lu, rv):
+                                e = ry[lx[e]]
+                                if norms[e] > d:
+                                    d = norms[e]
+                            m = len(rv)
+                            if n != m:
+                                # the longer word's rows past the shorter
+                                # word's end, each one step
+                                for row in lu[m:] if n > m else rv[n:]:
+                                    e = row[e]
                                     if norms[e] > d:
                                         d = norms[e]
-                                for lx in lu[len(rv):]:
-                                    e = lx[e]
-                                    if norms[e] > d:
-                                        d = norms[e]
-                                for ry in rv[len(lu):]:
-                                    e = ry[e]
-                                    if norms[e] > d:
-                                        d = norms[e]
-                            except TypeError:
-                                d = None
-                            if d is None or d > zeta:
-                                # the group's own products measure a pair
-                                # whose walk left the ball, and date a new
-                                # worst separation
-                                seps = self._separations(u, shift_name, v)
-                                d = max(seps)
-                                if d > zeta:
-                                    # the witness is the earliest time
-                                    # at which the pair reaches it
-                                    zeta = d
-                                    witness = FellowWitness(
-                                        u=u,
-                                        v=v,
-                                        shift=shift_name,
-                                        time=seps.index(d),
-                                        separation=d,
-                                    )
+                        except TypeError:
+                            d = None
+                        if d is None or d > zeta:
+                            # the group's own products measure a pair whose
+                            # walk left the ball, and date a new worst
+                            # separation
+                            seps = self._separations(u, shift_name, v)
+                            d = max(seps)
+                            if d > zeta:
+                                # the witness is the earliest time at which
+                                # the pair reaches it
+                                zeta = d
+                                witness = FellowWitness(
+                                    u=u,
+                                    v=v,
+                                    shift=shift_name,
+                                    time=seps.index(d),
+                                    separation=d,
+                                )
         return FellowReport(
             pair_rule=pair_rule,
             zeta=zeta,

@@ -34,6 +34,9 @@ Word = tuple[int, ...]
 # 4000-letter words tried, such as (at)^2000 and (atAT)^1000, takes about
 # 3 s on a 2-core x86 host.
 WORD_LETTER_LIMIT = 4000
+# the exponent after '^' in the verbose grammar: an optional sign, then
+# ASCII digits
+_EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
 class NotInSubgroup(ValueError):
@@ -116,10 +119,13 @@ def parse_word(text: str, alphabet) -> Word:
     for token in text.replace(" ", "").split("*"):
         if not token:
             raise ValueError("empty token in word")
-        name, _, exp_text = token.partition("^")
+        name, caret, exp_text = token.partition("^")
         if name not in names:
             raise ValueError(f"unknown generator {name!r}")
-        exp = int(exp_text) if exp_text else 1
+        # int() alone would also take underscores and non-ASCII digits
+        if caret and not _EXPONENT.fullmatch(exp_text):
+            raise ValueError(f"bad exponent {exp_text!r} in {token!r}")
+        exp = int(exp_text) if caret else 1
         if len(out) + abs(exp) > WORD_LETTER_LIMIT:
             raise ValueError(f"word longer than {WORD_LETTER_LIMIT} letters")
         letter = names[name] if exp >= 0 else -names[name]

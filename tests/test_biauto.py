@@ -1,6 +1,7 @@
 """Windowed automatic-structure checks, frozen against hand derivations
 and an independent brute-force route for the fellow traveller constants."""
 
+import hashlib
 import itertools
 import time
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnnlab.biauto import (
+    BUILTIN_LANGUAGES,
     BallOracle,
     FellowReport,
     FellowWitness,
@@ -502,6 +504,66 @@ def test_builtin_fellow_reports_match_reference_route():
             for rule in ("classical", "simultaneous"):
                 report = lang.check_fellow_traveller(rule)
                 assert report == reference_check_fellow_traveller(lang, rule)
+
+
+def all_words_fsa():
+    """Accepts every word: each element of a window has many words."""
+    return Fsa(ALPHABET, 1, 0, (0,), [(0, letter, 0) for letter in ALPHABET])
+
+
+@pytest.mark.parametrize("make_fsa", [two_words_fsa, all_words_fsa])
+@pytest.mark.parametrize("make_model", [z2_model, s5_model])
+def test_many_words_per_element_match_reference_route(make_fsa, make_model):
+    # several words end at one element, so the check meets near words its
+    # separation bound prunes and words its mirror rule skips; s5_model's y
+    # and Y are one element, so a target's right neighbours repeat
+    model = make_model()
+    for radius in range(4):
+        lang = WindowedLanguage(make_fsa(), model, radius)
+        for rule in ("classical", "simultaneous"):
+            report = lang.check_fellow_traveller(rule)
+            assert report == reference_check_fellow_traveller(lang, rule)
+
+
+# every (language, rule, radius) case of the fsa-window benchmark workload
+FSA_WINDOW_CASES = [
+    (language, rule, radius)
+    for language in ("z2-normal", "z2-adversarial")
+    for rule in ("classical", "simultaneous")
+    for radius in range(6, 21)
+]
+
+
+def test_fsa_window_reports_are_pinned():
+    digest = hashlib.sha256()
+    at_20 = {}
+    for language, rule, radius in FSA_WINDOW_CASES:
+        make_fsa, make_model = BUILTIN_LANGUAGES[language]
+        lang = WindowedLanguage(make_fsa(), make_model(), radius)
+        report = lang.check_fellow_traveller(rule)
+        digest.update(repr(report).encode() + b"\n")
+        if radius == 20:
+            at_20[language, rule] = report
+    normal = FellowWitness(("y",), ("x", "y"), None, 1, 2)
+    assert at_20["z2-normal", "classical"] == FellowReport(
+        "classical", 2, 7241, normal, 20, None
+    )
+    shifted = FellowWitness(("y",), ("x", "y", "y"), "y", 1, 3)
+    assert at_20["z2-normal", "simultaneous"] == FellowReport(
+        "simultaneous", 3, 20049, shifted, 20, None
+    )
+    parity = FellowWitness(
+        ("y",) * 10 + ("x",) * 9, ("x",) * 10 + ("y",) * 10, None, 10, 20
+    )
+    assert at_20["z2-adversarial", "classical"] == FellowReport(
+        "classical", 20, 7241, parity, 20, None
+    )
+    assert at_20["z2-adversarial", "simultaneous"] == FellowReport(
+        "simultaneous", 20, 20049, parity, 20, None
+    )
+    assert digest.hexdigest() == (
+        "9481d74fd95ad6ab18056ed83ecfdb06e1a773e7137f302eb4d37c452c94b014"
+    )
 
 
 def test_fellow_traveller_outside_the_ball_raises():

@@ -578,6 +578,13 @@ def test_huge_exponent_is_usage_error(capsys):
         assert "Traceback" not in err
 
 
+def test_bad_exponent_is_usage_error(capsys):
+    for cmd in ("reduce", "trivial"):
+        code, out, err = run(capsys, [cmd, "a^1_0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad exponent")
+
+
 def test_unknown_language_is_usage_error(capsys):
     code, _, err = run(capsys, ["fsa-check", "nonsense"])
     assert code == 2

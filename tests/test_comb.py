@@ -113,6 +113,17 @@ def test_word_grammar_multicharacter_names():
         parse_word("q", ("a", "b"))
 
 
+def test_exponent_is_a_signed_ascii_integer():
+    alph = ("a", "b")
+    assert parse_word("a^+2*b^-1*a^03", alph) == (1, 1, -2, 1, 1, 1)
+    # spaces are stripped from the whole word
+    assert parse_word("a^ 2", alph) == (1, 1)
+    # an empty exponent, an underscore, Arabic-Indic and full-width digits
+    for text in ("a^", "a^-", "a^1_0", "a^\u0663", "a^\uff11", "a^2^3", "a^0x2"):
+        with pytest.raises(ValueError, match="bad exponent"):
+            parse_word(text, alph)
+
+
 ROUND_TRIP = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
 )
