@@ -286,25 +286,6 @@ def _json_list(data: dict, key: str, ok, entries: str) -> list:
     return items
 
 
-def parse_letters(text: str, alphabet) -> tuple[str, ...]:
-    """Read a word: star-separated tokens, or one character per letter when
-    every alphabet entry is a single character.  Case matters."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    names = set(alphabet)
-    if "*" in text:
-        out = tuple(text.split("*"))
-    elif all(len(n) == 1 for n in names):
-        out = tuple(text)
-    else:
-        out = (text,)
-    for letter in out:
-        if letter not in names:
-            raise UnknownLetter(f"letter {letter!r} not in alphabet")
-    return out
-
-
 class GroupModel:
     """Concrete group with hashable elements and named letter images."""
 
@@ -737,21 +718,7 @@ class WindowedLanguage:
         )
 
     def _separations(self, u, shift_name, v) -> list:
-        """The separations of one pair at times 0, 1, ..., from the group's
-        own products; OutOfWindow if one lies outside the ball."""
-        mul = self.model.mul
-        pu = self.model.path(u)
-        if shift_name is not None:
-            s = self.model.letter_images[shift_name]
-            pu = [mul(s, p) for p in pu]
-        a = list(map(self.model.inv, pu))
-        b = self.model.path(v)
-        # a finished path waits at its end point
-        if len(a) < len(b):
-            a += a[-1:] * (len(b) - len(a))
-        elif len(b) < len(a):
-            b += b[-1:] * (len(a) - len(b))
-        return list(map(self.ball.norm, map(mul, a, b)))
+        return _pair_separations(self.model, self.ball, u, shift_name, v)
 
     # -- geodesics -------------------------------------------------------------
 
@@ -862,17 +829,27 @@ class WindowedLanguage:
         )
 
 
+def _pair_separations(model: GroupModel, ball: BallOracle, u, shift, v) -> list:
+    """The separations of shift * u and v at times 0, 1, ..., from the
+    group's own products; a finished path waits at its end point.
+    OutOfWindow if one lies outside the ball."""
+    start = None if shift is None else model._image(shift)
+    a = list(map(model.inv, model.path(u, start)))
+    b = model.path(v)
+    if len(a) < len(b):
+        a += a[-1:] * (len(b) - len(a))
+    elif len(b) < len(a):
+        b += b[-1:] * (len(a) - len(b))
+    return list(map(ball.norm, map(model.mul, a, b)))
+
+
 def replay_fellow_witness(witness: FellowWitness, model: GroupModel) -> int:
     """Recompute the separation recorded in a witness from scratch."""
-    pu = model.path(witness.u)
-    if witness.shift is not None:
-        s = model._image(witness.shift)
-        pu = [model.mul(s, p) for p in pu]
-    pv = model.path(witness.v)
-    at = lambda pts, t: pts[t] if t < len(pts) else pts[-1]
-    a, b = at(pu, witness.time), at(pv, witness.time)
-    ball = BallOracle(model, len(witness.u) + len(witness.v) + 2)
-    return ball.dist(a, b)
+    u, v = witness.u, witness.v
+    ball = BallOracle(model, len(u) + len(v) + 2)
+    seps = _pair_separations(model, ball, u, witness.shift, v)
+    # past both ends the pair waits at its end points
+    return seps[min(witness.time, len(seps) - 1)]
 
 
 # ---------------------------------------------------------------------------

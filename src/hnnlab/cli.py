@@ -53,6 +53,10 @@ _FSA_PAIRS_LIMIT = 250_000
 # the same-field ratio scan of `lengths` grows as bound^2: under 1 s at
 # this bound on a 2-core x86 host
 _LENGTHS_BOUND_LIMIT = 1024
+# each word is parsed to at most comb.WORD_LETTER_LIMIT letters, but argv
+# may hold any number of them; at this total the slowest input, two
+# (at)^2000 words, takes 4-6 s on a 2-core x86 host
+_LENGTHS_LETTER_LIMIT = 2 * comb.WORD_LETTER_LIMIT
 # each random consequence costs about 6 ms: about 6 s at this count
 _VERIFY_SAMPLES_LIMIT = 1000
 # Each letter multiplies |trace| by at most 16.2 (the largest singular value
@@ -187,11 +191,10 @@ def _cmd_verify(args) -> int:
 # classify / lengths
 
 
-def _classify_payload(group, text: str) -> tuple[dict, isom.IsometryClass]:
+def _classify_payload(group, word) -> tuple[dict, isom.IsometryClass]:
     from . import isom
     from .exact import render_quadext
 
-    word = group.ambient.parse(text)
     m = group.evaluate(word)
     kind = isom.classify(m)
     payload = {
@@ -227,7 +230,7 @@ def _classify_payload(group, text: str) -> tuple[dict, isom.IsometryClass]:
 
 def _cmd_classify(args) -> int:
     group = _load_group()
-    payload, _ = _classify_payload(group, args.word)
+    payload, _ = _classify_payload(group, group.ambient.parse(args.word))
     if args.json:
         _print_json(payload)
         return 0
@@ -260,7 +263,9 @@ def _cmd_lengths(args) -> int:
     _check_limit("--bound", args.bound, _LENGTHS_BOUND_LIMIT)
     group = _load_group()
     texts = args.words or ["a", "b", "c", "d"]
-    rows, kinds = zip(*(_classify_payload(group, t) for t in texts))
+    words = [group.ambient.parse(t) for t in texts]
+    _check_limit("total word length", sum(map(len, words)), _LENGTHS_LETTER_LIMIT)
+    rows, kinds = zip(*(_classify_payload(group, w) for w in words))
     comparison = None
     if len(rows) == 2:
         lengths = [

@@ -13,12 +13,14 @@ routes and cross-checked: exact arithmetic in the quaternion algebra on one
 side, decorated coset tables over the one-relator surface presentation on
 the other.  A disagreement raises OracleDisagreement instead of guessing.
 
-The arithmetic route multiplies a word out as norm-one quaternions with
-rational coordinates, one product per letter, and decides on that product:
-a word is trivial when it folds to +-1, and a t-free word lies in H or K
-when it folds to a unit of the matching Eichler order.  Only evaluate()
-embeds the product into PSL2 over Q(sqrt(2)) (quat.phi), as an exact,
-sign-normalized ProjMat.
+The arithmetic route starts from the five generators as norm-one
+quaternions with rational coordinates (quat.standard_generators), multiplies
+a word out one product per letter, and decides on that product: a word is
+trivial when it folds to +-1, and a t-free word lies in H or K when the
+SubgroupOracles find it a unit of the matching Eichler order.  Only
+evaluate() embeds the product into PSL2 over Q(sqrt(2)) (quat.phi), as an
+exact, sign-normalized ProjMat; the images property embeds the generators
+the same way for callers that want matrices.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .quat import (
     Quaternion,
     SubgroupOracles,
     phi,
-    phi_inverse,
     standard_generators,
     standard_oracles,
 )
@@ -139,10 +140,10 @@ class VerificationReport(NamedTuple):
 
 
 class HnnGroup:
-    """The HNN extension with its exact matrix model and decorated tables.
+    """The HNN extension with its quaternion model and decorated tables.
 
-    Each image must lie in the image of quat.phi; one that does not raises
-    NotInImage here, not in the middle of a query.
+    The generators are the norm-one quaternions of a, b, c, d and t; anything
+    else raises ValueError here, not in the middle of a query.
     """
 
     def __init__(
@@ -150,7 +151,7 @@ class HnnGroup:
         vertex: Presentation,
         ambient: Presentation,
         pairs,
-        images,
+        generators,
         oracles: SubgroupOracles,
         source_table: CosetTable,
         target_table: CosetTable,
@@ -158,12 +159,19 @@ class HnnGroup:
         self.vertex = vertex
         self.ambient = ambient
         self.pairs = tuple(pairs)
-        # a tuple: evaluate reads the table built from it here
-        self.images = tuple(images)
-        self._units = _fold_table(self.images)
+        self.generators = tuple(generators)
+        for q in self.generators:
+            if not (isinstance(q, Quaternion) and q.nrd() == 1):
+                raise ValueError(f"generator {q!r} is not a norm-one Quaternion")
+        self._units = _fold_table(self.generators)
         self.oracles = oracles
         self.source_table = source_table
         self.target_table = target_table
+
+    @property
+    def images(self) -> tuple[ProjMat, ...]:
+        """The generators embedded into PSL2 over Q(sqrt(2)), on each read."""
+        return tuple(ProjMat(phi(q)) for q in self.generators)
 
     # -- words and matrices ------------------------------------------------
 
@@ -177,10 +185,10 @@ class HnnGroup:
 
     # -- dual membership oracles --------------------------------------------
 
-    def _dual_membership(self, g: Word, table: CosetTable, lattice) -> bool:
+    def _dual_membership(self, g: Word, table: CosetTable, member) -> bool:
         if any(abs(x) == T_LETTER for x in g):
             raise ValueError("membership test needs a word in a, b, c, d")
-        by_matrix = lattice.contains_unit(_fold(g, self._units))
+        by_matrix = member(_fold(g, self._units))
         by_table = table.follow(0, g) == 0
         if by_matrix != by_table:
             raise OracleDisagreement(
@@ -192,13 +200,13 @@ class HnnGroup:
     def in_source_subgroup(self, g) -> bool:
         """Is the t-free word in H = <u1..u26>?  Both routes must agree."""
         return self._dual_membership(
-            self.as_word(g), self.source_table, self.oracles.source_order
+            self.as_word(g), self.source_table, self.oracles.in_source_subgroup
         )
 
     def in_target_subgroup(self, g) -> bool:
         """Is the t-free word in K = <v1..v26>?  Both routes must agree."""
         return self._dual_membership(
-            self.as_word(g), self.target_table, self.oracles.target_order
+            self.as_word(g), self.target_table, self.oracles.in_target_subgroup
         )
 
     # -- the defining isomorphism H -> K -------------------------------------
@@ -345,19 +353,18 @@ class HnnGroup:
         """The coset action recomputed purely arithmetically, for comparison
         with the decorated tables (same breadth-first numbering)."""
         if side == "source":
-            lattice = self.oracles.source_order
+            member = self.oracles.in_source_subgroup
         elif side == "target":
-            lattice = self.oracles.target_order
+            member = self.oracles.in_target_subgroup
         else:
             raise ValueError("side must be 'source' or 'target'")
-        return schreier_graph_arith(lattice.contains_unit, self._units[:4], QUAT_ONE)
+        return schreier_graph_arith(member, self._units[:4], QUAT_ONE)
 
 
-def _fold_table(images) -> list:
-    """The letters' norm-one quaternions: the n images pulled back along
-    phi, then their conjugates (their inverses) in reverse order."""
-    units = [phi_inverse(m.rep) for m in images]
-    return units + [q.conj() for q in reversed(units)]
+def _fold_table(units) -> list:
+    """The letters' norm-one quaternions: the n generators, then their
+    conjugates (their inverses) in reverse order."""
+    return list(units) + [q.conj() for q in reversed(units)]
 
 
 def _fold(word: Word, units) -> Quaternion:
@@ -398,16 +405,6 @@ def load_builtin_group() -> HnnGroup:
     vertex = Presentation("abcd", [SURFACE_RELATOR])
     ambient = _ambient_presentation(vertex)
     gens = standard_generators()
-    images = [ProjMat(phi(gens[n])) for n in "abcd"] + [ProjMat(phi(gens["t"]))]
-
-    units = _fold_table(images)
-    for r in ambient.relators:
-        if not _is_one(_fold(r, units)):
-            raise RuntimeError(
-                f"defining relation fails in the matrix model: "
-                f"{ambient.render(r, 'compact')}"
-            )
-
     u_words = [w for w, _ in STABLE_PAIRS]
     v_words = [w for _, w in STABLE_PAIRS]
     source_table = todd_coxeter(
@@ -424,12 +421,19 @@ def load_builtin_group() -> HnnGroup:
         raise RuntimeError(
             f"subgroup indices {source_table.index}, {target_table.index} != 12"
         )
-    return HnnGroup(
+    group = HnnGroup(
         vertex=vertex,
         ambient=ambient,
         pairs=STABLE_PAIRS,
-        images=images,
+        generators=[gens[n] for n in "abcdt"],
         oracles=standard_oracles(),
         source_table=source_table,
         target_table=target_table,
     )
+    for r in ambient.relators:
+        if not _is_one(_fold(r, group._units)):
+            raise RuntimeError(
+                f"defining relation fails in the matrix model: "
+                f"{ambient.render(r, 'compact')}"
+            )
+    return group

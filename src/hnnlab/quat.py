@@ -12,7 +12,9 @@ It embeds into 2x2 matrices over Q(sqrt(2)) by
 
 with r2 = sqrt(2).  Orders are rank-4 lattices kept in Hermite normal
 form; ring closure, reduced discriminants and Hilbert symbols give two
-independent routes to the ramification data.
+independent routes to the ramification data.  Membership in the lattice's
+edge groups is decided on quaternions alone; phi and phi_inverse are the
+boundary to matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .exact import Mat2, ProjMat, QuadExt
+from .exact import Mat2, QuadExt
 
 I_SQUARE = 2
 J_SQUARE = 13
@@ -614,8 +616,8 @@ class SubgroupOracles:
       * target_order:     the Eichler order O meet g O g^-1,
       * source_order:     the Eichler order O meet g^-1 O g.
 
-    A subgroup is the norm-one units of its order, which
-    OrderLattice.contains_unit decides for the quaternion HnnGroup folds.
+    A subgroup is the norm-one units of its order: in_source_subgroup and
+    in_target_subgroup decide membership of the quaternion a word folds to.
     Conjugation by g carries the source order onto the target order, which
     is exactly the relation realised by the stable letter.
     """
@@ -626,21 +628,11 @@ class SubgroupOracles:
         self.target_order = order.intersect(self.conjugate_order)
         self.source_order = order.intersect(order.conjugate(conjugator.conj()))
 
-    # Kept only because bench/spans.py patches the two methods below by name;
-    # they go once its tracer reads contains_unit instead.
-    @staticmethod
-    def _in_units(m: ProjMat, lattice: OrderLattice) -> bool:
-        try:
-            q = phi_inverse(m.rep)
-        except NotInImage:
-            return False
-        return lattice.contains_unit(q)
+    def in_target_subgroup(self, q: Quaternion) -> bool:
+        return self.target_order.contains_unit(q)
 
-    def in_target_subgroup(self, m: ProjMat) -> bool:
-        return self._in_units(m, self.target_order)
-
-    def in_source_subgroup(self, m: ProjMat) -> bool:
-        return self._in_units(m, self.source_order)
+    def in_source_subgroup(self, q: Quaternion) -> bool:
+        return self.source_order.contains_unit(q)
 
 
 @lru_cache(maxsize=None)

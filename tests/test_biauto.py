@@ -22,7 +22,6 @@ from hnnlab.biauto import (
     TauEstimate,
     UnknownLetter,
     WindowedLanguage,
-    parse_letters,
     replay_fellow_witness,
     two_words_fsa,
     z2_model,
@@ -185,17 +184,6 @@ def test_determinize_subset_construction():
         assert dfa.accepts(w) and nfa.accepts(w)
     for w in [(), ("x", "y"), ("x", "x")]:
         assert not dfa.accepts(w) and not nfa.accepts(w)
-
-
-def test_parse_letters():
-    alpha = ("x", "X", "y", "Y")
-    assert parse_letters("xYxx", alpha) == ("x", "Y", "x", "x")
-    assert parse_letters("x*Y*x", alpha) == ("x", "Y", "x")
-    assert parse_letters("1", alpha) == ()
-    assert parse_letters("", alpha) == ()
-    with pytest.raises(UnknownLetter):
-        parse_letters("xz", alpha)
-    assert parse_letters("u1*u2", ("u1", "u2")) == ("u1", "u2")
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,17 @@ def test_lengths_of_4000_letter_words(capsys):
     assert data["comparison"] == {"kind": "independent-certified", "bound": 64}
 
 
+def test_lengths_refuses_too_many_letters_in_total(capsys, monkeypatch):
+    def no_evaluation(self, w):
+        raise AssertionError("a word was evaluated past the letter limit")
+
+    monkeypatch.setattr(hnn.HnnGroup, "evaluate", no_evaluation)
+    code, out, err = run(capsys, ["lengths", "a^4000", "b^4000", "c"])
+    assert (code, out) == (2, "")
+    limit = cli._LENGTHS_LETTER_LIMIT
+    assert err == f"error: total word length 8001 is above the limit {limit}\n"
+
+
 def test_classify_json_loads_under_the_default_digit_limit(capsys):
     # the field parameter of (at)^1999 t^2 has over 6000 digits, more than
     # Python's default limit for int <-> str, so it is printed as a string;
@@ -603,7 +614,7 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
         vertex=group.vertex,
         ambient=group.ambient,
         pairs=group.pairs,
-        images=group.images,
+        generators=group.generators,
         oracles=group.oracles,
         source_table=group.target_table,  # deliberately swapped
         target_table=group.source_table,

@@ -1,8 +1,9 @@
 """A cold process loads only the layers it uses: `import hnnlab` loads no
 submodule, the lattice never loads `biauto` or `isom`, `fsa-check` never
 loads the lattice, and none of them, nor `classify` or `lengths`, loads
-`dataclasses` or `inspect`.  Each cold case runs in a fresh `python -I`
-process."""
+`dataclasses` or `inspect`.  Each cold case runs in a fresh `python -I -B`
+process: -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps it from writing
+bytecode into the source tree."""
 
 import json
 import subprocess
@@ -39,7 +40,7 @@ print(json.dumps({{"result": result, "out": out.getvalue(),
 def cold(*statements: str) -> dict:
     body = "".join(f"    {s}\n" for s in statements)
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE.format(body=body), SRC],
+        [sys.executable, "-I", "-B", "-c", PROBE.format(body=body), SRC],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)

@@ -1,10 +1,13 @@
-"""The verdicts of the built-in group read the folded quaternion; only
-HnnGroup.evaluate embeds it into PSL2 over Q(sqrt(2)).
+"""The built-in group is built from its generator quaternions and its
+verdicts read the folded quaternion; only HnnGroup.evaluate embeds it into
+PSL2 over Q(sqrt(2)).
 
-The group's own queries (word problem, Britton reduction, tree distance,
+The lattice must load with the embedding and ProjMat patched to raise, and
+the group's own queries (word problem, Britton reduction, tree distance,
 membership, presentation checks, arithmetic Schreier graphs) must give the
-same answers with the embedding and its inverse patched to raise, and the
-quaternion verdicts must agree with the ProjMat ones of SubgroupOracles.
+same answers with the embedding and its inverse patched to raise.  Edge
+group membership goes through the SubgroupOracles methods, whose verdicts
+on a pulled-back matrix must agree with the group's.
 """
 
 from fractions import Fraction
@@ -57,7 +60,6 @@ def test_verdicts_do_not_embed_the_fold(monkeypatch):
     assert want["verify_presentation"].all_hold
     for owner, name in (
         (hnn, "phi"),
-        (hnn, "phi_inverse"),
         (quat, "phi_inverse"),
         (exact, "_sign_normalize"),
     ):
@@ -67,6 +69,36 @@ def test_verdicts_do_not_embed_the_fold(monkeypatch):
     # evaluate() is the one place a fold becomes a ProjMat
     with pytest.raises(Embedded, match="^phi$"):
         G.evaluate("a")
+
+
+def test_the_lattice_loads_without_building_a_matrix(monkeypatch):
+    monkeypatch.setattr(hnn, "phi", _refuse("phi"))
+    monkeypatch.setattr(hnn, "ProjMat", _refuse("ProjMat"))
+    group = hnn.load_builtin_group.__wrapped__()
+    assert group.generators == G.generators
+    assert group.verify_presentation().all_hold
+
+
+def test_edge_membership_asks_the_oracle_methods(monkeypatch):
+    asked = []
+    for side in ("source", "target"):
+        name = f"in_{side}_subgroup"
+        method = getattr(quat.SubgroupOracles, name)
+
+        def spy(self, q, side=side, method=method):
+            assert isinstance(q, Quaternion)
+            asked.append(side)
+            return method(self, q)
+
+        monkeypatch.setattr(quat.SubgroupOracles, name, spy)
+    assert G.in_source_subgroup("DaacBC") and asked == ["source"]
+    asked.clear()
+    # t u1 t^-1 pinches: one query of H, answered yes
+    assert G.britton_reduce("tDaacBCT").exponents == ()
+    assert asked == ["source"]
+    asked.clear()
+    G.schreier_graph("target")
+    assert asked and set(asked) == {"target"}
 
 
 @st.composite
@@ -93,8 +125,9 @@ def test_quaternion_and_matrix_verdicts_agree():
     def check(word):
         m = G.evaluate(word)
         source, target = G.in_source_subgroup(word), G.in_target_subgroup(word)
-        assert G.oracles.in_source_subgroup(m) == source
-        assert G.oracles.in_target_subgroup(m) == target
+        q = quat.phi_inverse(m.rep)
+        assert G.oracles.in_source_subgroup(q) == source
+        assert G.oracles.in_target_subgroup(q) == target
         assert m.is_identity() == hnn._is_one(hnn._fold(word, G._units))
         memberships.update((source, target))
 

@@ -25,7 +25,7 @@ from hnnlab.comb import (
     invert_word,
     todd_coxeter,
 )
-from hnnlab.exact import Mat2, ProjMat
+from hnnlab.exact import ProjMat
 from hnnlab.hnn import (
     STABLE_PAIRS,
     HnnGroup,
@@ -33,10 +33,11 @@ from hnnlab.hnn import (
     load_builtin_group,
 )
 from hnnlab.quat import (
-    NotInImage,
     OrderLattice,
+    Quaternion,
     SubgroupOracles,
     lipschitz_like_order,
+    phi,
     standard_generators,
     standard_order,
 )
@@ -293,7 +294,7 @@ def test_tampered_group_raises_disagreement():
         vertex=G.vertex,
         ambient=G.ambient,
         pairs=G.pairs,
-        images=G.images,
+        generators=G.generators,
         oracles=G.oracles,
         source_table=G.target_table,  # deliberately swapped
         target_table=G.source_table,
@@ -309,7 +310,7 @@ def _with(**parts):
         vertex=G.vertex,
         ambient=G.ambient,
         pairs=G.pairs,
-        images=G.images,
+        generators=G.generators,
         oracles=G.oracles,
         source_table=G.source_table,
         target_table=G.target_table,
@@ -434,10 +435,10 @@ def test_swapped_stable_pairs_are_caught_by_both_routes():
 
 
 def test_swapped_generator_images_are_caught_by_both_routes():
-    # a and b exchange their matrices: the surface relator no longer holds
-    # in the model and u1 = DaacBC leaves the source subgroup, while Dehn
-    # and the coset tables still read the presentation
-    broken = _with(images=(G.images[1], G.images[0]) + G.images[2:])
+    # a and b exchange their quaternions: the surface relator no longer
+    # holds in the model and u1 = DaacBC leaves the source subgroup, while
+    # Dehn and the coset tables still read the presentation
+    broken = _with(generators=(G.generators[1], G.generators[0]) + G.generators[2:])
     with pytest.raises(
         OracleDisagreement, match="matrices say False, Dehn says True"
     ):
@@ -451,13 +452,13 @@ def test_swapped_generator_images_are_caught_by_both_routes():
 @pytest.mark.parametrize(
     "outside",
     [
-        Mat2(2, 1, 1, 0, 1),  # m21 = 0, not 13 * conj(m12)
-        Mat2(3, 1, 1, 0, 1),  # over Q(sqrt(3))
+        Quaternion(1, 1),  # reduced norm 1 - 2 = -1: its image has det -1
+        ProjMat(phi(G.generators[4])),  # t, but as its matrix image
     ],
 )
 def test_image_outside_the_embedding_is_refused_at_construction(outside):
-    with pytest.raises(NotInImage):
-        _with(images=G.images[:4] + (ProjMat(outside),))
+    with pytest.raises(ValueError, match="not a norm-one Quaternion"):
+        _with(generators=G.generators[:4] + (outside,))
 
 
 def test_evaluate_respects_identities():
