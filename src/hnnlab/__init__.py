@@ -8,7 +8,8 @@ is checked in at least two of the three models.
 
 Layers, bottom up:
 
-  exact   rational quadratic extensions, 2x2 matrices, PSL(2) classes
+  exact   rational quadratic extensions, 2x2 matrices, PSL(2) classes,
+          the integer Hermite normal form
   quat    the rational quaternion algebra, its maximal order, unit groups
   isom    isometry classification and exact translation lengths
   comb    words, small cancellation, decorated coset enumeration, homology

@@ -57,6 +57,8 @@ class Fsa:
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
         self.num_states = int(num_states)
+        if self.num_states < 0:
+            raise ValueError(f"num_states must be >= 0, got {num_states}")
         if isinstance(initial, int):
             initial = (initial,)
         self.initial = tuple(sorted(set(initial)))

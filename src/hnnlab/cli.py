@@ -20,7 +20,6 @@ import os
 import random
 import sys
 from decimal import Decimal, localcontext
-from importlib import import_module
 from typing import TYPE_CHECKING
 
 # each command imports the layers it uses: a cold `fsa-check` loads only
@@ -31,14 +30,6 @@ from . import comb
 if TYPE_CHECKING:
     from . import isom
     from .exact import QuadExt
-
-
-def __getattr__(name: str):
-    # the layers imported per command stay readable as attributes of this
-    # module (`cli.biauto`), each loaded on first read (PEP 562)
-    if name in ("biauto", "hnn", "isom"):
-        return import_module(f"{__package__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 DISPLAY_DIGITS = 50
 # fsa-check cost grows about as radius^3 on the built-in languages: at this
@@ -95,18 +86,12 @@ def _oracle_disagreement() -> type:
 def _decimal_length(trace: QuadExt) -> str:
     """2*log(lambda) for the hyperbolic multiplier, to 50 digits.
 
-    Display only: verdicts never depend on this number.
+    Display only: verdicts never depend on this number.  A lattice element's
+    trace is tr phi(q) = 2*x0, a rational number.
     """
     with localcontext() as ctx:
         ctx.prec = DISPLAY_DIGITS + 15
-        t = Decimal(trace.a.numerator) / Decimal(trace.a.denominator)
-        if trace.b != 0:
-            t += (
-                Decimal(trace.b.numerator)
-                / Decimal(trace.b.denominator)
-                * Decimal(trace.d).sqrt()
-            )
-        t = abs(t)
+        t = abs(Decimal(trace.a.numerator) / Decimal(trace.a.denominator))
         lam = (t + (t * t - 4).sqrt()) / 2
         length = 2 * lam.ln()
         ctx.prec = DISPLAY_DIGITS
@@ -114,11 +99,7 @@ def _decimal_length(trace: QuadExt) -> str:
 
 
 def _render_letters(letters) -> str:
-    if not letters:
-        return "1"
-    if all(len(x) == 1 for x in letters):
-        return "".join(letters)
-    return "*".join(letters)
+    return "".join(letters) or "1"
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +200,11 @@ def _classify_payload(group, word) -> tuple[dict, isom.IsometryClass]:
     else:
         payload["type"] = "hyperbolic"
         payload["length_decimal"] = _decimal_length(m.trace())
-        if kind.length is not None:
-            payload["length_exact"] = f"2*log({kind.length.multiplier_str()})"
-            field = kind.length.field_param
-            if abs(field) >= 10**_JSON_INT_DIGITS:
-                field = str(field)
-            payload["length_field"] = field
+        payload["length_exact"] = f"2*log({kind.length.multiplier_str()})"
+        field = kind.length.field_param
+        if abs(field) >= 10**_JSON_INT_DIGITS:
+            field = str(field)
+        payload["length_field"] = field
     return payload, kind
 
 
@@ -260,6 +240,8 @@ def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
 def _cmd_lengths(args) -> int:
     from . import isom
 
+    if args.bound < 1:
+        raise ValueError("bound must be >= 1")
     _check_limit("--bound", args.bound, _LENGTHS_BOUND_LIMIT)
     group = _load_group()
     texts = args.words or ["a", "b", "c", "d"]
@@ -279,9 +261,6 @@ def _cmd_lengths(args) -> int:
     for row in rows:
         if row["length_exact"] is not None:
             print(f"{row['word']}: {row['length_exact']}")
-            print(f"   = {row['length_decimal']} (display only)")
-        elif row["type"] == "hyperbolic":
-            print(f"{row['word']}: hyperbolic, irrational trace {row['trace']}")
             print(f"   = {row['length_decimal']} (display only)")
         else:
             print(f"{row['word']}: {row['type']}, no translation length")
@@ -379,10 +358,9 @@ def _cmd_cosets(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    group = _load_group()
     if len(args.words) > 2:
-        print("error: tree takes one or two words", file=sys.stderr)
-        return 2
+        raise ValueError("tree takes one or two words")
+    group = _load_group()
     if len(args.words) == 1:
         dist = group.tree_distance(args.words[0])
         payload = {"word": args.words[0], "distance_from_base": dist}
@@ -436,6 +414,8 @@ def _load_language(name: str):
                 data = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read {name!r}: {exc.strerror}") from None
+        except RecursionError:
+            raise ValueError(f"cannot read {name!r}: nested too deeply") from None
         fsa = biauto.Fsa.from_json(data)
         model = biauto.z2_model()
         missing = [x for x in fsa.alphabet if x not in model.letter_images]

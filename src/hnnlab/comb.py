@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
+
+from .exact import _hnf_integer_rows
 
 Word = tuple[int, ...]
 
@@ -685,64 +688,21 @@ def schreier_graph_arith(membership, images, identity, cap: int = 10_000) -> Sch
 
 
 def smith_invariants(rows) -> list[int]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    out: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # smallest nonzero entry of the trailing submatrix into position (t, t)
-        pos = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pos is None or abs(a[i][j]) < abs(a[pos[0]][pos[1]])):
-                    pos = (i, j)
-        if pos is None:
-            break
-        while True:
-            i0, j0 = pos
-            a[t], a[i0] = a[i0], a[t]
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-            if a[t][t] < 0:
-                a[t] = [-v for v in a[t]]
-            dirty = False
-            for i in range(t + 1, m):
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j]:
-                    dirty = True
-            if dirty:
-                pos = min(
-                    ((i, j) for i in range(t, m) for j in range(t, n) if a[i][j]),
-                    key=lambda ij: abs(a[ij[0]][ij[1]]),
-                )
-                continue
-            # pivot must divide the rest of the submatrix
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            pos = (t, t)
-        out.append(a[t][t])
-        t += 1
-    return out
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    Row Hermite normal forms of the matrix and of its transpose alternate
+    until the matrix is diagonal (Cohen, GTM 138, section 2.4).  Then each
+    pair of diagonal entries (d_i, d_j), i < j, becomes (gcd, lcm): the sum
+    of the Z/d_i is kept, and each entry comes to divide the next.
+    """
+    a = _hnf_integer_rows([list(map(int, r)) for r in rows])
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = _hnf_integer_rows([list(col) for col in zip(*a)])
+    d = [row[i] for i, row in enumerate(a)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 class AbelianStructure(NamedTuple):

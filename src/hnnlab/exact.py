@@ -1,6 +1,7 @@
-"""Exact arithmetic over real quadratic fields and 2x2 matrices over them.
+"""Exact arithmetic over real quadratic fields and 2x2 matrices over them,
+and the one integer row reduction of the package.
 
-Everything in this module is computed over Q or Q(sqrt(d)) with d a
+Everything in this module is computed over Z, Q or Q(sqrt(d)) with d a
 squarefree integer >= 2.  There are no floats anywhere: coefficients are
 ``fractions.Fraction`` and every comparison (including the sign of an
 irrational number) is decided by exact rational case analysis.
@@ -8,6 +9,10 @@ irrational number) is decided by exact rational case analysis.
 Values from different fields never mix silently.  Binary operations on
 ``QuadExt`` elements with different ``d`` raise ``MismatchedField``;
 plain integers and ``Fraction`` values embed into any field.
+
+The Hermite normal form of integer rows, ``_hnf_integer_rows``, serves
+``quat`` (the orders and the trace form discriminant) and ``comb`` (the
+Smith invariants of the abelianization).
 """
 
 from __future__ import annotations
@@ -39,6 +44,43 @@ def sign_of_rational(q) -> int:
     if q < 0:
         return -1
     return 0
+
+
+def _hnf_integer_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of an integer matrix.
+
+    Returns the nonzero rows: row echelon, positive pivots, entries above
+    each pivot reduced into [0, pivot).  Row operations are unimodular, so
+    the row lattice is preserved.
+    """
+    mat = [row[:] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            done = True
+            for i in range(r + 1, len(mat)):
+                if mat[i][c] != 0:
+                    q = mat[i][c] // mat[r][c]
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+                    if mat[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < len(mat) and mat[r][c] != 0:
+            if mat[r][c] < 0:
+                mat[r] = [-x for x in mat[r]]
+            for i in range(r):
+                q = mat[i][c] // mat[r][c]
+                if q:
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+            r += 1
+    return mat[:r]
 
 
 # squarefree_part divides by at most 2**15 candidates up to this bound,

@@ -11,19 +11,21 @@ It embeds into 2x2 matrices over Q(sqrt(2)) by
                                   [ 13*(x2-x3*r2)  x0 - x1*r2   ]
 
 with r2 = sqrt(2).  Orders are rank-4 lattices kept in Hermite normal
-form; ring closure, reduced discriminants and Hilbert symbols give two
-independent routes to the ramification data.  Membership in the lattice's
-edge groups is decided on quaternions alone; phi and phi_inverse are the
-boundary to matrices.
+form, by the integer row reduction of ``exact``; the same reduction gives
+the trace form determinant of a basis.  Reduced discriminants and Hilbert
+symbols give two independent routes to the ramification data.  Membership
+in the lattice's edge groups is decided on quaternions alone; phi and
+phi_inverse are the boundary to matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from itertools import chain, count
+from math import isqrt, lcm, prod
 
-from .exact import Mat2, QuadExt
+from .exact import Mat2, QuadExt, _hnf_integer_rows
 
 I_SQUARE = 2
 J_SQUARE = 13
@@ -190,43 +192,6 @@ def phi_inverse(m: Mat2) -> Quaternion:
 
 # ---------------------------------------------------------------------------
 # Exact lattice linear algebra (Hermite normal form over Q).
-
-
-def _hnf_integer_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an integer matrix with 4 columns.
-
-    Returns the nonzero rows: row echelon, positive pivots, entries above
-    each pivot reduced into [0, pivot).  Row operations are unimodular, so
-    the row lattice is preserved.
-    """
-    mat = [row[:] for row in rows]
-    ncols = 4
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            done = True
-            for i in range(r + 1, len(mat)):
-                if mat[i][c] != 0:
-                    q = mat[i][c] // mat[r][c]
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-                    if mat[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(mat) and mat[r][c] != 0:
-            if mat[r][c] < 0:
-                mat[r] = [-x for x in mat[r]]
-            for i in range(r):
-                q = mat[i][c] // mat[r][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-            r += 1
-    return [row for row in mat[:r] if any(row)]
 
 
 def hnf_rational_rows(
@@ -399,40 +364,20 @@ def _upper_triangular_inverse(rows) -> list[list[Fraction]]:
     return inv
 
 
-def _det4(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant of a 4x4 rational matrix by cofactor expansion."""
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    total = Fraction(0)
-    sign = 1
-    for c in range(4):
-        minor = [
-            [mat[r][cc] for cc in range(4) if cc != c] for r in range(1, 4)
-        ]
-        total += sign * mat[0][c] * det3(minor)
-        sign = -sign
-    return total
-
-
 def gram_reduced_discriminant(basis_rows) -> int:
     """sqrt(|det(trd(e_i * e_j))|) for a full-rank lattice basis.
 
     The Gram determinant of an order (or any lattice commensurable with
     one) has absolute value a perfect square; the square root is the
-    reduced discriminant times the lattice index factor.
+    reduced discriminant times the lattice index factor.  |det| is the
+    product of the pivots of the Gram matrix's Hermite normal form.
     """
     elems = [Quaternion._raw(*(Fraction(x) for x in row)) for row in basis_rows]
-    gram = [[(e * f).trd() for f in elems] for e in elems]
-    det = _det4(gram)
-    if det == 0:
+    gram = [tuple((e * f).trd() for f in elems) for e in elems]
+    echelon = hnf_rational_rows(gram)
+    if len(echelon) < 4:
         raise NotFullRank("degenerate trace form")
-    absdet = abs(det)
+    absdet = prod(row[i] for i, row in enumerate(echelon))
     if absdet.denominator != 1:
         raise ValueError(f"trace form determinant {absdet} is not an integer")
     n = absdet.numerator
@@ -519,7 +464,7 @@ def hilbert_symbol(a, b, p: int | None) -> int:
         omega_v = ((v * v - 1) // 8) % 2
         exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
         return -1 if exponent % 2 else 1
-    if p < 2 or not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"not a prime: {p}")
     alpha, u = _p_part(abs(ai), p)
     beta, v = _p_part(abs(bi), p)
@@ -535,23 +480,10 @@ def hilbert_symbol(a, b, p: int | None) -> int:
     return result
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     n = abs(n)
     out = []
-    for p in [2] + list(range(3, isqrt(n) + 2, 2)):
+    for p in chain([2], count(3, 2)):
         if p * p > n:
             break
         if n % p == 0:

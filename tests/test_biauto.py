@@ -124,6 +124,13 @@ def test_json_round_trip():
     assert not clone.accepts(("x", "y", "x"))
 
 
+def test_negative_state_counts_are_refused():
+    # a negative count used to be kept, and written back by to_json
+    with pytest.raises(ValueError, match="num_states must be >= 0"):
+        Fsa(["x"], -5, [], [], [])
+    assert Fsa(["x"], 0, [], [], []).to_json()["num_states"] == 0
+
+
 def test_duplicate_transitions_collapse_in_sorted_order():
     fsa = Fsa(
         ("x", "y"),

@@ -9,7 +9,7 @@ import time
 import pytest
 from jsonschema import validate
 
-from hnnlab import cli, hnn
+from hnnlab import biauto, cli, hnn
 from hnnlab.biauto import BUILTIN_LANGUAGES, Fsa, z2_normal_form_fsa
 
 
@@ -384,12 +384,18 @@ GOOD_AUTOMATON = {"alphabet": ["x"], "num_states": 2, "initial": [0],
         ({"num_states": MISSING}, "num_states"),
         ([], "object"),
         ("directory", "cannot read"),
+        # once accepted, and checked as an automaton with no states
+        ({"num_states": -5}, "num_states must be >= 0"),
+        # once a RecursionError in json.load: a traceback and exit 1
+        ("nested", "nested too deeply"),
     ],
 )
 def test_fsa_check_rejects_malformed_automaton_files(capsys, tmp_path, change, field):
     path = tmp_path / "lang.json"
     if change == "directory":
         path.mkdir()
+    elif change == "nested":
+        path.write_text("[" * 100_000 + "]" * 100_000)
     elif isinstance(change, dict):
         data = {**GOOD_AUTOMATON, **change}
         path.write_text(json.dumps({k: v for k, v in data.items() if v is not MISSING}))
@@ -409,7 +415,7 @@ def test_fsa_check_rejects_bad_radius(capsys, monkeypatch):
     def no_window(*args):
         raise AssertionError("a window was built for an over-limit radius")
 
-    monkeypatch.setattr(cli.biauto, "WindowedLanguage", no_window)
+    monkeypatch.setattr(biauto, "WindowedLanguage", no_window)
     for radius in (cli._FSA_RADIUS_LIMIT + 1, 10**9):
         code, out, err = run(
             capsys, ["fsa-check", "z2-normal", "--radius", str(radius)]
@@ -422,7 +428,7 @@ def test_fsa_check_rejects_negative_cap(capsys, monkeypatch):
     def no_window(*args):
         raise AssertionError("a window was built for a negative cap")
 
-    monkeypatch.setattr(cli.biauto, "WindowedLanguage", no_window)
+    monkeypatch.setattr(biauto, "WindowedLanguage", no_window)
     code, out, err = run(capsys, ["fsa-check", "z2-normal", "--cap", "-5"])
     assert (code, out) == (2, "")
     assert err == "error: fellow-traveller cap must be >= 0, got -5\n"
@@ -448,7 +454,7 @@ def test_fsa_check_refuses_automata_with_too_many_prefixes(
     def no_window(*args):
         raise AssertionError("a window was built for an over-limit automaton")
 
-    monkeypatch.setattr(cli.biauto, "WindowedLanguage", no_window)
+    monkeypatch.setattr(biauto, "WindowedLanguage", no_window)
     path = tmp_path / "lang.json"
     for fsa, radius in ((EVERY_WORD, 7), (EVERY_WORD, 64), (LONG_WORDS_ONLY, 64)):
         path.write_text(json.dumps(fsa.to_json()))
@@ -467,7 +473,7 @@ def test_fsa_check_refuses_windows_with_too_many_pairs(
     def analyze(*args):
         raise Analyzed
 
-    monkeypatch.setattr(cli.biauto.WindowedLanguage, "analyze", analyze)
+    monkeypatch.setattr(biauto.WindowedLanguage, "analyze", analyze)
     for name in BUILTIN_LANGUAGES:
         with pytest.raises(Analyzed):
             cli.main(["fsa-check", name, "--radius", str(cli._FSA_RADIUS_LIMIT)])
@@ -511,6 +517,17 @@ def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):
             code, out, err = run(capsys, argv + [str(value)])
             assert code == 2
             assert out == "" and f"above the limit {limit}" in err
+
+
+def test_lengths_refuses_a_bound_below_one(capsys, monkeypatch):
+    # a bad bound used to pass unless two hyperbolic words were compared
+    def no_group():
+        raise AssertionError("the group was loaded for a bound below 1")
+
+    monkeypatch.setattr(hnn, "load_builtin_group", no_group)
+    for argv in (["lengths", "--bound", "0"], ["lengths", "a", "--bound", "-3"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: bound must be >= 1\n")
 
 
 def test_verify_refuses_negative_samples(capsys, monkeypatch):

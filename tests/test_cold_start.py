@@ -121,6 +121,5 @@ def test_unknown_names_raise_attribute_error():
         hnnlab.no_such_name
     with pytest.raises(ImportError):
         from hnnlab import no_such_name  # noqa: F401
-    assert cli.biauto is sys.modules["hnnlab.biauto"]
     with pytest.raises(AttributeError, match="comb_layer"):
         cli.comb_layer

@@ -334,12 +334,17 @@ def test_smith_invariants_frozen():
     assert smith_invariants([[1, 2, 3]]) == [1]
 
 
-def test_smith_invariants_against_sympy():
+# the larger matrices make the row and column reductions alternate for
+# several rounds
+@pytest.mark.parametrize(
+    "max_rows, max_cols, entry", [(4, 5, 6), (7, 7, 40)], ids=["4x5-6", "7x7-40"]
+)
+def test_smith_invariants_against_sympy(max_rows, max_cols, entry):
     rng = random.Random(3)
     for _ in range(60):
-        m = rng.randrange(1, 5)
-        n = rng.randrange(1, 6)
-        rows = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
+        m = rng.randrange(1, max_rows + 1)
+        n = rng.randrange(1, max_cols + 1)
+        rows = [[rng.randrange(-entry, entry + 1) for _ in range(n)] for _ in range(m)]
         mine = smith_invariants(rows)
         s = sympy_snf(sympy.Matrix(rows))
         theirs = [abs(s[i, i]) for i in range(min(m, n)) if s[i, i] != 0]

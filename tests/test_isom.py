@@ -342,6 +342,16 @@ def test_short_power_of_at_is_classified(group):
     assert translation_length(m).multiplier() == lam**13
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="abcdtABCDT", max_size=40))
+def test_lattice_words_have_rational_traces(group, word):
+    # tr phi(q) = 2*x0, so classify never meets an irrational trace on the
+    # lattice and the CLI keeps no branch for one
+    m = group.evaluate(word)
+    assert m.trace().is_rational
+    assert classify(m) != Hyperbolic(None)
+
+
 def test_4000_letter_power_of_at_is_classified(group):
     at = group.evaluate("at")
     # the image of the 4000-letter word (at)^2000, by squaring: 0.05 s

@@ -218,6 +218,27 @@ def test_discriminant_scales_with_index() -> None:
     assert gram_reduced_discriminant(doubled) == 2 * order.reduced_discriminant()
 
 
+def test_discriminant_survives_unimodular_row_operations() -> None:
+    rng = random.Random(19)
+    for _ in range(20):
+        rows = [list(r) for r in standard_order().basis]
+        for _ in range(12):
+            i, j = rng.sample(range(4), 2)
+            op = rng.randrange(3)
+            if op == 0:
+                rows[i], rows[j] = rows[j], rows[i]
+            elif op == 1:
+                rows[i] = [-x for x in rows[i]]
+            else:
+                k = rng.choice([-3, -2, -1, 1, 2, 3])
+                rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        assert gram_reduced_discriminant(rows) == 26
+        i, j, k = rng.sample(range(4), 3)
+        rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+        with pytest.raises(NotFullRank):
+            gram_reduced_discriminant(rows)
+
+
 def test_order_validation_rejects_non_orders() -> None:
     # the generator span without 1 is not an order
     gens = standard_generators()
@@ -239,6 +260,15 @@ def test_hilbert_symbols() -> None:
     # split algebra (1, n)
     assert ramified_primes(1, 7) == []
     assert ramified_primes(-1, 3) == [2, 3]
+
+
+def test_hilbert_symbol_refuses_non_primes() -> None:
+    for p in (0, 1, 4, 9, 15, 91):
+        with pytest.raises(ValueError, match="not a prime"):
+            hilbert_symbol(2, 13, p)
+    # 2 and 13 are units at every odd prime but 13
+    primes = (3, 5, 7, 13, 10007)
+    assert [hilbert_symbol(2, 13, p) for p in primes] == [1, 1, 1, -1, 1]
 
 
 def test_hilbert_product_formula() -> None:
