@@ -451,18 +451,18 @@ class StructureReport(NamedTuple):
 class WindowedLanguage:
     """All accepted words of length <= radius, indexed by group element.
 
-    The ball's radius depends on whether the letter images are closed under
-    inversion (every image's inverse is itself an image).  If they are, the
-    word metric is symmetric, and a pair (u, shift s, v) separates by at
-    most floor((|s^-1| + |e_T| + |u| + |v|) / 2) <= L + 1, where e_T is
-    the offset of the two end points and L the longest word in the window:
-    the triangle inequality along the walk from e_0 = s^-1 bounds each
+    Fellow travelling is measured in the symmetric word metric, so the
+    letter images must be closed under inversion (every image's inverse is
+    itself an image); a ValueError names the first letter whose image's
+    inverse is not one.  A pair (u, shift s, v) then separates by at most
+    floor((|s^-1| + |e_T| + |u| + |v|) / 2) <= L + 1, where e_T is the
+    offset of the two end points and L the longest word in the window: the
+    triangle inequality along the walk from e_0 = s^-1 bounds each
     separation by |s^-1| plus the letters walked so far, and along the walk
-    back from e_T by |e_T| plus the letters still to come.  A ball of radius
-    L + 2 then holds every step of every walk, and radius // 2 keeps the
-    half window that surjectivity is checked on; the ball has the larger of
-    the two radii.  Otherwise separations are bounded only by the path
-    lengths, and the ball has radius 2 * radius + 2.
+    back from e_T by |e_T| plus the letters still to come.  A ball of
+    radius L + 2 then holds every end, target and near key and every step
+    of every walk, and radius // 2 keeps the half window that surjectivity
+    is checked on; the ball has the larger of the two radii.
     """
 
     def __init__(self, fsa: Fsa, model: GroupModel, radius: int):
@@ -471,11 +471,16 @@ class WindowedLanguage:
         for letter in fsa.alphabet:
             if letter not in model.letter_images:
                 raise UnknownLetter(f"no image for letter {letter!r}")
+        images = set(model.letter_images.values())
+        for letter, g in model.letter_images.items():
+            if model.inv(g) not in images:
+                raise ValueError(
+                    f"the inverse of the image of letter {letter!r}"
+                    " is not a letter image"
+                )
         self.fsa = fsa
         self.model = model
         self.radius = radius
-        images = set(model.letter_images.values())
-        self._inverse_closed = all(model.inv(g) in images for g in images)
         self.words_by_element: dict = {}
         longest = 0
         # each word's element is its prefix's times its last letter's image;
@@ -486,10 +491,7 @@ class WindowedLanguage:
         ):
             self.words_by_element.setdefault(g, []).append(w)
             longest = len(w)
-        if self._inverse_closed:
-            self.ball = BallOracle(model, max(longest + 2, radius // 2))
-        else:
-            self.ball = BallOracle(model, 2 * radius + 2)
+        self.ball = BallOracle(model, max(longest + 2, radius // 2))
 
     # -- uniform finiteness -------------------------------------------------
 
@@ -522,9 +524,8 @@ class WindowedLanguage:
     ) -> FellowReport:
         """The largest separation over all near pairs of window words.
 
-        Every near pair is counted in `pairs_checked`.  When the letter
-        images are closed under inversion, two kinds of pair are counted
-        but not walked, since neither can change the report:
+        Every near pair is counted in `pairs_checked`, but two kinds of
+        pair are not walked, since neither can change the report:
 
           * a pair (u, s, v) whose mirror (v, s^-1, u), with the same
             separations, came earlier: its v ends at an element before u's
@@ -536,8 +537,10 @@ class WindowedLanguage:
         The worst pair is still the first one in enumeration order, so the
         witness and its time do not change.
 
-        Words are keyed by ball id, and the targets s * end are reached
-        through the ball's tables.  Each target's near words are listed
+        A ball of radius below L + 2 (one swapped into `ball`) raises
+        OutOfWindow before any pair is walked.  Otherwise words are keyed by
+        ball id, and every target s * end, near key and walk step is one
+        lookup in the ball's tables.  Each target's near words are listed
         once per check as one flat list of entries (rank of v's element,
         word index of v, |v| + |e_T|, v, v's right rows): first the
         target's own words (e_T the identity), then the words one letter
@@ -549,10 +552,17 @@ class WindowedLanguage:
         """
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
-        model = self.model
-        mul, inv = model.mul, model.inv
-        letters = list(model.letter_images.items())
         ball = self.ball
+        # each element's words are sorted by length
+        walk_radius = 2 + max(
+            (len(ws[-1]) for ws in self.words_by_element.values()), default=0
+        )
+        if ball.radius < walk_radius:
+            raise OutOfWindow(
+                f"the walks need a ball of radius {walk_radius},"
+                f" not {ball.radius}"
+            )
+        model = self.model
         ids, norms = ball.ids, ball.norms
         right, left = ball.right, ball.inverse_left
         # the separation at time t of u shifted by s and v is the norm of
@@ -560,45 +570,19 @@ class WindowedLanguage:
         # e_{t+1} = x_t^-1 * e_t * y_t for the letters x_t of u and y_t of v,
         # one step in an inverse-left and one in a right table
         #
-        # elements are keyed by ball id; one the ball lacks (a swapped-in
-        # ball can be small) gets the next key past the ids, so no two
-        # elements share a key, and elements[k] is the element of key k
-        elements = list(ids)
-        inside = len(elements)
-        outside: dict = {}
-        # words[k]: the rank of key k in words_by_element, the inverse-left
-        # rows of the words ending there, and their near entries with
-        # |e_T| = 0 and with |e_T| = 1; None if no word ends there
-        words: list = [None] * inside
-        # near_lists[k]: (pairs counted, near entries) over k and the keys
+        # words[k]: the rank of ball id k in words_by_element, the
+        # inverse-left rows of the words ending there, and their near
+        # entries with |e_T| = 0 and with |e_T| = 1; None if no word ends
+        # there
+        words: list = [None] * len(norms)
+        # near_lists[k]: (pairs counted, near entries) over k and the ids
         # one letter right of it, built the first time a pair needs it
-        near_lists: list = [None] * inside
-
-        def key(g):
-            k = ids.get(g)
-            if k is None:
-                k = outside.get(g)
-                if k is None:
-                    k = outside[g] = len(elements)
-                    elements.append(g)
-                    words.append(None)
-                    near_lists.append(None)
-            return k
+        near_lists: list = [None] * len(norms)
 
         def near(t):
             if near_lists[t] is None:
-                keys = [t]
-                for name, img in letters:
-                    h = right[name][t] if t < inside else None
-                    if h is None:
-                        # past the ball: the group's own product, which has
-                        # words only if it already has a key
-                        g = mul(elements[t], img)
-                        h = ids.get(g, outside.get(g))
-                    if h is not None:
-                        keys.append(h)
                 found = []
-                for h in dict.fromkeys(keys):
+                for h in dict.fromkeys([t] + [table[t] for table in right.values()]):
                     if words[h] is not None:
                         found += words[h][2 if h == t else 3]
                 near_lists[t] = (len(found), found)
@@ -606,7 +590,7 @@ class WindowedLanguage:
 
         ends = []
         for rank, (g, ws) in enumerate(self.words_by_element.items()):
-            ends.append(k := key(g))
+            ends.append(k := ids[g])
             # tuples, not lists, per element: a list is two allocations,
             # and with lists ten rounds of the 60 fsa-window cases in one
             # process read about 0.6 MB more peak RSS
@@ -622,31 +606,27 @@ class WindowedLanguage:
                 own,
                 tuple([(r, j, size + 1, w, rv) for r, j, size, w, rv in own]),
             )
-        # s * g is one inverse-left step by a letter whose image is s^-1
-        named = {img: name for name, img in letters}
+        # s * g is one inverse-left step by the letter whose image is s^-1
+        named = {img: name for name, img in model.letter_images.items()}
         # no shift: e_0 is the identity, id 0
-        shifts = [(None, None, 0, None)]
+        shifts = [(None, 0, None)]
         for name, s in sorted(model.letter_images.items()):
-            s_inv = inv(s)
-            table = left[named[s_inv]] if s_inv in named else None
-            shifts.append((name, s, ids.get(s_inv), table))
+            s_inv = model.inv(s)
+            shifts.append((name, ids[s_inv], left[named[s_inv]]))
         classical = pair_rule == "classical"
-        closed = self._inverse_closed
         zeta, witness, pairs = 0, None, 0
         for end in ends:
             rank, lefts, own = words[end][:3]
             # each shift's near entries, shared by the words ending here
             targets = []
-            for shift_name, s, e0, table in shifts:
+            for shift_name, e0, table in shifts:
                 if shift_name is None:
                     # right multiplication: ends at most 1 apart
                     count, entries = near(end)
                 else:
-                    t = None if table is None or end >= inside else table[end]
-                    if t is None:
-                        t = key(mul(s, elements[end]))
                     # left multiplication: a shifted start, and under the
                     # classical rule equal ends
+                    t = table[end]
                     if not classical:
                         count, entries = near(t)
                     elif words[t] is None:
@@ -659,57 +639,46 @@ class WindowedLanguage:
                 targets.append(
                     (shift_name, e0, count, entries, 1 if shift_name is None else 0)
                 )
-            # without inversion-closed images no pair is skipped: no rank is
-            # below -1 and no |v| + |e_T| at most -1
-            lowest = rank if closed else -1
             for index, ((_, _, n, u, _), lu) in enumerate(zip(own, lefts)):
                 for shift_name, e0, count, entries, slack in targets:
                     pairs += count
                     # the bound is at most zeta when |v| + |e_T| <= room
-                    room = 2 * zeta + slack - n if closed else -1
+                    room = 2 * zeta + slack - n
                     for h_rank, j, size, v, rv in entries:
                         if (
-                            h_rank < lowest
+                            h_rank < rank
                             or size <= room
-                            or (h_rank == lowest and j < index)
+                            or (h_rank == rank and j < index)
                         ):
                             continue
-                        # a finished word waits at its end point; a None
-                        # entry (outside the ball) ends the walk
-                        try:
-                            e = e0
-                            d = norms[e]
-                            for lx, ry in zip(lu, rv):
-                                e = ry[lx[e]]
+                        # a finished word waits at its end point
+                        e = e0
+                        d = norms[e]
+                        for lx, ry in zip(lu, rv):
+                            e = ry[lx[e]]
+                            if norms[e] > d:
+                                d = norms[e]
+                        m = len(rv)
+                        if n != m:
+                            # the longer word's rows past the shorter
+                            # word's end, each one step
+                            for row in lu[m:] if n > m else rv[n:]:
+                                e = row[e]
                                 if norms[e] > d:
                                     d = norms[e]
-                            m = len(rv)
-                            if n != m:
-                                # the longer word's rows past the shorter
-                                # word's end, each one step
-                                for row in lu[m:] if n > m else rv[n:]:
-                                    e = row[e]
-                                    if norms[e] > d:
-                                        d = norms[e]
-                        except TypeError:
-                            d = None
-                        if d is None or d > zeta:
-                            # the group's own products measure a pair whose
-                            # walk left the ball, and date a new worst
-                            # separation
-                            seps = self._separations(u, shift_name, v)
-                            d = max(seps)
-                            if d > zeta:
-                                # the witness is the earliest time at which
-                                # the pair reaches it
-                                zeta = d
-                                witness = FellowWitness(
-                                    u=u,
-                                    v=v,
-                                    shift=shift_name,
-                                    time=seps.index(d),
-                                    separation=d,
-                                )
+                        if d > zeta:
+                            # the group's own products date the new worst
+                            # separation: the earliest time the pair
+                            # reaches it
+                            seps = _pair_separations(model, ball, u, shift_name, v)
+                            zeta = max(seps)
+                            witness = FellowWitness(
+                                u=u,
+                                v=v,
+                                shift=shift_name,
+                                time=seps.index(zeta),
+                                separation=zeta,
+                            )
         return FellowReport(
             pair_rule=pair_rule,
             zeta=zeta,
@@ -718,9 +687,6 @@ class WindowedLanguage:
             window=self.radius,
             cap=cap,
         )
-
-    def _separations(self, u, shift_name, v) -> list:
-        return _pair_separations(self.model, self.ball, u, shift_name, v)
 
     # -- geodesics -------------------------------------------------------------
 

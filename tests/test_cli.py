@@ -1,12 +1,18 @@
 """End-to-end command line tests: text output, JSON schemas, exit codes,
 and byte-for-byte determinism."""
 
+import contextlib
 import json
 import math
+import os
+import signal
 import sys
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import validate
 
 from hnnlab import biauto, cli, hnn
@@ -497,6 +503,145 @@ def test_fsa_check_declared_states_cost_nothing_by_themselves(capsys, tmp_path):
     assert time.perf_counter() - start < 0.5
     assert code == 0
     assert "zeta=0 (no cap, 1 pairs)" in out and out.splitlines()[-1] == "OK"
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, instead of hanging, a block that runs longer than seconds."""
+
+    def expired(*args):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fsa_check_reads_only_regular_files(capsys, tmp_path):
+    # a FIFO with no writer blocks the reader's open() forever
+    fifo = tmp_path / "lang.fifo"
+    os.mkfifo(fifo)
+    with time_limit(5):
+        code, out, err = run(capsys, ["fsa-check", str(fifo)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {str(fifo)!r}: not a regular file\n"
+
+
+def test_fsa_check_reads_at_most_the_file_limit(capsys, tmp_path):
+    # the automaton, padded with blanks to the limit and then one byte past it
+    text = json.dumps(z2_normal_form_fsa().to_json())
+    path = tmp_path / "lang.json"
+    path.write_text(text.ljust(cli._FSA_FILE_LIMIT))
+    code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "2"])
+    assert code == 0 and err == ""
+    path.write_text(text.ljust(cli._FSA_FILE_LIMIT + 1))
+    code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "2"])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read {str(path)!r}:"
+        f" more than {cli._FSA_FILE_LIMIT} bytes\n"
+    )
+
+
+# a JSON integer of 5000 digits, spliced into the file in place of this
+# string: above Python's default limit on int <-> str conversion
+HUGE = "<huge>"
+FUZZ_CALL_SECONDS = 2.0
+FUZZ_FIELDS = ("alphabet", "num_states", "initial", "accepting", "transitions")
+WRONG_TYPES = (True, 1.0, "0", None, [0], ["x", 0], {"0": 0}, 4, "xXyY")
+
+
+@st.composite
+def fuzz_automata(draw):
+    """Automaton JSON: a well formed automaton, often nondeterministic
+    (several initial states, several destinations per state and letter),
+    with up to three faults: a field of the wrong type or missing, a huge,
+    negative or out-of-range state, a duplicate letter or a letter with no
+    x/y image."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    alphabet = draw(st.lists(st.sampled_from(LETTERS), min_size=1, unique=True))
+    data = {
+        "alphabet": alphabet,
+        "num_states": n,
+        "initial": draw(st.one_of(state, st.lists(state, min_size=1, max_size=2))),
+        "accepting": draw(st.lists(state, max_size=n)),
+        "transitions": draw(
+            st.lists(st.tuples(state, st.sampled_from(alphabet), state), max_size=12)
+        ),
+    }
+    faults = st.tuples(
+        st.sampled_from(["state", "letter", "type", "missing"]),
+        st.sampled_from(FUZZ_FIELDS),
+    )
+    # half the automata are well formed; in the rest the faults that edit
+    # a field's list come before those that replace it
+    drawn = draw(st.lists(faults, max_size=3)) if draw(st.booleans()) else []
+    for fault, field in sorted(drawn, key=lambda f: f[0] in ("type", "missing")):
+        if field not in data:
+            continue
+        if fault == "type":
+            data[field] = draw(st.sampled_from(WRONG_TYPES))
+        elif fault == "missing":
+            del data[field]
+        elif fault == "state":
+            bad = draw(st.sampled_from([-1, n, n + 3, 10**30, -(2**64), HUGE]))
+            if field == "num_states":
+                data[field] = bad
+            elif field in ("initial", "accepting"):
+                data[field] = [bad]
+            else:
+                letter = draw(st.sampled_from(LETTERS))
+                data[field] = [[bad, letter, 0], *data[field]]
+        elif field == "alphabet":
+            # a duplicate letter
+            data[field] = [*data[field], data[field][0]]
+        else:
+            # a letter with no x/y image, used by a transition
+            letter = draw(st.sampled_from(["z", "", "xy"]))
+            data["alphabet"] = [*data["alphabet"], letter]
+            data["transitions"] = [[0, letter, 0], *data["transitions"]]
+    return data
+
+
+def test_fsa_check_fuzzed_automata_exit_cleanly(capsys, tmp_path):
+    path = tmp_path / "lang.json"
+    codes = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        fuzz_automata(),
+        # Hypothesis favours the first choice of each
+        st.sampled_from([64, 0, 65, -1]),
+        st.sampled_from([None, 0, -1]),
+        st.sampled_from(["classical", "simultaneous"]),
+        st.booleans(),
+    )
+    def check(data, radius, cap, rule, as_json):
+        path.write_text(json.dumps(data).replace(json.dumps(HUGE), "9" * 5000))
+        argv = ["fsa-check", str(path), "--radius", str(radius), "--rule", rule]
+        if cap is not None:
+            argv += ["--cap", str(cap)]
+        if as_json:
+            argv.append("--json")
+        with time_limit(FUZZ_CALL_SECONDS):
+            code, out, err = run(capsys, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+        elif as_json:
+            assert json.loads(out)["ok"] == (code == 0)
+        codes[code, radius] += 1
+
+    check()
+    # every exit code occurs, and many radius-64 windows are analyzed
+    assert min(codes[0, 0], codes[1, 0], codes[2, 64]) >= 5
+    assert codes[1, 64] >= 50
 
 
 def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):
