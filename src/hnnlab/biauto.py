@@ -48,8 +48,9 @@ class Fsa:
     """A finite-state automaton over named letters.
 
     States are integers 0..num_states-1.  Nondeterminism (several initial
-    states or repeated (state, letter) transitions) is allowed; determinize()
-    produces an equivalent deterministic automaton.
+    states or repeated (state, letter) transitions) is allowed: every walk
+    over the language reads the lazily built subset automaton (_Subsets)
+    of the trimmed automaton.
     """
 
     def __init__(self, alphabet, num_states, initial, accepting, transitions):
@@ -103,24 +104,18 @@ class Fsa:
         return bool(states & self.accepting)
 
     def determinize(self) -> "Fsa":
-        start = frozenset(self.initial)
-        numbering = {start: 0}
-        order = [start]
+        """The subset automaton of the trimmed automaton, in breadth-first
+        order: equivalent and deterministic, and with no dead set (an empty
+        language gives one state that accepts nothing)."""
+        sets = _Subsets(self)
         trans = []
-        qi = 0
-        while qi < len(order):
-            subset = order[qi]
-            qi += 1
-            for letter in self.alphabet:
-                nxt = self.step(subset, letter)
-                if not nxt:
-                    continue
-                if nxt not in numbering:
-                    numbering[nxt] = len(order)
-                    order.append(nxt)
-                trans.append((numbering[subset], letter, numbering[nxt]))
-        accepting = [i for i, sub in enumerate(order) if sub & self.accepting]
-        return Fsa(self.alphabet, len(order), 0, accepting, trans)
+        i = 0
+        # reading a row numbers the sets it reaches first
+        while i < len(sets.accepting):
+            trans += [(i, letter, j) for letter, j, _ in sets[i]]
+            i += 1
+        accepting = [i for i, flag in enumerate(sets.accepting) if flag]
+        return Fsa(self.alphabet, len(sets.accepting), 0, accepting, trans)
 
     def trim(self) -> "Fsa":
         """Drop states that are unreachable or cannot reach acceptance."""
@@ -173,36 +168,16 @@ class Fsa:
         The empty word has value `start` and a word w + (x,) has value
         extend(value of w, x): each word costs one step past its prefix.
 
-        The frontier holds every live prefix of the current length.  The
-        step of a set of states by a letter is computed once per call, the
-        first time a prefix reaches that set."""
-        live = self.trim()
-        first = frozenset(live.initial)
-        numbering = {first: 0}
-        subsets = [first]
-        # moves[i]: (letter, number of the next set, whether it accepts)
-        # for each letter that keeps set i alive, None until first reached
-        moves = [None]
-        if first & live.accepting:
+        The frontier holds every live prefix of the current length, with
+        the number of the set of states it reaches."""
+        sets = _Subsets(self)
+        if sets.accepting[0]:
             yield (), start
         frontier = [((), 0, start)]
         for _ in range(max_len):
             nxt = []
             for word, i, value in frontier:
-                row = moves[i]
-                if row is None:
-                    row = moves[i] = []
-                    for letter in live.alphabet:
-                        after = live.step(subsets[i], letter)
-                        if not after:
-                            continue
-                        j = numbering.get(after)
-                        if j is None:
-                            j = numbering[after] = len(subsets)
-                            subsets.append(after)
-                            moves.append(None)
-                        row.append((letter, j, bool(after & live.accepting)))
-                for letter, j, accepted in row:
+                for letter, j, accepted in sets[i]:
                     w2 = word + (letter,)
                     v2 = extend(value, letter)
                     if accepted:
@@ -258,6 +233,40 @@ class Fsa:
             _json_list(data, "accepting", _is_state, "integers"),
             _json_list(data, "transitions", _is_transition, "[int, str, int] triples"),
         )
+
+
+class _Subsets(dict):
+    """The subset automaton of an Fsa's trimmed automaton, built as read.
+
+    Set 0 is the set of initial states, and each later set is numbered
+    when a row first reaches it; `accepting[i]` says whether set i holds
+    an accepting state.  `self[i]`, the row of set i, lists (letter, j,
+    accepting[j]) for each letter, in alphabet order, that leads from set
+    i to a nonempty set j; it is computed the first time it is read.
+    Every set can reach acceptance, except set 0 of an empty language."""
+
+    def __init__(self, fsa: Fsa):
+        super().__init__()
+        self._live = fsa.trim()
+        first = frozenset(self._live.initial)
+        self._numbering = {first: 0}
+        self._sets = [first]
+        self.accepting = [bool(first & self._live.accepting)]
+
+    def __missing__(self, i):
+        live, numbering, accepting = self._live, self._numbering, self.accepting
+        row = self[i] = []
+        for letter in live.alphabet:
+            after = live.step(self._sets[i], letter)
+            if not after:
+                continue
+            j = numbering.get(after)
+            if j is None:
+                j = numbering[after] = len(self._sets)
+                self._sets.append(after)
+                accepting.append(bool(after & live.accepting))
+            row.append((letter, j, accepting[j]))
+        return row
 
 
 _FSA_FIELDS = ("alphabet", "num_states", "initial", "accepting", "transitions")
@@ -528,27 +537,28 @@ class WindowedLanguage:
         pair are not walked, since neither can change the report:
 
           * a pair (u, s, v) whose mirror (v, s^-1, u), with the same
-            separations, came earlier: its v ends at an element before u's
-            in `words_by_element`, or at the same element with a smaller
-            word index;
+            separations, came earlier: v has a smaller index than u, each
+            word's index being its position in `words_by_element` order;
           * a pair whose separation bound (see the class docstring) is at
             most the worst separation found so far.
 
-        The worst pair is still the first one in enumeration order, so the
-        witness and its time do not change.
+        The worst pair is still the first one in enumeration order.  The
+        walks keep only that pair; after them, the group's own products
+        date it (the witness's time is the first time the pair reaches
+        its separation).
 
         A ball of radius below L + 2 (one swapped into `ball`) raises
         OutOfWindow before any pair is walked.  Otherwise words are keyed by
         ball id, and every target s * end, near key and walk step is one
         lookup in the ball's tables.  Each target's near words are listed
-        once per check as one flat list of entries (rank of v's element,
-        word index of v, |v| + |e_T|, v, v's right rows): first the
-        target's own words (e_T the identity), then the words one letter
-        right of it (|e_T| = 1), in letter order, each element once.  The
-        list is shared by every (end, shift) that lands on the target, and
-        each entry by every list that holds it.  So the two skips above
-        are integer comparisons on the entry, each pair is one loop
-        iteration, and `pairs_checked` grows by a whole list at a time.
+        once per check as one flat list of entries (index of v, |v| + |e_T|,
+        v, v's right rows): first the target's own words (e_T the identity),
+        then the words one letter right of it (|e_T| = 1), in letter order,
+        each element once.  The list is shared by every (end, shift) that
+        lands on the target, and each entry by every list that holds it.  So
+        the two skips above are integer comparisons on the entry, each pair
+        is one loop iteration, and `pairs_checked` grows by a whole list at
+        a time.
         """
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
@@ -570,10 +580,9 @@ class WindowedLanguage:
         # e_{t+1} = x_t^-1 * e_t * y_t for the letters x_t of u and y_t of v,
         # one step in an inverse-left and one in a right table
         #
-        # words[k]: the rank of ball id k in words_by_element, the
-        # inverse-left rows of the words ending there, and their near
-        # entries with |e_T| = 0 and with |e_T| = 1; None if no word ends
-        # there
+        # words[k]: the inverse-left rows of the words ending at ball id k,
+        # and their near entries with |e_T| = 0 and with |e_T| = 1; None if
+        # no word ends there
         words: list = [None] * len(norms)
         # near_lists[k]: (pairs counted, near entries) over k and the ids
         # one letter right of it, built the first time a pair needs it
@@ -584,27 +593,28 @@ class WindowedLanguage:
                 found = []
                 for h in dict.fromkeys([t] + [table[t] for table in right.values()]):
                     if words[h] is not None:
-                        found += words[h][2 if h == t else 3]
+                        found += words[h][1 if h == t else 2]
                 near_lists[t] = (len(found), found)
             return near_lists[t]
 
         ends = []
-        for rank, (g, ws) in enumerate(self.words_by_element.items()):
+        index = 0
+        for g, ws in self.words_by_element.items():
             ends.append(k := ids[g])
             # tuples, not lists, per element: a list is two allocations,
             # and with lists ten rounds of the 60 fsa-window cases in one
             # process read about 0.6 MB more peak RSS
             own = tuple(
                 [
-                    (rank, j, len(w), w, list(map(right.__getitem__, w)))
+                    (index + j, len(w), w, list(map(right.__getitem__, w)))
                     for j, w in enumerate(ws)
                 ]
             )
+            index += len(ws)
             words[k] = (
-                rank,
                 tuple([list(map(left.__getitem__, w)) for w in ws]),
                 own,
-                tuple([(r, j, size + 1, w, rv) for r, j, size, w, rv in own]),
+                tuple([(j, size + 1, w, rv) for j, size, w, rv in own]),
             )
         # s * g is one inverse-left step by the letter whose image is s^-1
         named = {img: name for name, img in model.letter_images.items()}
@@ -614,9 +624,9 @@ class WindowedLanguage:
             s_inv = model.inv(s)
             shifts.append((name, ids[s_inv], left[named[s_inv]]))
         classical = pair_rule == "classical"
-        zeta, witness, pairs = 0, None, 0
+        zeta, worst, pairs = 0, None, 0
         for end in ends:
-            rank, lefts, own = words[end][:3]
+            lefts, own = words[end][:2]
             # each shift's near entries, shared by the words ending here
             targets = []
             for shift_name, e0, table in shifts:
@@ -633,23 +643,19 @@ class WindowedLanguage:
                         # no word ends there: no pair
                         continue
                     else:
-                        entries = words[t][2]
+                        entries = words[t][1]
                         count = len(entries)
                 # 1 - |e_0|: e_0 = s^-1 is at most one letter
                 targets.append(
                     (shift_name, e0, count, entries, 1 if shift_name is None else 0)
                 )
-            for index, ((_, _, n, u, _), lu) in enumerate(zip(own, lefts)):
+            for (index, n, u, _), lu in zip(own, lefts):
                 for shift_name, e0, count, entries, slack in targets:
                     pairs += count
                     # the bound is at most zeta when |v| + |e_T| <= room
                     room = 2 * zeta + slack - n
-                    for h_rank, j, size, v, rv in entries:
-                        if (
-                            h_rank < rank
-                            or size <= room
-                            or (h_rank == rank and j < index)
-                        ):
+                    for j, size, v, rv in entries:
+                        if j < index or size <= room:
                             continue
                         # a finished word waits at its end point
                         e = e0
@@ -667,18 +673,12 @@ class WindowedLanguage:
                                 if norms[e] > d:
                                     d = norms[e]
                         if d > zeta:
-                            # the group's own products date the new worst
-                            # separation: the earliest time the pair
-                            # reaches it
-                            seps = _pair_separations(model, ball, u, shift_name, v)
-                            zeta = max(seps)
-                            witness = FellowWitness(
-                                u=u,
-                                v=v,
-                                shift=shift_name,
-                                time=seps.index(zeta),
-                                separation=zeta,
-                            )
+                            zeta, worst = d, (u, v, shift_name)
+        witness = None
+        if worst is not None:
+            u, v, shift_name = worst
+            seps = _pair_separations(model, ball, u, shift_name, v)
+            witness = FellowWitness(u, v, shift_name, seps.index(zeta), zeta)
         return FellowReport(
             pair_rule=pair_rule,
             zeta=zeta,
@@ -708,31 +708,29 @@ class WindowedLanguage:
 
     def _language_lengths(self) -> dict:
         """Shortest accepted-word length per element, by breadth-first search
-        on the product of the automaton with the group, to depth
-        2 * radius + 2 whatever the ball's radius: an element's language
-        length counts as inside the window when it is at most that."""
+        over (set of states, element) pairs of the automaton's subset rows
+        and the group, to depth 2 * radius + 2 whatever the ball's radius:
+        an element's language length counts as inside the window when it
+        is at most that."""
         best: dict = {}
-        seen = {(s, self.model.identity) for s in self.fsa.initial}
+        sets = _Subsets(self.fsa)
+        mul, images = self.model.mul, self.model.letter_images
+        seen = {(0, self.model.identity)}
         frontier = list(seen)
-        accepting = self.fsa.accepting
         max_depth = 2 * self.radius + 2
         for depth in range(max_depth + 1):
-            for state, elem in frontier:
-                if state in accepting and elem not in best:
+            for i, elem in frontier:
+                if sets.accepting[i] and elem not in best:
                     best[elem] = depth
             if depth == max_depth:
                 break
             nxt = []
-            for state, elem in frontier:
-                for letter in self.fsa.alphabet:
-                    for s2 in self.fsa.step((state,), letter):
-                        e2 = self.model.mul(
-                            elem, self.model.letter_images[letter]
-                        )
-                        node = (s2, e2)
-                        if node not in seen:
-                            seen.add(node)
-                            nxt.append(node)
+            for i, elem in frontier:
+                for letter, j, _ in sets[i]:
+                    node = (j, mul(elem, images[letter]))
+                    if node not in seen:
+                        seen.add(node)
+                        nxt.append(node)
             frontier = nxt
         return best
 

@@ -8,19 +8,23 @@ index-12 subgroup H = <u1..u26> onto an index-12 subgroup K = <v1..v26>:
 
     t * u_i * t^-1 = v_i.
 
-Every question about the extension is answered along two independent
-routes and cross-checked: exact arithmetic in the quaternion algebra on one
-side, decorated coset tables over the one-relator surface presentation on
-the other.  A disagreement raises OracleDisagreement instead of guessing.
+Every question about the extension but one (see below) is answered along
+two independent routes and cross-checked: exact arithmetic in the
+quaternion algebra on one side, decorated coset tables over the one-relator
+surface presentation on the other.  A disagreement raises
+OracleDisagreement instead of guessing.
 
 The arithmetic route starts from the five generators as norm-one
 quaternions with rational coordinates (quat.standard_generators), multiplies
-a word out one product per letter, and decides on that product: a word is
-trivial when it folds to +-1, and a t-free word lies in H or K when the
-SubgroupOracles find it a unit of the matching Eichler order.  Only
-evaluate() embeds the product into PSL2 over Q(sqrt(2)) (quat.phi), as an
-exact, sign-normalized ProjMat; the images property embeds the generators
-the same way for callers that want matrices.
+a word out one product per letter, and decides on that product: a word
+that Britton reduction leaves t-free is trivial when it folds to +-1, and a
+t-free word lies in H or K when the SubgroupOracles find it a unit of the
+matching Eichler order.  The map G -> PSL(2, R) is not injective, so a
+word whose stable letters survive Britton reduction is not trivial by
+Britton's lemma alone, whatever it folds to.  Only evaluate() embeds the
+product into PSL2 over Q(sqrt(2)) (quat.phi), as an exact, sign-normalized
+ProjMat; the images property embeds the generators the same way for
+callers that want matrices.
 """
 
 from __future__ import annotations
@@ -265,20 +269,20 @@ class HnnGroup:
     # -- word problem -----------------------------------------------------------
 
     def is_trivial(self, w) -> bool:
-        """Word problem along both routes; they must agree.
+        """Word problem: Britton's lemma, then two routes that must agree.
 
         A reduced form with surviving stable letters is never trivial
-        (Britton's lemma); a t-free remainder is decided by Dehn's
-        algorithm in the one-relator vertex presentation.
+        (Britton's lemma), whatever the quaternion fold says: the map
+        G -> PSL(2, R) has a kernel, and a word in it folds to +-1.  This
+        verdict has one route, though both membership routes agreed on
+        every pinch Britton reduction refused.  A t-free remainder is
+        decided by Dehn's algorithm in the one-relator vertex presentation
+        and by the fold, which is injective on the vertex group.
         """
         word = free_reduce(self.as_word(w))
         by_matrix = _is_one(_fold(word, self._units))
         form = self.britton_reduce(word)
         if form.exponents:
-            if by_matrix:
-                raise OracleDisagreement(
-                    "matrix evaluates to the identity but stable letters survive"
-                )
             return False
         by_comb = dehn_reduce(form.segments[0], self.vertex) == ()
         if by_comb != by_matrix:

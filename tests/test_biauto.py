@@ -193,6 +193,41 @@ def test_determinize_subset_construction():
         assert not dfa.accepts(w) and not nfa.accepts(w)
 
 
+def test_determinize_drops_dead_and_unreachable_sets():
+    def check(nfa):
+        dfa = nfa.determinize()
+        assert dfa.is_deterministic
+        words = set(nfa.words_up_to(5))
+        for n in range(6):
+            for w in itertools.product(nfa.alphabet, repeat=n):
+                assert dfa.accepts(w) == (w in words) == nfa.accepts(w)
+        # every state is reachable and reaches acceptance, except the one
+        # state of an empty language
+        assert dfa.trim().num_states == dfa.num_states
+        assert dfa.trim().accepting or dfa.num_states == 1
+
+    # two initial states; 2 is unreachable, and 3 and 4 never accept, so
+    # the x-step from {0, 1}, to {3, 4}, leads to no state of the result
+    messy = Fsa(
+        ("x", "y"),
+        6,
+        (0, 1),
+        (5,),
+        [(0, "x", 3), (1, "x", 4), (2, "y", 5), (3, "y", 4),
+         (4, "x", 3), (0, "y", 5), (1, "y", 0), (5, "x", 1)],
+    )
+    assert messy.num_states == 6 and not messy.is_deterministic
+    assert messy.determinize().num_states == 5
+    check(messy)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_automata())
+    def check_drawn(nfa):
+        check(nfa)
+
+    check_drawn()
+
+
 # ---------------------------------------------------------------------------
 # ball oracle
 
@@ -764,6 +799,95 @@ def test_a_small_ball_is_refused_before_any_pair_is_walked(monkeypatch):
         assert lang.check_fellow_traveller(rule) == want
         assert calls
         calls.clear()
+
+
+def test_only_the_worst_pair_is_dated(monkeypatch):
+    from hnnlab import biauto
+
+    calls = []
+    separations = biauto._pair_separations
+    monkeypatch.setattr(
+        biauto,
+        "_pair_separations",
+        lambda *pair: calls.append(pair) or separations(*pair),
+    )
+    model = z2_model()
+    for fsa in (z2_normal_form_fsa(), z2_parity_fsa(), two_words_fsa()):
+        for radius in (0, 1, 7):
+            lang = WindowedLanguage(fsa, model, radius)
+            for rule in ("classical", "simultaneous"):
+                report = lang.check_fellow_traveller(rule)
+                assert report == reference_check_fellow_traveller(lang, rule)
+                # one call, for the reported pair, and none without a pair
+                w = report.witness
+                dated = [] if w is None else [(model, lang.ball, w.u, w.shift, w.v)]
+                assert calls == dated
+                calls.clear()
+
+
+def reference_language_lengths(lang):
+    """Shortest accepted-word length per element, by breadth-first search
+    over (NFA state, element) pairs, one state at a time, to depth
+    2 * radius + 2."""
+    fsa, model = lang.fsa, lang.model
+    best: dict = {}
+    seen = {(s, model.identity) for s in fsa.initial}
+    frontier = list(seen)
+    max_depth = 2 * lang.radius + 2
+    for depth in range(max_depth + 1):
+        for state, elem in frontier:
+            if state in fsa.accepting and elem not in best:
+                best[elem] = depth
+        if depth == max_depth:
+            break
+        nxt = []
+        for state, elem in frontier:
+            for letter in fsa.alphabet:
+                for s2 in fsa.step((state,), letter):
+                    node = (s2, model.mul(elem, model.letter_images[letter]))
+                    if node not in seen:
+                        seen.add(node)
+                        nxt.append(node)
+        frontier = nxt
+    return best
+
+
+def test_language_lengths_match_the_per_state_search():
+    found = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        small_automata(),
+        st.integers(0, 4),
+        st.sampled_from((z2_model, s5_model)),
+    )
+    def check(fsa, radius, make_model):
+        model = make_model()
+        lang = WindowedLanguage(fsa, model, radius)
+        want = reference_language_lengths(lang)
+        # a second window reads the reference lengths
+        ref = WindowedLanguage(fsa, model, radius)
+        ref._ell_cache = want
+        elements = list(want) + lang.ball.elements_of_norm_at_most(radius + 1)
+        for g in elements:
+            if g in want:
+                assert lang.ell(g) == want[g]
+                found["ell"] += 1
+            else:
+                with pytest.raises(OutOfWindow):
+                    lang.ell(g)
+        for g in model.letter_images.values():
+            try:
+                est = ref.tau_estimate(g, max_power=3)
+            except OutOfWindow:
+                with pytest.raises(OutOfWindow):
+                    lang.tau_estimate(g, max_power=3)
+                continue
+            assert lang.tau_estimate(g, max_power=3) == est
+            found["tau"] += 1
+
+    check()
+    assert found["ell"] >= 500 and found["tau"] >= 50
 
 
 @pytest.mark.parametrize("radius", [0, 2, 4, 6])

@@ -235,6 +235,19 @@ def test_trivial_exit_codes(capsys):
     assert code == 1 and out.strip() == "nontrivial"
 
 
+@pytest.mark.parametrize(
+    "word", ["aaBCtbAtD", "aTCtDbCtD", "tCbtBAabDadcBBBC", "aaBCtbAtDtdTaBTcbAAT"]
+)
+def test_trivial_answers_kernel_words_nontrivial(capsys, word):
+    # each word folds to +-1 (the map G -> PSL(2, R) has a kernel), and
+    # stable letters survive Britton reduction: not trivial, exit 1
+    code, out, err = run(capsys, ["trivial", word])
+    assert (code, out, err) == (1, "nontrivial\n", "")
+    code, out, err = run(capsys, ["trivial", "--json", word])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"word": word, "trivial": False}
+
+
 # ---------------------------------------------------------------------------
 # cosets, tree, abelianize
 

@@ -7,6 +7,7 @@ split, so simply exercising them on random inputs is part of the test.
 """
 
 import copy
+import math
 import random
 
 import pytest
@@ -226,6 +227,97 @@ def test_word_problem_evaluates_the_free_reduction(monkeypatch):
         # the whole word is folded once, after free reduction
         assert evaluated[0] == free_reduce(padded)
         assert len(evaluated[0]) < len(padded)
+
+
+# words whose quaternion folds to +-1 although they are not trivial in G:
+# the map G -> PSL(2, R) has a kernel.  The last is the commutator of the
+# first with t, with t-exponent sum 0.
+KERNEL_WORDS = ("aaBCtbAtD", "aTCtDbCtD", "tCbtBAabDadcBBBC", "aaBCtbAtDtdTaBTcbAAT")
+
+
+def t_exponent_sum(word: str) -> int:
+    return word.count("t") - word.count("T")
+
+
+def test_kernel_words_are_nontrivial():
+    for w in KERNEL_WORDS:
+        word = G.as_word(w)
+        assert hnn._is_one(hnn._fold(word, G._units))
+        # Britton's lemma: surviving stable letters mean not trivial
+        assert G.britton_reduce(word).exponents
+        assert G.is_trivial(w) is False
+    assert [t_exponent_sum(w) for w in KERNEL_WORDS] == [2, 1, 2, 0]
+    assert G.britton_reduce(KERNEL_WORDS[-1]).t_count == 6
+
+
+def _primitive(q):
+    g = math.gcd(*q)
+    q = tuple(x // g for x in q)
+    return q if next(x for x in q if x) > 0 else tuple(-x for x in q)
+
+
+def _times(x, y):
+    """The product of two integer quaternions of the algebra (2, 13), as a
+    primitive integer 4-vector up to sign: one key per element of PSL2."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return _primitive(
+        (
+            x0 * y0 + 2 * x1 * y1 + 13 * x2 * y2 - 26 * x3 * y3,
+            x0 * y1 + x1 * y0 - 13 * x2 * y3 + 13 * x3 * y2,
+            x0 * y2 + x2 * y0 + 2 * x1 * y3 - 2 * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+        )
+    )
+
+
+def quaternion_ball_collisions():
+    """Word pairs (u, v) of length <= 5 with equal quaternions and
+    different t-exponent sums, from a breadth-first ball over a, b, c, d, t
+    keyed by primitive integer 4-vector up to sign (73,461 elements)."""
+    images = {}
+    for name, q in standard_generators().items():
+        den = math.lcm(*(x.denominator for x in q.coords()))
+        key = _primitive(tuple(int(x * den) for x in q.coords()))
+        images[name] = key
+        images[name.upper()] = _primitive((key[0], -key[1], -key[2], -key[3]))
+    one = (1, 0, 0, 0)
+    ball = {one: ""}
+    frontier = [one]
+    collisions = []
+    for _ in range(5):
+        nxt = []
+        for g in frontier:
+            w = ball[g]
+            for letter, image in images.items():
+                h = _times(g, image)
+                other = ball.get(h)
+                if other is None:
+                    ball[h] = w + letter
+                    nxt.append(h)
+                elif t_exponent_sum(other) != t_exponent_sum(w + letter):
+                    collisions.append((w + letter, other))
+        frontier = nxt
+    assert len(ball) == 73461
+    return collisions
+
+
+def test_kernel_words_from_the_quaternion_ball_are_nontrivial():
+    pairs = quaternion_ball_collisions()
+    assert len(pairs) > 90
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(pairs))
+    def check(pair):
+        u, v = pair
+        word = G.as_word(u) + invert_word(G.as_word(v))
+        # a kernel word: it folds to +-1, and no trivial word has a
+        # nonzero t-exponent sum
+        assert hnn._is_one(hnn._fold(word, G._units))
+        assert t_exponent_sum(u) != t_exponent_sum(v)
+        assert G.is_trivial(word) is False
+
+    check()
 
 
 def test_tree_geometry():
