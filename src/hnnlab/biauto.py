@@ -26,8 +26,8 @@ rule already forces 3 (translate x^2y^2 by one x and compare with y^2).
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -49,8 +49,8 @@ class Fsa:
 
     States are integers 0..num_states-1.  Nondeterminism (several initial
     states or repeated (state, letter) transitions) is allowed: every walk
-    over the language reads the lazily built subset automaton (_Subsets)
-    of the trimmed automaton.
+    over the language, and count_paths, reads one lazily built subset
+    automaton (_Subsets) over the live states, made on first use.
     """
 
     def __init__(self, alphabet, num_states, initial, accepting, transitions):
@@ -104,10 +104,10 @@ class Fsa:
         return bool(states & self.accepting)
 
     def determinize(self) -> "Fsa":
-        """The subset automaton of the trimmed automaton, in breadth-first
+        """The subset automaton over the live states, in breadth-first
         order: equivalent and deterministic, and with no dead set (an empty
         language gives one state that accepts nothing)."""
-        sets = _Subsets(self)
+        sets = self._subsets
         trans = []
         i = 0
         # reading a row numbers the sets it reaches first
@@ -117,44 +117,9 @@ class Fsa:
         accepting = [i for i, flag in enumerate(sets.accepting) if flag]
         return Fsa(self.alphabet, len(sets.accepting), 0, accepting, trans)
 
-    def trim(self) -> "Fsa":
-        """Drop states that are unreachable or cannot reach acceptance."""
-        # built from the transitions alone: a declared state count costs
-        # nothing by itself
-        fwd: dict[int, set[int]] = {}
-        bwd: dict[int, set[int]] = {}
-        for src, _, dst in self.transitions():
-            fwd.setdefault(src, set()).add(dst)
-            bwd.setdefault(dst, set()).add(src)
-
-        def closure(seeds, edges):
-            seen = set(seeds)
-            queue = deque(seeds)
-            while queue:
-                s = queue.popleft()
-                for nxt in edges.get(s, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            return seen
-
-        reach = closure(self.initial, fwd)
-        coacc = closure(self.accepting, bwd)
-        keep = sorted(reach & coacc)
-        if not keep:
-            return Fsa(self.alphabet, 1, 0, (), ())
-        renum = {s: i for i, s in enumerate(keep)}
-        return Fsa(
-            self.alphabet,
-            len(keep),
-            [renum[s] for s in self.initial if s in renum],
-            [renum[s] for s in self.accepting if s in renum],
-            [
-                (renum[a], letter, renum[b])
-                for a, letter, b in self.transitions()
-                if a in renum and b in renum
-            ],
-        )
+    @cached_property
+    def _subsets(self) -> "_Subsets":
+        return _Subsets(self)
 
     def words_up_to(self, max_len: int):
         """Yield all accepted words of length <= max_len (letter tuples),
@@ -170,7 +135,7 @@ class Fsa:
 
         The frontier holds every live prefix of the current length, with
         the number of the set of states it reaches."""
-        sets = _Subsets(self)
+        sets = self._subsets
         if sets.accepting[0]:
             yield (), start
         frontier = [((), 0, start)]
@@ -186,13 +151,22 @@ class Fsa:
             frontier = nxt
 
     def count_paths(self, max_len: int) -> int:
-        """Paths of length <= max_len from an initial state of the trimmed
-        automaton: a bound on the prefixes words_up_to walks."""
+        """Paths of length <= max_len from an initial state through the live
+        states: a bound on the prefixes words_up_to walks.  An empty language
+        still has the empty prefix."""
         _check_length(max_len)
-        live = self.trim()
-        edges = [(src, dst) for src, _, dst in live.transitions()]
-        counts = dict.fromkeys(live.initial, 1)
-        total = len(counts)
+        # one int object per state: a JSON file gives each occurrence of a
+        # state its own, and a dict lookup is quickest on the same object
+        live = {s: s for s in self._subsets.live}
+        edges = [
+            (live[src], live[dst])
+            for (src, _), dsts in self._delta.items()
+            if src in live
+            for dst in dsts
+            if dst in live
+        ]
+        counts = dict.fromkeys([live[s] for s in self.initial if s in live], 1)
+        total = len(counts) or 1
         for _ in range(max_len):
             nxt: dict[int, int] = {}
             for src, dst in edges:
@@ -236,37 +210,58 @@ class Fsa:
 
 
 class _Subsets(dict):
-    """The subset automaton of an Fsa's trimmed automaton, built as read.
+    """The subset automaton of an Fsa over its live states, built as read.
 
-    Set 0 is the set of initial states, and each later set is numbered
-    when a row first reaches it; `accepting[i]` says whether set i holds
-    an accepting state.  `self[i]`, the row of set i, lists (letter, j,
-    accepting[j]) for each letter, in alphabet order, that leads from set
-    i to a nonempty set j; it is computed the first time it is read.
-    Every set can reach acceptance, except set 0 of an empty language."""
+    `live` holds the states reachable from an initial state that can reach
+    acceptance, found from the transitions alone.  Set 0 is the set of live
+    initial states, and each later set is numbered when a row first reaches
+    it; `accepting[i]` says whether set i holds an accepting state.
+    `self[i]`, the row of set i, lists (letter, j, accepting[j]) for each
+    letter, in alphabet order, that leads from set i to a nonempty set j of
+    live states; it is computed the first time it is read.  Every set can
+    reach acceptance, except set 0 of an empty language."""
 
     def __init__(self, fsa: Fsa):
         super().__init__()
-        self._live = fsa.trim()
-        first = frozenset(self._live.initial)
+        fwd, bwd = {}, {}
+        for (src, _), dsts in fsa._delta.items():
+            fwd.setdefault(src, []).extend(dsts)
+            for dst in dsts:
+                bwd.setdefault(dst, []).append(src)
+        self.fsa = fsa
+        self.live = _closure(fsa.initial, fwd) & _closure(fsa.accepting, bwd)
+        first = frozenset(self.live.intersection(fsa.initial))
         self._numbering = {first: 0}
         self._sets = [first]
-        self.accepting = [bool(first & self._live.accepting)]
+        self.accepting = [bool(first & fsa.accepting)]
 
     def __missing__(self, i):
-        live, numbering, accepting = self._live, self._numbering, self.accepting
+        fsa, live = self.fsa, self.live
+        numbering, accepting = self._numbering, self.accepting
         row = self[i] = []
-        for letter in live.alphabet:
-            after = live.step(self._sets[i], letter)
+        for letter in fsa.alphabet:
+            after = fsa.step(self._sets[i], letter) & live
             if not after:
                 continue
             j = numbering.get(after)
             if j is None:
                 j = numbering[after] = len(self._sets)
                 self._sets.append(after)
-                accepting.append(bool(after & live.accepting))
+                accepting.append(bool(after & fsa.accepting))
             row.append((letter, j, accepting[j]))
         return row
+
+
+def _closure(seeds, edges) -> set:
+    """The states reached from seeds along edges (state -> successors)."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for nxt in edges.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 _FSA_FIELDS = ("alphabet", "num_states", "initial", "accepting", "transitions")
@@ -713,7 +708,7 @@ class WindowedLanguage:
         an element's language length counts as inside the window when it
         is at most that."""
         best: dict = {}
-        sets = _Subsets(self.fsa)
+        sets = self.fsa._subsets
         mul, images = self.model.mul, self.model.letter_images
         seen = {(0, self.model.identity)}
         frontier = list(seen)
@@ -734,10 +729,12 @@ class WindowedLanguage:
             frontier = nxt
         return best
 
+    @cached_property
+    def _ell_cache(self) -> dict:
+        return self._language_lengths()
+
     def ell(self, g) -> int:
         """Length of the shortest accepted word representing g."""
-        if not hasattr(self, "_ell_cache"):
-            self._ell_cache = self._language_lengths()
         try:
             return self._ell_cache[g]
         except KeyError:
@@ -859,7 +856,8 @@ def z2_parity_fsa() -> Fsa:
     with the window radius.
     """
     # state 0: start
-    # 1..4:   initial x-run, (sign, parity) in (+even? no: (+,odd), (+,even), (-,odd), (-,even))
+    # 1..4:   initial x-run as (sign, parity of the length so far):
+    #         (+, odd), (+, even), (-, odd), (-, even)
     # 5..8:   y-run after x-run, accepting when total parity is even
     # 9..12:  initial y-run
     # 13..16: x-run after y-run, accepting when total parity is odd

@@ -40,7 +40,8 @@ DISPLAY_DIGITS = 50
 _FSA_RADIUS_LIMIT = 64
 # a user automaton is bounded by its window, not its radius: these admit
 # every built-in language at radius 64 (16385 prefixes, 208025 pairs) and
-# refuse the all-words automaton from radius 6 on (60 million pairs)
+# refuse the all-words automaton from radius 4 on (349525 pairs; 21250 at
+# radius 3)
 _FSA_PREFIX_LIMIT = 20_000
 _FSA_PAIRS_LIMIT = 250_000
 # an automaton file is read only if it is a regular file, and only up to

@@ -160,21 +160,6 @@ def test_many_transitions_on_one_state_letter_load_quickly():
     assert [dst for _, _, dst in fsa.transitions()] == list(range(n))
 
 
-def test_trim_drops_dead_and_unreachable_states():
-    messy = Fsa(
-        ("x",),
-        5,
-        0,
-        (1,),
-        [(0, "x", 1), (2, "x", 1), (1, "x", 3), (3, "x", 3)],
-    )
-    lean = messy.trim()
-    # state 2 is unreachable, states 3 and 4 never reach acceptance
-    assert lean.num_states == 2
-    assert lean.accepts(("x",))
-    assert not lean.accepts(("x", "x"))
-
-
 def test_determinize_subset_construction():
     # two initial states guessing the first letter
     nfa = Fsa(
@@ -203,8 +188,9 @@ def test_determinize_drops_dead_and_unreachable_sets():
                 assert dfa.accepts(w) == (w in words) == nfa.accepts(w)
         # every state is reachable and reaches acceptance, except the one
         # state of an empty language
-        assert dfa.trim().num_states == dfa.num_states
-        assert dfa.trim().accepting or dfa.num_states == 1
+        assert dfa.accepting or dfa.num_states == 1
+        live = set(range(dfa.num_states)) if dfa.accepting else set()
+        assert dfa._subsets.live == live
 
     # two initial states; 2 is unreachable, and 3 and 4 never accept, so
     # the x-step from {0, 1}, to {3, 4}, leads to no state of the result
@@ -954,6 +940,98 @@ def test_negative_lengths_are_refused():
     # length 0, and still one path of length 0
     assert list(two_words_fsa().words_up_to(0)) == []
     assert two_words_fsa().count_paths(0) == 1
+
+
+def reference_count_paths(fsa, max_len):
+    """Paths of length <= max_len from an initial state, counted on a copy
+    of the automaton with its unreachable and dead states removed and the
+    rest renumbered (an empty language keeps one state: its empty path)."""
+    fwd, bwd = {}, {}
+    for src, _, dst in fsa.transitions():
+        fwd.setdefault(src, set()).add(dst)
+        bwd.setdefault(dst, set()).add(src)
+
+    def closure(seeds, edges):
+        seen, todo = set(seeds), list(seeds)
+        while todo:
+            for nxt in edges.get(todo.pop(), set()) - seen:
+                seen.add(nxt)
+                todo.append(nxt)
+        return seen
+
+    keep = sorted(closure(fsa.initial, fwd) & closure(fsa.accepting, bwd))
+    if not keep:
+        return 1
+    renum = {s: i for i, s in enumerate(keep)}
+    edges = [
+        (renum[a], renum[b])
+        for a, _, b in fsa.transitions()
+        if a in renum and b in renum
+    ]
+    counts = Counter(renum[s] for s in fsa.initial if s in renum)
+    total = sum(counts.values())
+    for _ in range(max_len):
+        nxt = Counter()
+        for a, b in edges:
+            nxt[b] += counts[a]
+        counts = nxt
+        total += sum(counts.values())
+    return total
+
+
+def test_count_paths_matches_the_trimmed_copy():
+    found = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_automata(), st.integers(0, 6))
+    def check(fsa, max_len):
+        assert fsa.count_paths(max_len) == reference_count_paths(fsa, max_len)
+        found[bool(fsa.determinize().accepting)] += 1
+
+    check()
+    assert min(found.values()) >= 20
+    # no state at all: the empty language's one empty path
+    assert Fsa(("x",), 0, (), (), ()).count_paths(3) == 1
+
+
+def spy_subsets(monkeypatch) -> list:
+    """The automata whose subset automaton is built, one entry per build."""
+    from hnnlab import biauto
+
+    calls = []
+    init = biauto._Subsets.__init__
+    monkeypatch.setattr(
+        biauto._Subsets,
+        "__init__",
+        lambda self, fsa: calls.append(fsa) or init(self, fsa),
+    )
+    return calls
+
+
+def test_a_window_and_ell_share_one_subset_automaton(monkeypatch):
+    calls = spy_subsets(monkeypatch)
+    fsa = z2_parity_fsa()
+    lang = WindowedLanguage(fsa, z2_model(), 4)
+    lang.analyze()
+    assert lang.ell((1, 1)) == 2
+    fsa.count_paths(4)
+    assert calls == [fsa]
+
+
+def test_determinize_does_not_depend_on_earlier_walks(monkeypatch):
+    calls = spy_subsets(monkeypatch)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_automata())
+    def check(nfa):
+        fresh = Fsa(**nfa.to_json()).determinize()
+        calls.clear()
+        list(nfa.words_up_to(4))
+        # the rows the walk read are the ones determinize goes on from
+        assert nfa.determinize().to_json() == fresh.to_json()
+        assert calls == [nfa]
+
+    check()
 
 
 # ---------------------------------------------------------------------------

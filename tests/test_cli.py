@@ -496,17 +496,40 @@ def test_fsa_check_refuses_windows_with_too_many_pairs(
     for name in BUILTIN_LANGUAGES:
         with pytest.raises(Analyzed):
             cli.main(["fsa-check", name, "--radius", str(cli._FSA_RADIUS_LIMIT)])
-    # 5461 prefixes pass, but the identity alone has 441 words
     path = tmp_path / "lang.json"
     path.write_text(json.dumps(EVERY_WORD.to_json()))
-    code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "6"])
-    assert code == 2 and out == ""
-    assert err.endswith(f"above the limit {cli._FSA_PAIRS_LIMIT}\n")
+    # radius 3: 85 window words, at most 10 for one element, so a pair
+    # bound of 25 * 85 * 10 = 21250
+    with pytest.raises(Analyzed):
+        cli.main(["fsa-check", str(path), "--radius", "3"])
+    # radius 4 (25 * 341 * 41 = 349525) and radius 6 (5461 prefixes pass,
+    # but the identity alone has 441 words) are refused
+    for radius in (4, 6):
+        argv = ["fsa-check", str(path), "--radius", str(radius)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"above the limit {cli._FSA_PAIRS_LIMIT}\n")
+
+
+def test_fsa_check_builds_one_automaton(capsys, monkeypatch, tmp_path):
+    # the path count and the window read the file's automaton itself, not
+    # copies of it
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps(biauto.z2_parity_fsa().to_json()))
+    calls = []
+    init = Fsa.__init__
+    monkeypatch.setattr(
+        Fsa, "__init__", lambda self, *args: calls.append(args) or init(self, *args)
+    )
+    code, out, _ = run(capsys, ["fsa-check", str(path), "--radius", "6"])
+    assert code == 0 and "zeta=6 (no cap, 661 pairs)" in out
+    assert len(calls) == 1
 
 
 def test_fsa_check_declared_states_cost_nothing_by_themselves(capsys, tmp_path):
-    # trim and count_paths used to build dicts over every declared state
-    # before any cap applied: 10**6 states took 7.7 s and 631 MB
+    # the live states and the path count are found from the transitions
+    # alone; built over every declared state, 10**6 states took 7.7 s and
+    # 631 MB
     path = tmp_path / "lang.json"
     data = {"alphabet": list(LETTERS), "num_states": 10**6, "initial": [0],
             "accepting": [0], "transitions": []}
@@ -655,6 +678,78 @@ def test_fsa_check_fuzzed_automata_exit_cleanly(capsys, tmp_path):
     # every exit code occurs, and many radius-64 windows are analyzed
     assert min(codes[0, 0], codes[1, 0], codes[2, 64]) >= 5
     assert codes[1, 64] >= 50
+
+
+@st.composite
+def lattice_words(draw):
+    """A word argument for the lattice subcommands: compact letters of both
+    cases, `*` tokens with exponents, or a fixed word; a compact word may
+    carry a letter outside the alphabet, non-ASCII ones among them.  An
+    accepted word has at most 200 letters."""
+    kind = draw(st.sampled_from(("compact", "tokens", "fixed")))
+    if kind == "fixed":
+        return draw(st.sampled_from(("", " ", "\t", "1", " 1 ", "aaBCtbAtD")))
+    if kind == "compact":
+        word = draw(st.text(st.sampled_from("abcdtABCDT"), max_size=200))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(word)))
+            word = word[:i] + draw(st.sampled_from("xzXéßΩ٣7 ")) + word[i:]
+        return word
+    names = st.sampled_from(("a", "b", "c", "d", "t", "A", "x", "é"))
+    exponents = st.sampled_from(
+        ("", "^2", "^-3", "^+1", "^0", "^", "^1_0", "^٣", "^12", "^4001", "^-5000")
+    )
+    tokens = draw(st.lists(st.tuples(names, exponents), min_size=1, max_size=8))
+    sep = draw(st.sampled_from(("*", " * ", "**")))
+    return sep.join(name + exp for name, exp in tokens)
+
+
+@st.composite
+def lattice_argv(draw):
+    command = draw(
+        st.sampled_from(
+            ("trivial", "britton", "reduce", "classify", "tree", "lengths", "verify")
+        )
+    )
+    if command == "verify":
+        argv = [command, "--samples", str(draw(st.sampled_from((-1, 0, 2, 1001))))]
+    elif command in ("tree", "lengths"):
+        argv = [command, *draw(st.lists(lattice_words(), max_size=3))]
+        if command == "lengths":
+            argv += ["--bound", str(draw(st.sampled_from((0, 1, 1024, 1025))))]
+    else:
+        argv = [command, draw(lattice_words())]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+def test_lattice_commands_fuzzed_argv_exit_cleanly(capsys):
+    codes = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(lattice_argv())
+    def check(argv):
+        with time_limit(FUZZ_CALL_SECONDS):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refusing the argv
+                code = exc.code
+        out, err = capsys.readouterr()
+        # exit 3, the routes disagreeing, would be a defect of the lattice
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+        elif "--json" in argv:
+            json.loads(out)
+        codes[argv[0], code] += 1
+
+    check()
+    # each subcommand answers, and refuses, some of its argv
+    for command in ("trivial", "britton", "reduce", "classify", "tree", "lengths"):
+        assert min(codes[command, 0], codes[command, 2]) >= 3
+    assert codes["trivial", 1] >= 3 and codes["verify", 0] >= 3
 
 
 def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):
