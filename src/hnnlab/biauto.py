@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -155,6 +156,10 @@ class Fsa:
         states: a bound on the prefixes words_up_to walks.  An empty language
         still has the empty prefix."""
         _check_length(max_len)
+        return next(islice(self._path_totals(), max_len, None))
+
+    def _path_totals(self):
+        """Yield count_paths(0), count_paths(1), ... without end."""
         # one int object per state: a JSON file gives each occurrence of a
         # state its own, and a dict lookup is quickest on the same object
         live = {s: s for s in self._subsets.live}
@@ -167,14 +172,15 @@ class Fsa:
         ]
         counts = dict.fromkeys([live[s] for s in self.initial if s in live], 1)
         total = len(counts) or 1
-        for _ in range(max_len):
+        yield total
+        while True:
             nxt: dict[int, int] = {}
             for src, dst in edges:
                 if src in counts:
                     nxt[dst] = nxt.get(dst, 0) + counts[src]
             counts = nxt
             total += sum(counts.values())
-        return total
+            yield total
 
     def to_json(self) -> dict:
         return {

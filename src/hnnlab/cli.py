@@ -454,11 +454,18 @@ def _cmd_fsa_check(args) -> int:
     if args.cap is not None and args.cap < 0:
         raise ValueError(f"fellow-traveller cap must be >= 0, got {args.cap}")
     fsa, model = _load_language(args.language)
-    # the window's own message, before count_paths refuses it in other words
+    # the window's own message, before the path count refuses it in other words
     if args.radius < 0:
         raise ValueError(f"window radius must be >= 0, got {args.radius}")
-    paths = fsa.count_paths(args.radius)
-    _check_limit("automaton path count", paths, _FSA_PREFIX_LIMIT)
+    # count_paths, stopped at the first length over the limit: each further
+    # length can multiply the count, and the cost of the next, by the
+    # automaton's out-degree
+    for length, paths in zip(range(args.radius + 1), fsa._path_totals()):
+        if paths > _FSA_PREFIX_LIMIT:
+            raise ValueError(
+                f"automaton path count up to length {length} is above the"
+                f" limit {_FSA_PREFIX_LIMIT}"
+            )
     lang = biauto.WindowedLanguage(fsa, model, args.radius)
     # each word, unshifted or shifted by a letter, is paired with the words
     # of each element at most one letter from its end

@@ -62,13 +62,15 @@ class CapExceeded(RuntimeError):
 # words
 
 
-def free_reduce(word) -> Word:
+def free_reduce(*words) -> Word:
+    """The free reduction of the concatenation of the words."""
     out: list[int] = []
-    for g in word:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
+    for w in words:
+        for g in w:
+            if out and out[-1] == -g:
+                out.pop()
+            else:
+                out.append(g)
     return tuple(out)
 
 
@@ -83,23 +85,19 @@ def invert_word(word) -> Word:
     return tuple([-g for g in reversed(word)])
 
 
-def _concat(*words) -> Word:
-    out: list[int] = []
-    for w in words:
-        for g in w:
-            if out and out[-1] == -g:
-                out.pop()
-            else:
-                out.append(g)
-    return tuple(out)
-
-
 def _validate_word(word, ngens: int) -> Word:
     w = tuple(word)
     for g in w:
         if not isinstance(g, int) or g == 0 or abs(g) > ngens:
             raise ValueError(f"letter {g!r} outside alphabet of size {ngens}")
     return w
+
+
+def _reduced_words(items, alphabet) -> tuple[Word, ...]:
+    """Strings in either grammar or letter sequences, checked against the
+    alphabet and freely reduced."""
+    words = (parse_word(w, alphabet) if isinstance(w, str) else w for w in items)
+    return tuple(free_reduce(_validate_word(w, len(alphabet))) for w in words)
 
 
 def parse_word(text: str, alphabet) -> Word:
@@ -175,11 +173,7 @@ class Presentation:
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
-        rels = []
-        for r in relators:
-            w = parse_word(r, self.generators) if isinstance(r, str) else tuple(r)
-            rels.append(free_reduce(_validate_word(w, len(self.generators))))
-        self.relators = tuple(rels)
+        self.relators = _reduced_words(relators, self.generators)
 
     @property
     def ngens(self) -> int:
@@ -327,11 +321,13 @@ def _letter_of_col(col: int) -> int:
 class _Enumerator:
     """Working state of the modified Todd-Coxeter enumeration (HLT style).
 
-    Decorations live alongside the table: deco[a][col] is a word over the
-    subgroup alphabet with  rep(a) * letter = deco * rep(b).  Both
-    directions of an edge are always stored together, with mirrored
-    (inverse) decorations, so backward scans can read decorations straight
-    from the table.
+    Decorations live alongside the table: deco[a][c] is a word over the
+    subgroup alphabet with  rep(a) * x = deco * rep(b)  for the letter x of
+    column c.  Both directions of an edge are always stored together, with
+    mirrored (inverse) decorations, in columns c and c ^ 1 (a letter and
+    its inverse), so backward scans can read decorations straight from the
+    table.  Words are scanned as column sequences.  A merged coset has an
+    entry in parent and an empty row.
     """
 
     def __init__(self, ncols: int, cap: int):
@@ -340,7 +336,6 @@ class _Enumerator:
         self.table: list[list[int | None]] = []
         self.deco: list[list[Word | None]] = []
         self.parent: dict[int, tuple[int, Word]] = {}
-        self.dead: set[int] = set()
         self.pending: list[tuple[int, int, Word]] = []
         self.new_coset()
 
@@ -357,17 +352,16 @@ class _Enumerator:
         if entry is None:
             return a, ()
         root, up = self.find(entry[0])
-        w = _concat(entry[1], up)
+        w = free_reduce(entry[1], up)
         self.parent[a] = (root, w)
         return root, w
 
-    def set_edge(self, a: int, letter: int, b: int, p: Word) -> None:
-        ca, cb = _col(letter), _col(-letter)
-        assert self.table[a][ca] is None and self.table[b][cb] is None
-        self.table[a][ca] = b
-        self.deco[a][ca] = p
-        self.table[b][cb] = a
-        self.deco[b][cb] = invert_word(p)
+    def set_edge(self, a: int, c: int, b: int, p: Word) -> None:
+        assert self.table[a][c] is None and self.table[b][c ^ 1] is None
+        self.table[a][c] = b
+        self.deco[a][c] = p
+        self.table[b][c ^ 1] = a
+        self.deco[b][c ^ 1] = invert_word(p)
 
     def coincidence(self, lam: int, mu: int, omega: Word) -> None:
         """Record rep(lam) = omega * rep(mu) and process to completion."""
@@ -381,13 +375,12 @@ class _Enumerator:
             # rep(l) = w*rep(m):  lw*rep(lr) = w*mw*rep(mr)
             if lr < mr:
                 keep, gone = lr, mr
-                u = _concat(invert_word(mw), invert_word(w), lw)
+                u = free_reduce(invert_word(mw), invert_word(w), lw)
             else:
                 keep, gone = mr, lr
-                u = _concat(invert_word(lw), w, mw)
+                u = free_reduce(invert_word(lw), w, mw)
             # rep(gone) = u * rep(keep)
             self.parent[gone] = (keep, u)
-            self.dead.add(gone)
             row = self.table[gone]
             drow = self.deco[gone]
             self.table[gone] = [None] * self.ncols
@@ -396,82 +389,76 @@ class _Enumerator:
                 beta = row[c]
                 if beta is None:
                     continue
-                # drop the mirror entry pointing back at the dead coset
-                if beta != gone and self.table[beta][_col(-_letter_of_col(c))] == gone:
-                    mc = _col(-_letter_of_col(c))
-                    self.table[beta][mc] = None
-                    self.deco[beta][mc] = None
+                # drop the mirror entry pointing back at the dead coset (a
+                # loop's is gone with the row)
+                if self.table[beta][c ^ 1] == gone:
+                    self.table[beta][c ^ 1] = None
+                    self.deco[beta][c ^ 1] = None
                 br, bw = self.find(beta)
                 # rep(gone)*x = p*rep(beta):  rep(keep)*x = u^-1*p*bw*rep(br)
-                q = _concat(invert_word(u), drow[c], bw)
-                x = _letter_of_col(c)
+                q = free_reduce(invert_word(u), drow[c], bw)
                 target = self.table[keep][c]
                 if target is not None:
                     # rep(keep)*x also equals deco*rep(target)
                     self.pending.append(
-                        (target, br, _concat(invert_word(self.deco[keep][c]), q))
+                        (target, br, free_reduce(invert_word(self.deco[keep][c]), q))
                     )
                     continue
-                back = self.table[br][_col(-x)]
+                back = self.table[br][c ^ 1]
                 if back is not None:
                     # some coset already maps to br under x
-                    pb = self.deco[br][_col(-x)]
+                    pb = self.deco[br][c ^ 1]
                     # rep(br)*x^-1 = pb*rep(back) => rep(back)*x = pb^-1*rep(br)
-                    self.pending.append((keep, back, _concat(q, pb)))
+                    self.pending.append((keep, back, free_reduce(q, pb)))
                     continue
-                self.set_edge(keep, x, br, q)
+                self.set_edge(keep, c, br, q)
 
-    def scan_and_fill(self, alpha: int, word: Word, value: Word) -> None:
-        """Trace  rep(alpha)*word = value*rep(alpha), defining cosets for
-        gaps, deducing the final missing edge, or merging on disagreement."""
-        k = len(word)
+    def scan_and_fill(self, alpha: int, cols: Word, value: Word) -> None:
+        """Trace  rep(alpha)*word = value*rep(alpha)  along the word's
+        columns, defining cosets for gaps, deducing the final missing edge,
+        or merging on disagreement."""
+        k = len(cols)
         while True:
-            if alpha in self.dead:
+            if alpha in self.parent:
                 return  # the scan at the surviving root covers this one
             f, F, i = alpha, (), 0
             while i < k:
-                nxt = self.table[f][_col(word[i])]
+                nxt = self.table[f][cols[i]]
                 if nxt is None:
                     break
-                F = _concat(F, self.deco[f][_col(word[i])])
+                F = free_reduce(F, self.deco[f][cols[i]])
                 f = nxt
                 i += 1
-            if i == k:
-                if f == alpha:
-                    return
-                self.coincidence(f, alpha, _concat(invert_word(F), value))
-                continue
             b, B, j = alpha, (), k
             while j > i:
-                prev = self.table[b][_col(-word[j - 1])]
+                prev = self.table[b][cols[j - 1] ^ 1]
                 if prev is None:
                     break
-                B = _concat(self.deco[prev][_col(word[j - 1])], B)
+                B = free_reduce(self.deco[prev][cols[j - 1]], B)
                 b = prev
                 j -= 1
-            if j == i:
-                if f == b:
-                    return
-                self.coincidence(
-                    f, b, _concat(invert_word(F), value, invert_word(B))
-                )
+            if j > i + 1:
+                self.set_edge(f, cols[i], self.new_coset(), ())
                 continue
-            if j == i + 1:
-                p = _concat(invert_word(F), value, invert_word(B))
-                self.set_edge(f, word[i], b, p)
+            if j == i and f == b:
                 return
-            beta = self.new_coset()
-            self.set_edge(f, word[i], beta, ())
+            # rep(f) * word[i:j] = p * rep(b)
+            p = free_reduce(invert_word(F), value, invert_word(B))
+            if j == i:
+                self.coincidence(f, b, p)
+                continue
+            self.set_edge(f, cols[i], b, p)
+            return
 
     def verify(self, relators, subgroup_words) -> None:
-        for a in range(len(self.table)):
-            if a in self.dead:
+        """Check the live rows and the traces of column words."""
+        for a, row in enumerate(self.table):
+            if a in self.parent:
                 continue
-            for c in range(self.ncols):
-                b = self.table[a][c]
+            for c, b in enumerate(row):
                 if b is None:
                     raise RuntimeError("incomplete table after enumeration")
-                if self.table[b][_col(-_letter_of_col(c))] != a:
+                if self.table[b][c ^ 1] != a:
                     raise RuntimeError("mirror inconsistency in coset table")
             for r in relators:
                 if self._trace(a, r) != a:
@@ -480,9 +467,9 @@ class _Enumerator:
             if self._trace(0, h) != 0:
                 raise RuntimeError("subgroup generator leaves coset 0")
 
-    def _trace(self, a: int, word: Word) -> int | None:
-        for g in word:
-            nxt = self.table[a][_col(g)]
+    def _trace(self, a: int, cols: Word) -> int | None:
+        for c in cols:
+            nxt = self.table[a][c]
             if nxt is None:
                 return None
             a = nxt
@@ -518,19 +505,19 @@ class CosetTable(NamedTuple):
     def rewrite(self, word) -> Word:
         """Rewrite a word lying in the subgroup over the subgroup alphabet.
 
-        Chains the decorations along the scan from coset 0:
+        Multiplies out the decorations along the scan from coset 0:
         rep(0) * word = result * rep(end), and rep(0) is empty, so the
         scan must end back at coset 0 for word to lie in the subgroup.
         """
         table, decorations = self.table, self.decorations
-        a, acc = 0, ()
+        a, parts = 0, []
         for g in word:
             c = _col(g)
-            acc = _concat(acc, decorations[a][c])
+            parts.append(decorations[a][c])
             a = table[a][c]
         if a != 0:
             raise NotInSubgroup(f"word ends at coset {a}, not at the subgroup")
-        return acc
+        return free_reduce(*parts)
 
     def expand_subgroup_word(self, word) -> Word:
         """Substitute each subgroup letter by its defining ambient word."""
@@ -538,7 +525,7 @@ class CosetTable(NamedTuple):
         for g in word:
             w = words[abs(g) - 1]
             parts.append(w if g > 0 else invert_word(w))
-        return _concat(*parts)
+        return free_reduce(*parts)
 
     def to_json(self) -> dict:
         columns = []
@@ -579,10 +566,7 @@ def todd_coxeter(
     subgroup_generators may be words or strings in either grammar.  The
     subgroup alphabet defaults to h1, h2, ...
     """
-    words = []
-    for h in subgroup_generators:
-        w = presentation.parse(h) if isinstance(h, str) else tuple(h)
-        words.append(free_reduce(_validate_word(w, presentation.ngens)))
+    words = _reduced_words(subgroup_generators, presentation.generators)
     if subgroup_names is None:
         subgroup_names = tuple(f"h{m+1}" for m in range(len(words)))
     else:
@@ -591,24 +575,21 @@ def todd_coxeter(
             raise ValueError("one name per subgroup generator required")
 
     enum = _Enumerator(2 * presentation.ngens, cap)
-    for m, h in enumerate(words):
+    generators = [tuple(map(_col, h)) for h in words]
+    relators = [tuple(map(_col, r)) for r in presentation.relators]
+    for m, h in enumerate(generators):
         enum.scan_and_fill(0, h, (m + 1,))
     alpha = 0
     while alpha < len(enum.table):
-        if alpha not in enum.dead:
-            for r in presentation.relators:
-                if alpha in enum.dead:
-                    break
-                enum.scan_and_fill(alpha, r, ())
-        if alpha not in enum.dead:
-            for c in range(enum.ncols):
-                if alpha in enum.dead:
-                    break
-                if enum.table[alpha][c] is None:
-                    beta = enum.new_coset()
-                    enum.set_edge(alpha, _letter_of_col(c), beta, ())
+        for r in relators:
+            enum.scan_and_fill(alpha, r, ())
+        # filling a row defines cosets and merges none
+        if alpha not in enum.parent:
+            for c, b in enumerate(enum.table[alpha]):
+                if b is None:
+                    enum.set_edge(alpha, c, enum.new_coset(), ())
         alpha += 1
-    enum.verify(presentation.relators, words)
+    enum.verify(relators, generators)
 
     # standardize: renumber in BFS order from coset 0, scanning columns in
     # order.  No dead coset is reached: verify rejects a live row pointing at
@@ -624,7 +605,7 @@ def todd_coxeter(
                 new_of_old[b] = len(order)
                 order.append(b)
                 reps.append(reps[new_of_old[a]] + (_letter_of_col(c),))
-    if len(order) != len(table) - len(enum.dead):
+    if len(order) != len(table) - len(enum.parent):
         raise RuntimeError("coset graph is not connected")
     return CosetTable(
         generators=presentation.generators,

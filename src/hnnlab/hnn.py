@@ -36,12 +36,12 @@ from .comb import (
     CosetTable,
     Presentation,
     Word,
-    _concat,
     _validate_word,
     dehn_reduce,
     evaluate_word,
     free_reduce,
     invert_word,
+    render_word,
     schreier_graph_arith,
     todd_coxeter,
 )
@@ -115,8 +115,6 @@ class BrittonForm(NamedTuple):
         return free_reduce(out)
 
     def render(self, alphabet=("a", "b", "c", "d", "t")) -> str:
-        from .comb import render_word
-
         return render_word(self.to_word(), alphabet, "compact")
 
 
@@ -258,7 +256,7 @@ class HnnGroup:
                 )
                 if member(seg):
                     exps.pop()
-                    seg = list(_concat(segs.pop(), conjugate(seg)))
+                    seg = list(free_reduce(segs.pop(), conjugate(seg)))
                     continue
             segs.append(tuple(seg))
             exps.append(e)
@@ -316,7 +314,7 @@ class HnnGroup:
         letters surviving Britton reduction."""
         word = self.as_word(w)
         if other is not None:
-            word = _concat(invert_word(word), self.as_word(other))
+            word = free_reduce(invert_word(word), self.as_word(other))
         return self.britton_reduce(word).t_count
 
     def same_vertex(self, w1, w2) -> bool:

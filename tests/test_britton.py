@@ -9,10 +9,13 @@ arrives.  Both remove the leftmost pinch first, so they must return the
 same forms after the same sequence of membership verdicts.
 """
 
+import hashlib
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnnlab.comb import _concat, free_reduce, invert_word
+from hnnlab.comb import free_reduce, invert_word
 from hnnlab.hnn import (
     STABLE_PAIRS,
     T_LETTER,
@@ -71,7 +74,7 @@ def reference_britton_reduce(w, log: list) -> BrittonForm:
                 repl = G.conjugate_into_target(g)
             else:
                 repl = G.conjugate_into_source(g)
-            segs[j : j + 3] = [_concat(segs[j], repl, segs[j + 2])]
+            segs[j : j + 3] = [free_reduce(segs[j], repl, segs[j + 2])]
             del exps[j : j + 2]
             del ids[j : j + 2]
             changed = True
@@ -156,3 +159,39 @@ def test_each_stable_letter_is_tested_once(monkeypatch):
     expected_log = []
     assert reference_britton_reduce(word, expected_log) == form
     assert queries == expected_log
+
+
+# t*g*T with g in H rewrites g over the source table's u-letters and expands
+# them over the target table's v-words; T*g*t goes the other way
+PINNED_WORDS = (
+    "TdtDaacAdTDt",
+    "tDaacBCTD",
+    "tDaacBCDadAAddDaadcDAdT",
+    "TdcccbDat",
+    "tDadbCaBCdbAcAcBCDaaDacbCDAdDadAAdbADAdT",
+    "TbdCBBaBABBct",
+    "tDadcbADAdDaacBAcAdAAdDaacBAdbAdbAcAcBCT",
+    "TAcbabaDAbcADAt",
+    "tDaddbAcBBCDAdDadAAdcbbCAAdDaacBCT",
+    "TCaaadbcDt",
+    "atDadCDadcAAdTbTcdCtc",
+    "ttDaacbDAdTT",
+)
+
+
+def test_combinatorial_route_output_is_pinned():
+    # the decorations are checked for soundness elsewhere; this pins them,
+    # and the Britton forms read through them, byte for byte
+    form = G.britton_reduce("TdtDaacAdTDt")
+    assert (form.render(), form.t_count) == ("DaacBCDaacAdcbCAAd", 0)
+    forms = []
+    for w in PINNED_WORDS:
+        form = G.britton_reduce(w)
+        forms.append([w, form.render(), form.t_count])
+    # every word pinches
+    assert all(t_count < w.lower().count("t") for w, _, t_count in forms)
+    text = json.dumps(
+        [G.source_table.to_json(), G.target_table.to_json(), forms], sort_keys=True
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "99b5b5bb0dc5beae08487b7fb633058cfc8627d27f4534c63da61be5a1ccdb9f"

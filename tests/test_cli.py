@@ -5,6 +5,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import signal
 import sys
 import time
@@ -483,6 +484,20 @@ def test_fsa_check_refuses_automata_with_too_many_prefixes(
         assert err.endswith(f"above the limit {cli._FSA_PREFIX_LIMIT}\n")
 
 
+def test_fsa_check_stops_counting_paths_at_the_limit(capsys, tmp_path):
+    # the count used to run all 64 lengths and print a 39-digit total
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps(EVERY_WORD.to_json()))
+    code, out, err = run(capsys, ["fsa-check", str(path), "--radius", "64"])
+    assert code == 2 and out == ""
+    # 1 + 4 + ... + 4^7 = 21845 paths pass the limit at length 7
+    assert err == (
+        "error: automaton path count up to length 7 is above the limit "
+        f"{cli._FSA_PREFIX_LIMIT}\n"
+    )
+    assert max(map(len, re.findall(r"[0-9]+", err))) <= 5
+
+
 def test_fsa_check_refuses_windows_with_too_many_pairs(
     capsys, monkeypatch, tmp_path
 ):
@@ -704,14 +719,35 @@ def lattice_words(draw):
     return sep.join(name + exp for name, exp in tokens)
 
 
+# the choice options of the word-free lattice subcommands, each with its
+# values and some it refuses
+LATTICE_CHOICES = {
+    "cosets": (("--side", ("source", "target", "both", "", "Source")),),
+    "abelianize": (("--which", ("ambient", "vertex", "surface", "")),),
+    "export": (
+        ("--which", ("ambient", "vertex", "all")),
+        ("--format", ("gap", "magma", "json", "tex", "")),
+    ),
+}
+
+
 @st.composite
 def lattice_argv(draw):
     command = draw(
         st.sampled_from(
             ("trivial", "britton", "reduce", "classify", "tree", "lengths", "verify")
+            + tuple(LATTICE_CHOICES)
         )
     )
-    if command == "verify":
+    if command in LATTICE_CHOICES:
+        argv = [command]
+        for flag, values in LATTICE_CHOICES[command]:
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(values))]
+        # a stray argument: a word, a number, a flag without its value
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(draw(st.sampled_from(("a", "-1", "--side", "--format"))))
+    elif command == "verify":
         argv = [command, "--samples", str(draw(st.sampled_from((-1, 0, 2, 1001))))]
     elif command in ("tree", "lengths"):
         argv = [command, *draw(st.lists(lattice_words(), max_size=3))]
@@ -737,17 +773,20 @@ def test_lattice_commands_fuzzed_argv_exit_cleanly(capsys):
                 code = exc.code
         out, err = capsys.readouterr()
         # exit 3, the routes disagreeing, would be a defect of the lattice
-        assert code in (0, 1, 2)
+        assert code in ((0, 2) if argv[0] in LATTICE_CHOICES else (0, 1, 2))
         assert "Traceback" not in err
         if code == 2:
             assert out == ""
-        elif "--json" in argv:
+        # export prints what --format names, JSON by default
+        elif "--json" in argv and argv[0] != "export":
             json.loads(out)
         codes[argv[0], code] += 1
 
     check()
     # each subcommand answers, and refuses, some of its argv
     for command in ("trivial", "britton", "reduce", "classify", "tree", "lengths"):
+        assert min(codes[command, 0], codes[command, 2]) >= 3
+    for command in LATTICE_CHOICES:
         assert min(codes[command, 0], codes[command, 2]) >= 3
     assert codes["trivial", 1] >= 3 and codes["verify", 0] >= 3
 

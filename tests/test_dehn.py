@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hnnlab.comb import (
     NotDehnPresentation,
     Presentation,
-    _concat,
     _common_prefix_len,
     _dehn_rules,
     dehn_reduce,
@@ -57,7 +56,7 @@ def reference_dehn_reduce(word, presentation):
                 if 2 * k > len(r) and k > best_k:
                     best_k, best_r = k, r
             if best_r is not None:
-                w = _concat(w[:i], invert_word(best_r[best_k:]), w[i + best_k :])
+                w = free_reduce(w[:i], invert_word(best_r[best_k:]), w[i + best_k :])
                 replaced = True
                 break
         if not replaced:
