@@ -5,6 +5,12 @@ HNN-extended inside PSL(2, R) x Aut(T24)) except ``fsa-check``, which runs
 the windowed automatic-structure checks on a named or user-supplied
 language.
 
+Each command returns its exit code, its payload and its text lines, and
+prints nothing: `main` alone writes stdout, the payload as JSON under
+``--json`` (on every command, ``export`` included) and the lines otherwise.
+A refused run prints nothing on stdout, and a reader that closes the pipe
+early ends the run quietly with the command's own exit code.
+
 Exit codes: 0 when the requested check passes (or the command is purely
 informational), 1 when a check fails, 2 on usage errors, 3 when the two
 independent routes disagree (OracleDisagreement).  All numeric
@@ -32,6 +38,10 @@ from . import comb
 if TYPE_CHECKING:
     from . import isom
     from .exact import QuadExt
+
+# what a command returns: its exit code, the payload that --json prints
+# and the lines of its text output; only `main` prints either
+Output = tuple[int, dict, list[str]]
 
 DISPLAY_DIGITS = 50
 # fsa-check cost grows about as radius^3 on the built-in languages: at this
@@ -75,8 +85,12 @@ def _check_limit(what: str, value: int, limit: int) -> None:
         raise ValueError(f"{what} {value} is above the limit {limit}")
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _pass(holds: bool) -> str:
+    return "PASS" if holds else "FAIL"
 
 
 def _load_group():
@@ -114,19 +128,18 @@ def _render_letters(letters) -> str:
 # verify
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     _check_limit("--samples", args.samples, _VERIFY_SAMPLES_LIMIT)
     group = _load_group()
     report = group.verify_presentation()
-    samples_ok = samples_total = 0
+    samples_ok = 0
     if args.samples > 0:
         rng = random.Random(args.seed)
         letters = [i for i in range(1, group.ambient.ngens + 1)]
         letters += [-i for i in letters]
         for _ in range(args.samples):
-            samples_total += 1
             rel = list(rng.choice(group.ambient.relators))
             cut = rng.randrange(len(rel))
             rel = rel[cut:] + rel[:cut]
@@ -134,46 +147,42 @@ def _cmd_verify(args) -> int:
             word = conj + rel + [-x for x in reversed(conj)]
             if group.is_trivial(tuple(word)):
                 samples_ok += 1
-    ok = report.all_hold and samples_ok == samples_total
+    ok = report.all_hold and samples_ok == args.samples
 
-    if args.json:
-        _print_json(
-            {
-                "relations": [
-                    {"index": rc.index, "relator": rc.relator, "holds": rc.holds}
-                    for rc in report.relations
-                ],
-                "pair_memberships_ok": report.pair_memberships_ok,
-                "source_index": report.source_index,
-                "target_index": report.target_index,
-                "mutants_detected": report.mutants_detected,
-                "mutants_total": report.mutants_total,
-                "samples_ok": samples_ok,
-                "samples_total": samples_total,
-                "ok": ok,
-            }
+    payload = {
+        "relations": [
+            {"index": rc.index, "relator": rc.relator, "holds": rc.holds}
+            for rc in report.relations
+        ],
+        "pair_memberships_ok": report.pair_memberships_ok,
+        "source_index": report.source_index,
+        "target_index": report.target_index,
+        "mutants_detected": report.mutants_detected,
+        "mutants_total": report.mutants_total,
+        "samples_ok": samples_ok,
+        "samples_total": args.samples,
+        "ok": ok,
+    }
+    lines = [
+        f"{_pass(rc.holds)} relation {rc.index:02d}: {rc.relator}"
+        for rc in report.relations
+    ]
+    lines += [
+        f"{_pass(report.pair_memberships_ok)} stable-letter pairs lie in the"
+        " edge subgroups",
+        f"INFO source edge subgroup has index {report.source_index}",
+        f"INFO target edge subgroup has index {report.target_index}",
+        f"{_pass(report.mutants_detected == report.mutants_total)} mutant screen:"
+        f" {report.mutants_detected}/{report.mutants_total} corrupted relators"
+        " rejected",
+    ]
+    if args.samples:
+        lines.append(
+            f"{_pass(samples_ok == args.samples)} random consequences:"
+            f" {samples_ok}/{args.samples} trivial (seed {args.seed})"
         )
-        return 0 if ok else 1
-
-    for rc in report.relations:
-        print(f"{'PASS' if rc.holds else 'FAIL'} relation {rc.index:02d}: {rc.relator}")
-    word = "PASS" if report.pair_memberships_ok else "FAIL"
-    print(f"{word} stable-letter pairs lie in the edge subgroups")
-    print(f"INFO source edge subgroup has index {report.source_index}")
-    print(f"INFO target edge subgroup has index {report.target_index}")
-    word = "PASS" if report.mutants_detected == report.mutants_total else "FAIL"
-    print(
-        f"{word} mutant screen: {report.mutants_detected}/{report.mutants_total}"
-        " corrupted relators rejected"
-    )
-    if samples_total:
-        word = "PASS" if samples_ok == samples_total else "FAIL"
-        print(
-            f"{word} random consequences: {samples_ok}/{samples_total} trivial"
-            f" (seed {args.seed})"
-        )
-    print("OK: group data verified" if ok else "FAIL: verification failed")
-    return 0 if ok else 1
+    lines.append("OK: group data verified" if ok else "FAIL: verification failed")
+    return (0 if ok else 1), payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +196,7 @@ def _classify_payload(group, word) -> tuple[dict, isom.IsometryClass]:
     m = group.evaluate(word)
     kind = isom.classify(m)
     payload = {
-        "word": group.ambient.render(word) if word else "1",
+        "word": group.ambient.render(word),
         "trace": render_quadext(m.trace()),
         "type": None,
         "order": None,
@@ -216,22 +225,21 @@ def _classify_payload(group, word) -> tuple[dict, isom.IsometryClass]:
     return payload, kind
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Output:
     group = _load_group()
     payload, _ = _classify_payload(group, group.ambient.parse(args.word))
-    if args.json:
-        _print_json(payload)
-        return 0
-    print(f"word:  {payload['word']}")
-    print(f"trace: {payload['trace']}")
-    print(f"type:  {payload['type']}")
+    lines = [
+        f"word:  {payload['word']}",
+        f"trace: {payload['trace']}",
+        f"type:  {payload['type']}",
+    ]
     if payload["order"] is not None:
-        print(f"order: {payload['order']}")
+        lines.append(f"order: {payload['order']}")
+    # a hyperbolic element has both lengths, any other neither
     if payload["length_exact"] is not None:
-        print(f"translation length: {payload['length_exact']}")
-    if payload["length_decimal"] is not None:
-        print(f"  = {payload['length_decimal']} (display only)")
-    return 0
+        lines.append(f"translation length: {payload['length_exact']}")
+        lines.append(f"  = {payload['length_decimal']} (display only)")
+    return 0, payload, lines
 
 
 def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
@@ -245,7 +253,7 @@ def _dependence_payload(t1: isom.TransLength, t2: isom.TransLength, bound: int):
     return {"kind": "independent-up-to", "bound": verdict.bound}
 
 
-def _cmd_lengths(args) -> int:
+def _cmd_lengths(args) -> Output:
     from . import isom
 
     if args.bound < 1:
@@ -263,147 +271,108 @@ def _cmd_lengths(args) -> int:
         ]
         if None not in lengths:
             comparison = _dependence_payload(lengths[0], lengths[1], args.bound)
-    if args.json:
-        _print_json({"elements": rows, "comparison": comparison})
-        return 0
+    lines = []
     for row in rows:
         if row["length_exact"] is not None:
-            print(f"{row['word']}: {row['length_exact']}")
-            print(f"   = {row['length_decimal']} (display only)")
+            lines.append(f"{row['word']}: {row['length_exact']}")
+            lines.append(f"   = {row['length_decimal']} (display only)")
         else:
-            print(f"{row['word']}: {row['type']}, no translation length")
+            lines.append(f"{row['word']}: {row['type']}, no translation length")
     if comparison is not None:
         if comparison["kind"] == "dependent":
-            print(
+            lines.append(
                 f"ratio check: {comparison['p']} * len({texts[0]}) = "
                 f"{comparison['q']} * len({texts[1]})"
             )
         else:
-            print(
-                f"ratio check: {comparison['kind']} "
-                f"(bound {comparison['bound']})"
+            lines.append(
+                f"ratio check: {comparison['kind']} (bound {comparison['bound']})"
             )
-    return 0
+    return 0, {"elements": rows, "comparison": comparison}, lines
 
 
 # ---------------------------------------------------------------------------
 # word problem commands
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> Output:
     group = _load_group()
     word = group.vertex.parse(args.word)
     reduced = comb.dehn_reduce(word, group.vertex)
-    if args.json:
-        _print_json(
-            {
-                "word": group.vertex.render(word) if word else "1",
-                "reduced": group.vertex.render(reduced) if reduced else "1",
-                "trivial": not reduced,
-            }
-        )
-        return 0
-    print(group.vertex.render(reduced) if reduced else "1")
-    return 0
+    rendered = group.vertex.render(reduced)
+    payload = {
+        "word": group.vertex.render(word),
+        "reduced": rendered,
+        "trivial": not reduced,
+    }
+    return 0, payload, [rendered]
 
 
-def _cmd_britton(args) -> int:
+def _cmd_britton(args) -> Output:
     group = _load_group()
     form = group.britton_reduce(args.word)
     rendered = form.render()
-    if args.json:
-        _print_json(
-            {
-                "word": args.word,
-                "normal_form": rendered,
-                "t_count": form.t_count,
-                "exponents": list(form.exponents),
-                "segments": [
-                    group.vertex.render(s) if s else "1" for s in form.segments
-                ],
-            }
-        )
-        return 0
-    print(rendered)
-    print(f"t-letters: {form.t_count}")
-    return 0
+    payload = {
+        "word": args.word,
+        "normal_form": rendered,
+        "t_count": form.t_count,
+        "exponents": list(form.exponents),
+        "segments": [group.vertex.render(s) for s in form.segments],
+    }
+    return 0, payload, [rendered, f"t-letters: {form.t_count}"]
 
 
-def _cmd_trivial(args) -> int:
-    group = _load_group()
-    verdict = group.is_trivial(args.word)
-    if args.json:
-        _print_json({"word": args.word, "trivial": verdict})
-    else:
-        print("trivial" if verdict else "nontrivial")
-    return 0 if verdict else 1
+def _cmd_trivial(args) -> Output:
+    verdict = _load_group().is_trivial(args.word)
+    payload = {"word": args.word, "trivial": verdict}
+    return (0 if verdict else 1), payload, ["trivial" if verdict else "nontrivial"]
 
 
 # ---------------------------------------------------------------------------
 # cosets / tree / abelianize
 
 
-def _cmd_cosets(args) -> int:
+def _cmd_cosets(args) -> Output:
     group = _load_group()
     table = group.source_table if args.side == "source" else group.target_table
-    if args.json:
-        _print_json(table.to_json())
-        return 0
-    print(f"side: {args.side}  index: {table.index}")
-    print(
-        "subgroup genus: "
-        f"{comb.genus_from_index(2, table.index)} (surface subgroup)"
-    )
     header = []
     for name in table.generators:
         header += [name, name.upper()]
-    print("coset | " + "  ".join(f"{h:>2}" for h in header))
+    lines = [
+        f"side: {args.side}  index: {table.index}",
+        f"subgroup genus: {comb.genus_from_index(2, table.index)} (surface subgroup)",
+        "coset | " + "  ".join(f"{h:>2}" for h in header),
+    ]
     for i, row in enumerate(table.table):
-        print(f"{i:5d} | " + "  ".join(f"{x:2d}" for x in row))
+        lines.append(f"{i:5d} | " + "  ".join(f"{x:2d}" for x in row))
     for i, rep in enumerate(table.representatives):
-        print(f"rep {i}: {group.vertex.render(rep) if rep else '1'}")
-    return 0
+        lines.append(f"rep {i}: {group.vertex.render(rep)}")
+    return 0, table.to_json(), lines
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args) -> Output:
     if len(args.words) > 2:
         raise ValueError("tree takes one or two words")
-    group = _load_group()
+    dist = _load_group().tree_distance(*args.words)
     if len(args.words) == 1:
-        dist = group.tree_distance(args.words[0])
         payload = {"word": args.words[0], "distance_from_base": dist}
-        if args.json:
-            _print_json(payload)
-        else:
-            print(f"distance from base vertex: {dist}")
-        return 0
-    w1, w2 = args.words
-    dist = group.tree_distance(w1, w2)
+        return 0, payload, [f"distance from base vertex: {dist}"]
     same = dist == 0
-    if args.json:
-        _print_json({"words": [w1, w2], "distance": dist, "same_vertex": same})
-    else:
-        print(f"distance: {dist}")
-        print(f"same vertex: {'yes' if same else 'no'}")
-    return 0
+    payload = {"words": args.words, "distance": dist, "same_vertex": same}
+    return 0, payload, [f"distance: {dist}", f"same vertex: {'yes' if same else 'no'}"]
 
 
-def _cmd_abelianize(args) -> int:
+def _cmd_abelianize(args) -> Output:
     group = _load_group()
     pres = group.ambient if args.which == "ambient" else group.vertex
     structure = comb.abelianization(pres)
-    if args.json:
-        _print_json(
-            {
-                "which": args.which,
-                "betti": structure.betti,
-                "torsion": list(structure.torsion),
-                "pretty": str(structure),
-            }
-        )
-    else:
-        print(f"H1({args.which}) = {structure}")
-    return 0
+    payload = {
+        "which": args.which,
+        "betti": structure.betti,
+        "torsion": list(structure.torsion),
+        "pretty": str(structure),
+    }
+    return 0, payload, [f"H1({args.which}) = {structure}"]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +415,7 @@ def _load_language(name: str):
     )
 
 
-def _cmd_fsa_check(args) -> int:
+def _cmd_fsa_check(args) -> Output:
     from . import biauto
 
     _check_limit("--radius", args.radius, _FSA_RADIUS_LIMIT)
@@ -475,96 +444,81 @@ def _cmd_fsa_check(args) -> int:
     _check_limit("fellow-traveller pair bound", pairs, _FSA_PAIRS_LIMIT)
     report = lang.analyze(args.rule, args.cap)
     fin, fel, quasi = report.finite_to_one, report.fellow, report.quasigeodesic
-    witness = fel.witness
-    if args.json:
-        _print_json(
-            {
-                "language": args.language,
-                "radius": args.radius,
-                "rule": args.rule,
-                "finite_to_one": {
-                    "bound": fin.bound,
-                    "surjective": fin.surjective,
-                    "ok": fin.ok,
-                },
-                "quasigeodesic": {
-                    "multiplicative": str(quasi.multiplicative),
-                    "additive": quasi.additive,
-                },
-                "fellow_traveller": {
-                    "zeta": fel.zeta,
-                    "cap": fel.cap,
-                    "pairs_checked": fel.pairs_checked,
-                    "ok": fel.ok,
-                    "witness": None
-                    if witness is None
-                    else {
-                        "u": _render_letters(witness.u),
-                        "v": _render_letters(witness.v),
-                        "shift": witness.shift,
-                        "time": witness.time,
-                        "separation": witness.separation,
-                    },
-                },
-                "ok": report.ok,
-            }
-        )
-        return 0 if report.ok else 1
-    print(f"language: {args.language}  radius: {args.radius}  rule: {args.rule}")
-    print(f"words per element: at most {fin.bound}"
-          f"  surjective on half window: {'yes' if fin.surjective else 'no'}")
-    print(
-        f"quasigeodesic: multiplicative {quasi.multiplicative},"
-        f" additive {quasi.additive}"
-    )
+    witness = None
+    if fel.witness is not None:
+        witness = {
+            "u": _render_letters(fel.witness.u),
+            "v": _render_letters(fel.witness.v),
+            "shift": fel.witness.shift,
+            "time": fel.witness.time,
+            "separation": fel.witness.separation,
+        }
+    payload = {
+        "language": args.language,
+        "radius": args.radius,
+        "rule": args.rule,
+        "finite_to_one": {
+            "bound": fin.bound,
+            "surjective": fin.surjective,
+            "ok": fin.ok,
+        },
+        "quasigeodesic": {
+            "multiplicative": str(quasi.multiplicative),
+            "additive": quasi.additive,
+        },
+        "fellow_traveller": {
+            "zeta": fel.zeta,
+            "cap": fel.cap,
+            "pairs_checked": fel.pairs_checked,
+            "ok": fel.ok,
+            "witness": witness,
+        },
+        "ok": report.ok,
+    }
     capnote = "no cap" if fel.cap is None else f"cap {fel.cap}"
-    print(
+    lines = [
+        f"language: {args.language}  radius: {args.radius}  rule: {args.rule}",
+        f"words per element: at most {fin.bound}"
+        f"  surjective on half window: {'yes' if fin.surjective else 'no'}",
+        f"quasigeodesic: multiplicative {quasi.multiplicative},"
+        f" additive {quasi.additive}",
         f"fellow traveller: zeta={fel.zeta} ({capnote},"
-        f" {fel.pairs_checked} pairs)"
-    )
+        f" {fel.pairs_checked} pairs)",
+    ]
     if witness is not None:
-        shift = witness.shift if witness.shift is not None else "-"
-        print(
-            f"worst pair: u={_render_letters(witness.u)}"
-            f" v={_render_letters(witness.v)} shift={shift}"
-            f" time={witness.time} separation={witness.separation}"
+        shift = "-" if witness["shift"] is None else witness["shift"]
+        lines.append(
+            f"worst pair: u={witness['u']} v={witness['v']} shift={shift}"
+            f" time={witness['time']} separation={witness['separation']}"
         )
-    print("OK" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    lines.append("OK" if report.ok else "FAIL")
+    return (0 if report.ok else 1), payload, lines
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> Output:
     group = _load_group()
     pres = group.ambient if args.which == "ambient" else group.vertex
-    if args.format == "json":
-        _print_json(
-            {
-                "generators": list(pres.generators),
-                "relators": [pres.render(r) for r in pres.relators],
-            }
-        )
-        return 0
-    verbose = [pres.render(r, "verbose") for r in pres.relators]
+    payload = {
+        "generators": list(pres.generators),
+        "relators": [pres.render(r) for r in pres.relators],
+    }
+    rels = ",\n".join(f"  {pres.render(r, 'verbose')}" for r in pres.relators)
     if args.format == "gap":
         names = ", ".join(f'"{g}"' for g in pres.generators)
-        print(f"F := FreeGroup({names});;")
-        print("AssignGeneratorVariables(F);;")
-        print("rels := [")
-        for i, r in enumerate(verbose):
-            comma = "," if i + 1 < len(verbose) else ""
-            print(f"  {r}{comma}")
-        print("];;")
-        print("G := F / rels;;")
-        return 0
-    # magma
-    names = ", ".join(pres.generators)
-    print(f"G<{names}> := Group<")
-    print(f"  {names} |")
-    for i, r in enumerate(verbose):
-        comma = "," if i + 1 < len(verbose) else ""
-        print(f"  {r}{comma}")
-    print(">;")
-    return 0
+        lines = [
+            f"F := FreeGroup({names});;",
+            "AssignGeneratorVariables(F);;",
+            "rels := [",
+            rels,
+            "];;",
+            "G := F / rels;;",
+        ]
+    elif args.format == "magma":
+        names = ", ".join(pres.generators)
+        lines = [f"G<{names}> := Group<", f"  {names} |", rels, ">;"]
+    else:
+        lines = [_json_text(payload)]
+    return 0, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +602,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
     except ValueError as exc:  # comb.NotInSubgroup among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -657,6 +611,15 @@ def main(argv=None) -> int:
     except _oracle_disagreement() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    try:
+        print(_json_text(payload) if args.json else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; stdout now points at devnull, so the flush
+        # at interpreter exit cannot fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -2,14 +2,17 @@
 and byte-for-byte determinism."""
 
 import contextlib
+import hashlib
 import json
 import math
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -777,8 +780,7 @@ def test_lattice_commands_fuzzed_argv_exit_cleanly(capsys):
         assert "Traceback" not in err
         if code == 2:
             assert out == ""
-        # export prints what --format names, JSON by default
-        elif "--json" in argv and argv[0] != "export":
+        elif "--json" in argv:
             json.loads(out)
         codes[argv[0], code] += 1
 
@@ -847,6 +849,10 @@ def test_export_json_counts_relators(capsys):
         capsys, ["export", "--which", "vertex", "--format", "json"]
     )
     assert len(data["relators"]) == 1
+    # --json prints the same presentation whatever --format says
+    for fmt in ("gap", "magma", "json"):
+        argv = ["export", "--which", "vertex", "--format", fmt, "--json"]
+        assert run_json(capsys, argv) == (0, data)
 
 
 def test_export_gap_and_magma_syntax(capsys):
@@ -859,6 +865,24 @@ def test_export_gap_and_magma_syntax(capsys):
     assert code == 0
     assert out.startswith("G<a, b, c, d, t> := Group<")
     assert out.rstrip().endswith(">;")
+
+
+@pytest.mark.parametrize(
+    "argv", [["export", "--format", "gap"], ["cosets"], ["verify"]]
+)
+def test_a_closed_pipe_ends_the_command_quietly(argv):
+    # the reader is gone before the first byte is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    with os.fdopen(write_end, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "hnnlab.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    # no traceback, and the command's own exit code
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_exports_are_deterministic(capsys):
@@ -940,3 +964,101 @@ def test_argparse_rejects_unknown_flags():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--nope"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# pinned output
+
+
+# every subcommand, plain and --json, with the exit-1 and exit-2 cases of
+# those that have them (argparse refuses a choice it does not know)
+PINNED_ARGV = (
+    [],
+    ["verify"],
+    ["verify", "--json"],
+    ["verify", "--samples", "3", "--seed", "5"],
+    ["verify", "--samples", "2", "--json"],
+    ["verify", "--samples", "-1"],
+    ["verify", "--samples", "1001", "--json"],
+    ["classify", "a"],
+    ["classify", "t"],
+    ["classify", "1"],
+    ["classify", "at", "--json"],
+    ["classify", "aaBCtbAtD", "--json"],
+    ["classify", "zz"],
+    ["classify", "zz", "--json"],
+    ["lengths"],
+    ["lengths", "--json"],
+    ["lengths", "a", "aa"],
+    ["lengths", "a", "c", "--json"],
+    ["lengths", "t", "a"],
+    ["lengths", "a", "c", "--bound", "1"],
+    ["lengths", "--bound", "0"],
+    ["reduce", "AdcbC"],
+    ["reduce", "AdcbC", "--json"],
+    ["reduce", "aBAbcDCd"],
+    ["reduce", ""],
+    ["reduce", "", "--json"],
+    ["reduce", "tat"],
+    ["britton", "TdtDaacAdTDt"],
+    ["britton", "tat", "--json"],
+    ["britton", "tDaacBCT", "--json"],
+    ["britton", "a^1000000000000"],
+    ["trivial", "tDaacBCTD"],
+    ["trivial", "aaBCtbAtD"],
+    ["trivial", "tDaacBCTD", "--json"],
+    ["trivial", "aaBCtbAtD", "--json"],
+    ["trivial", "a^1_0"],
+    ["cosets"],
+    ["cosets", "--side", "target"],
+    ["cosets", "--json"],
+    ["cosets", "--side", "target", "--json"],
+    ["cosets", "--side", "both"],
+    ["tree", "atbTc"],
+    ["tree", "t", "at"],
+    ["tree", "atbTc", "--json"],
+    ["tree", "tDaacBCT", "d", "--json"],
+    ["tree", "t", "ta", "tat"],
+    ["abelianize"],
+    ["abelianize", "--which", "vertex"],
+    ["abelianize", "--json"],
+    ["abelianize", "--which", "vertex", "--json"],
+    ["abelianize", "--which", "surface"],
+    ["fsa-check", "z2-normal", "--radius", "6"],
+    ["fsa-check", "z2-normal", "--radius", "6", "--rule", "simultaneous"],
+    ["fsa-check", "z2-adversarial", "--radius", "6", "--cap", "2"],
+    ["fsa-check", "z2-normal", "--radius", "6", "--json"],
+    ["fsa-check", "z2-adversarial", "--radius", "6", "--cap", "2", "--json"],
+    ["fsa-check", "nonsense"],
+    ["fsa-check", "z2-normal", "--radius", "-1", "--json"],
+    ["export"],
+    ["export", "--which", "vertex"],
+    ["export", "--format", "gap"],
+    ["export", "--format", "magma", "--which", "vertex"],
+    ["export", "--json"],
+    ["export", "--format", "json", "--which", "vertex", "--json"],
+    ["export", "--format", "gap", "--json"],
+    ["export", "--format", "magma", "--which", "vertex", "--json"],
+    ["export", "--format", "tex"],
+)
+
+
+def test_cli_outputs_are_pinned(capsys):
+    # exit code, stdout and stderr of each argv, byte for byte; argparse's
+    # own usage text belongs to the Python version, so only its first
+    # word is kept
+    runs = []
+    for argv in PINNED_ARGV:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if err.startswith("usage: hnn-lab"):
+            err = "usage"
+        runs.append([argv, code, out, err])
+    codes = Counter(code for _, code, _, _ in runs)
+    assert set(codes) == {0, 1, 2} and codes[2] >= 12
+    text = json.dumps(runs, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c0ff1f7e51a2701cee952cd73b4b15436f92d7a090f6969e7cad17d9961784d2"
