@@ -24,6 +24,7 @@ lies in the subgroup to a word in the subgroup generators.
 from __future__ import annotations
 
 import re
+import struct
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
@@ -85,12 +86,80 @@ def invert_word(word) -> Word:
     return tuple([-g for g in reversed(word)])
 
 
+def _col(letter: int) -> int:
+    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+
+def _letter_of_col(col: int) -> int:
+    return col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
+
+
+# Words as bytes: struct packs letter g as the signed byte g & 0xFF, and a
+# translation table takes that byte to the coset table column _col(g), so a
+# letter and its inverse differ in bit 0 only.  Columns stay below 0xFF,
+# which marks every byte that is no letter of the alphabet.
+_BYTE_GENERATORS = 127
+
+
+@lru_cache
+def _columns(ngens: int) -> bytes:
+    """The table from the signed byte of each letter over the first
+    min(ngens, 127) generators to its column, and from every other byte to
+    0xFF."""
+    table = bytearray(b"\xff" * 256)
+    for x in range(1, min(ngens, _BYTE_GENERATORS) + 1):
+        table[x], table[-x & 0xFF] = _col(x), _col(-x)
+    return bytes(table)
+
+
+# the column byte of each letter -> its signed byte, for every _columns table
+_LETTERS = bytes(_letter_of_col(c) & 0xFF for c in range(256))
+
+
+def _encode(w: Word, ngens: int) -> bytes | None:
+    """The columns of w, one byte per letter, or None unless every letter is
+    an int (bool and other int subclasses included) among the +-1 .. +-127
+    letters of the alphabet."""
+    if not all(issubclass(t, int) for t in set(map(type, w))):
+        return None
+    try:
+        s = struct.pack(f"{len(w)}b", *w).translate(_columns(ngens))
+    except struct.error:  # a letter outside -128..127
+        return None
+    return None if b"\xff" in s else s
+
+
 def _validate_word(word, ngens: int) -> Word:
     w = tuple(word)
     for g in w:
         if not isinstance(g, int) or g == 0 or abs(g) > ngens:
             raise ValueError(f"letter {g!r} outside alphabet of size {ngens}")
     return w
+
+
+def _free_reduce_columns(s: bytes) -> bytearray:
+    """The free reduction of a word written in column bytes.
+
+    As big integers, s minus its last letter XOR s minus its first has a 1
+    byte at each i where s[i] and s[i + 1] are a letter and its inverse, so
+    bytes.find jumps from one such pair to the next.  The letters between
+    pairs are copied as slices; only cancelled letters cost a Python step.
+    """
+    n = len(s)
+    pairs = (int.from_bytes(s[:-1], "big") ^ int.from_bytes(s[1:], "big")).to_bytes(
+        max(n - 1, 0), "big"
+    )
+    out = bytearray()
+    pos = 0
+    while (i := pairs.find(1, pos)) >= 0:
+        out += s[pos:i]
+        pos = i + 2
+        # the pair is gone: the letters on either side may cancel in turn
+        while out and pos < n and out[-1] ^ 1 == s[pos]:
+            out.pop()
+            pos += 1
+    out += s[pos:]
+    return out
 
 
 def _reduced_words(items, alphabet) -> tuple[Word, ...]:
@@ -241,34 +310,33 @@ def is_metric_sixth(symmetrized) -> bool:
 
 @lru_cache(maxsize=16)
 def _dehn_rules(relators: tuple[Word, ...], ngens: int):
-    """(code, letter, pattern, rules, longest) for Dehn's algorithm, or None
-    when the symmetrized relators are empty or fail C'(1/6).
+    """(pattern, rules, longest) for Dehn's algorithm over column strings,
+    or None when the symmetrized relators are empty or fail C'(1/6).
 
-    ``code`` writes letter g as the character numbered by its coset table
-    column _col(g), so a letter and its inverse differ only in the low bit,
-    and ``letter`` reads it back.  ``rules`` maps every encoded prefix p of a symmetrized relator
-    r with 2|p| > |r| to the encoded shorter complement invert(r[|p|:]).
-    ``pattern`` matches exactly those prefixes, grouped by first letter, each
-    relator's letters past its half optional and nested, so greedy.  Under
-    C'(1/6) two relators share less than a sixth of either, so at most one
-    relator has a rule prefix at any position: a search finds the leftmost
-    match and the longest there, and no rule comes from two relators.
+    A word is written as the latin-1 string of its column bytes (_encode),
+    so a letter and its inverse differ only in the low bit.  ``rules`` maps
+    every encoded prefix p of a symmetrized relator r with 2|p| > |r| to the
+    encoded shorter complement invert(r[|p|:]).  ``pattern`` matches exactly
+    those prefixes, grouped by first letter, each relator's letters past its
+    half optional and nested, so greedy.  Under C'(1/6) two relators share
+    less than a sixth of either, so at most one relator has a rule prefix at
+    any position: a search finds the leftmost match and the longest there,
+    and no rule comes from two relators.
     """
     sym = _symmetrize(relators)
     if not sym or not is_metric_sixth(sym):
         return None
-    code = {g: chr(_col(g)) for x in range(1, ngens + 1) for g in (x, -x)}
     rules: dict[str, str] = {}
     by_first: dict[str, list[str]] = {}
     for r in sym:
         half = len(r) // 2 + 1
-        rel, inv = "".join(map(code.get, r)), "".join(map(code.get, invert_word(r)))
+        rel, inv = (_encode(x, ngens).decode("latin-1") for x in (r, invert_word(r)))
         for k in range(half, len(r) + 1):
             rules[rel[:k]] = inv[: len(r) - k]
         tail = "".join("(?:" + re.escape(x) for x in rel[half:]) + ")?" * (len(r) - half)
         by_first.setdefault(re.escape(rel[0]), []).append(re.escape(rel[1:half]) + tail)
     pattern = re.compile("|".join(f"{x}(?:{'|'.join(alts)})" for x, alts in by_first.items()))
-    return code, {c: g for g, c in code.items()}, pattern, rules, max(map(len, sym))
+    return pattern, rules, max(map(len, sym))
 
 
 def dehn_reduce(word, presentation: Presentation) -> Word:
@@ -277,20 +345,37 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     leftmost match and the longest match there.  Under C'(1/6) the result is
     empty exactly when the word represents the identity (Greendlinger).
 
+    The word enters as one byte per letter (_encode): struct packs it and a
+    translation table checks and encodes every letter at C speed, and the
+    free reduction works on those bytes.  So the alphabet may have at most
+    127 generators; a larger one raises ValueError.  Letters outside the
+    alphabet raise ValueError, as in _validate_word.
+
     One left-to-right scan (Domanski & Anshel, J. Algorithms 6, 1985) over
-    the word encoded as a string, with every rule in one compiled pattern.
+    the bytes read as a string, with every rule in one compiled pattern.
     A replacement changes the word only from the match on.  A new match that
     starts before it keeps at most half of its relator there, or that part
     alone would have matched before; so the next search starts longest // 2
     letters back.  Every replacement shortens the word, so the scan tries
     O(longest * n) positions; each replacement also copies the string once,
-    at C speed.  Letters outside the alphabet raise ValueError.
+    at C speed.
     """
-    found = _dehn_rules(presentation.relators, presentation.ngens)
+    ngens = presentation.ngens
+    if ngens > _BYTE_GENERATORS:
+        raise ValueError(
+            f"Dehn reduction takes at most {_BYTE_GENERATORS} generators, not {ngens}"
+        )
+    found = _dehn_rules(presentation.relators, ngens)
     if found is None:
         raise NotDehnPresentation("relators do not satisfy C'(1/6)")
-    code, letter, pattern, rules, longest = found
-    s = "".join(map(code.get, free_reduce(_validate_word(word, presentation.ngens))))
+    pattern, rules, longest = found
+    w = tuple(word)
+    columns = _encode(w, ngens)
+    if columns is None:
+        # raises: up to 127 generators, _encode refuses exactly the words
+        # with a letter that _validate_word names
+        _validate_word(w, ngens)
+    s = _free_reduce_columns(columns).decode("latin-1")
     pos = 0
     while m := pattern.search(s, pos):
         i, j = m.span()
@@ -302,20 +387,11 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
                 i, j = i - 1, j + 1
         s = s[:i] + comp + s[j:]
         pos = max(i - longest // 2, 0)
-    # through a list: tuple() of a bare iterator over-allocates, then resizes
-    return tuple(list(map(letter.__getitem__, s)))
+    return struct.unpack(f"{len(s)}b", s.encode("latin-1").translate(_LETTERS))
 
 
 # ---------------------------------------------------------------------------
 # modified Todd-Coxeter
-
-
-def _col(letter: int) -> int:
-    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-
-def _letter_of_col(col: int) -> int:
-    return col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
 
 
 class _Enumerator:

@@ -6,11 +6,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -791,6 +793,38 @@ def test_lattice_commands_fuzzed_argv_exit_cleanly(capsys):
     for command in LATTICE_CHOICES:
         assert min(codes[command, 0], codes[command, 2]) >= 3
     assert codes["trivial", 1] >= 3 and codes["verify", 0] >= 3
+
+
+# 4,000-letter words for `reduce`, the most `parse_word` takes: the
+# relator typed out 500 times, a power, and a seeded random word
+LONGEST_REDUCE_WORDS = {
+    "relator-500": "AdcbCaBD" * 500,
+    "a^4000": "a^4000",
+    "random": "".join(random.Random(25).choice("abcdABCD") for _ in range(4000)),
+}
+# the tracemalloc peak of one such call under this test, measured before
+# words entered Dehn reduction as bytes: 221 KB for the relator, 160 KB for
+# the power, 360 KB for the random word; the budget is half as much again
+REDUCE_PEAK_BYTES = 540_000
+
+
+@pytest.mark.parametrize("name", LONGEST_REDUCE_WORDS)
+def test_reduce_of_the_longest_words_stays_in_budget(capsys, name):
+    word = LONGEST_REDUCE_WORDS[name]
+    # loading the group and compiling the rules are not the call's cost
+    run(capsys, ["reduce", "a"])
+    tracemalloc.start()
+    try:
+        with time_limit(FUZZ_CALL_SECONDS):
+            code = cli.main(["reduce", word])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and peak < REDUCE_PEAK_BYTES, peak
+    expected = {"relator-500": "1", "a^4000": "a" * 4000}.get(name)
+    if expected is not None:
+        assert out == expected + "\n"
 
 
 def test_lengths_bound_and_verify_samples_are_limited(capsys, monkeypatch):

@@ -10,6 +10,8 @@ back only as far as a new match can start.  Both make the same
 replacements in the same order, so they must return the same word.
 """
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,12 @@ from hypothesis import strategies as st
 from hnnlab.comb import (
     NotDehnPresentation,
     Presentation,
+    _col,
     _common_prefix_len,
     _dehn_rules,
+    _encode,
+    _free_reduce_columns,
+    _validate_word,
     dehn_reduce,
     free_reduce,
     invert_word,
@@ -109,6 +115,16 @@ def long_pieces(p):
     return st.lists(piece, min_size=1, max_size=12).map(lambda ps: sum(ps, ()))
 
 
+@st.composite
+def cancelling_words(draw, p):
+    """Words u1 v1 u2 v2 ... with each v a prefix of the inverse of its u, so
+    that free reduction cancels nested runs of up to the whole u."""
+    word = ()
+    for u in draw(st.lists(random_words(p, 10), max_size=8)):
+        word += u + invert_word(u)[: draw(st.integers(0, len(u)))]
+    return word
+
+
 def check_against_reference(p, words):
     shortened = 0
 
@@ -124,6 +140,17 @@ def check_against_reference(p, words):
     return shortened
 
 
+@pytest.mark.parametrize("p", [SURFACE, GENUS10], ids=["genus2", "genus10"])
+def test_column_bytes_free_reduce_like_letters(p):
+    @SETTINGS
+    @given(st.one_of(random_words(p), cancelling_words(p)))
+    def check(word):
+        columns = _free_reduce_columns(_encode(word, p.ngens))
+        assert columns == bytes(map(_col, free_reduce(word))), p.render(word)
+
+    check()
+
+
 def test_second_presentation_is_sixth_metric():
     sym = symmetrized_relators(TWO_RELATORS)
     assert len(sym) == 16 + 24
@@ -135,17 +162,75 @@ def test_genus10_presentation_has_1600_rules():
     assert len(sym) == 80 and {len(r) for r in sym} == {40}
     assert is_metric_sixth(sym)
     # prefixes of 21..40 letters of each relator, none shared
-    rules = _dehn_rules(GENUS10.relators, GENUS10.ngens)[3]
+    rules = _dehn_rules(GENUS10.relators, GENUS10.ngens)[1]
     assert len(rules) == 80 * 20
 
 
-@pytest.mark.parametrize(
-    "word", [(0, 0), (0,), (9,), (-5, 5), (2.0,), (1, 2.0, -2.0), ("a",)]
-)
+class Index:
+    """Not an int, though struct would pack it as one."""
+
+    def __index__(self):
+        return 1
+
+
+class L(IntEnum):
+    A = 1
+
+
+BAD_WORDS = [
+    (0, 0), (0,), (9,), (-5, 5), (2.0,), (1, 2.0, -2.0), ("a",),
+    # bool 0, past a signed byte, past any machine int, not a number
+    (False,), (128,), (-129,), (10**30,), (None,),
+]
+
+
+# the generator is read once: a second read would see the empty word
+@pytest.mark.parametrize("word", BAD_WORDS + [iter((1, 0))])
 def test_letters_outside_the_alphabet_raise(word):
     # (0, 0) and (-5, 5) cancel freely: letters are checked before that
     with pytest.raises(ValueError, match="outside alphabet"):
         dehn_reduce(word, SURFACE)
+
+
+@pytest.mark.parametrize("word", [w for w in BAD_WORDS if w != (-5, 5)] + [(Index(),)])
+def test_word_entry_points_name_the_first_bad_letter(word):
+    # none of these words holds t = 5, so they are bad in G's alphabet too
+    bad = next(g for g in word if type(g) is not int or not 0 < abs(g) <= 4)
+    calls = [
+        (SURFACE.ngens, lambda: dehn_reduce(word, SURFACE)),
+        (G.ambient.ngens, lambda: G.is_trivial(word)),
+        (G.ambient.ngens, lambda: G.tree_distance(word)),
+    ]
+    for ngens, call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"letter {bad!r} outside alphabet of size {ngens}"
+
+
+def test_letters_that_are_ints_are_read_as_ints():
+    assert dehn_reduce(iter((1, -1, 2)), SURFACE) == (2,)
+    for word, plain in (((True,), (1,)), ((L.A, 2), (1, 2)), ((True, -L.A), ())):
+        reduced = dehn_reduce(word, SURFACE)
+        assert reduced == dehn_reduce(plain, SURFACE) == plain
+        assert all(type(g) is int for g in reduced)
+
+
+def test_dehn_reduction_takes_at_most_127_generators():
+    # a genus-2 relator on the last four generators: letters +-124..+-127
+    # fill the top columns of the byte encoding
+    names = [f"x{i}" for i in range(1, 128)]
+    top = Presentation(names, ["x124^-1*x127*x126*x125*x126^-1*x124*x125^-1*x127^-1"])
+    word = top.parse("x1*x124^-1*x127*x126*x125*x126^-1*x124*x125^-1*x127^-1*x127")
+    assert dehn_reduce(word, top) == (1, 127)
+    assert dehn_reduce(top.relators[0][:5], top) == invert_word(top.relators[0][5:])
+    # one generator more: words are still read, but Dehn refuses the alphabet
+    wide = Presentation(names + ["x128"], ["x128*x1*x128^-1*x1^-1"])
+    assert wide.relators == ((128, 1, -128, -1),)
+    assert _validate_word((128, -127, 1), wide.ngens) == (128, -127, 1)
+    with pytest.raises(ValueError, match="outside alphabet of size 128"):
+        _validate_word((129,), wide.ngens)
+    with pytest.raises(ValueError, match="at most 127 generators, not 128"):
+        dehn_reduce((1,), wide)
 
 
 @pytest.mark.parametrize("p", PRESENTATIONS, ids=IDS)
