@@ -36,7 +36,7 @@ Word = tuple[int, ...]
 # parse_word refuses longer words.  Quaternion coordinates grow with the
 # word, so evaluation is superlinear: `hnn-lab trivial` on the slowest
 # 4000-letter words tried, such as (at)^2000 and (atAT)^1000, takes about
-# 3 s on a 2-core x86 host.
+# 0.1-0.2 s on a 2-core x86 host.
 WORD_LETTER_LIMIT = 4000
 # the exponent after '^' in the verbose grammar: an optional sign, then
 # ASCII digits

@@ -16,20 +16,27 @@ OracleDisagreement instead of guessing.
 
 The arithmetic route starts from the five generators as norm-one
 quaternions with rational coordinates (quat.standard_generators), multiplies
-a word out one product per letter, and decides on that product: a word
-that Britton reduction leaves t-free is trivial when it folds to +-1, and a
-t-free word lies in H or K when the SubgroupOracles find it a unit of the
-matching Eichler order.  The map G -> PSL(2, R) is not injective, so a
-word whose stable letters survive Britton reduction is not trivial by
-Britton's lemma alone, whatever it folds to.  Only evaluate() embeds the
-product into PSL2 over Q(sqrt(2)) (quat.phi), as an exact, sign-normalized
-ProjMat; the images property embeds the generators the same way for
-callers that want matrices.
+a word out one product per letter, and decides on that product.  Verdicts
+on a whole word (is_trivial, verify_presentation, the start-up relator
+check) and evaluate() fold primitive integer 4-vectors up to sign: a, b, c
+and d scaled by 2, t by 3, so a letter costs integer products and one gcd.
+A word that Britton reduction leaves t-free is trivial when it folds to
++-1.  Membership folds the t-free word to an exact norm-one quaternion
+with Fraction coordinates: it lies in H or K when the SubgroupOracles find
+it a unit of the matching Eichler order.  The map G -> PSL(2, R) is not
+injective, so a word whose stable letters survive Britton reduction is not
+trivial by Britton's lemma alone, whatever it folds to.  Only evaluate()
+embeds the product into PSL2 over Q(sqrt(2)) (quat.phi), as an exact,
+sign-normalized ProjMat, after dividing the vector by the square root of
+its reduced norm; the images property embeds the generators the same way
+for callers that want matrices.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .comb import (
@@ -47,9 +54,12 @@ from .comb import (
 )
 from .exact import ProjMat
 from .quat import (
+    I_SQUARE,
+    J_SQUARE,
     QUAT_ONE,
     Quaternion,
     SubgroupOracles,
+    _cleared,
     phi,
     standard_generators,
     standard_oracles,
@@ -166,6 +176,7 @@ class HnnGroup:
             if not (isinstance(q, Quaternion) and q.nrd() == 1):
                 raise ValueError(f"generator {q!r} is not a norm-one Quaternion")
         self._units = _fold_table(self.generators)
+        self._vectors = _vector_table(self.generators)
         self.oracles = oracles
         self.source_table = source_table
         self.target_table = target_table
@@ -183,7 +194,13 @@ class HnnGroup:
         return _validate_word(w, self.ambient.ngens)
 
     def evaluate(self, w) -> ProjMat:
-        return ProjMat(phi(_fold(self.as_word(w), self._units)))
+        v = _vector_fold(self.as_word(w), self._vectors)
+        # v is s times a norm-one quaternion, for a positive integer s
+        n = v.nrd()
+        s = isqrt(max(n, 0))
+        if not s or s * s != n:
+            raise RuntimeError(f"the fold {v!r} has reduced norm {n}, not a square")
+        return ProjMat(phi(Quaternion(*(Fraction(x, s) for x in v.coords()))))
 
     # -- dual membership oracles --------------------------------------------
 
@@ -278,7 +295,7 @@ class HnnGroup:
         and by the fold, which is injective on the vertex group.
         """
         word = free_reduce(self.as_word(w))
-        by_matrix = _is_one(_fold(word, self._units))
+        by_matrix = _is_one(_vector_fold(word, self._vectors))
         form = self.britton_reduce(word)
         if form.exponents:
             return False
@@ -329,7 +346,7 @@ class HnnGroup:
                 RelationCheck(
                     index=idx,
                     relator=self.ambient.render(r, "compact"),
-                    holds=_is_one(_fold(r, self._units)),
+                    holds=_is_one(_vector_fold(r, self._vectors)),
                 )
             )
         memberships = True
@@ -340,7 +357,7 @@ class HnnGroup:
         detected = 0
         for r in self.ambient.relators:
             mutant = free_reduce(r + (1,))
-            if not _is_one(_fold(mutant, self._units)):
+            if not _is_one(_vector_fold(mutant, self._vectors)):
                 detected += 1
         return VerificationReport(
             relations=tuple(checks),
@@ -360,7 +377,7 @@ class HnnGroup:
             member = self.oracles.in_target_subgroup
         else:
             raise ValueError("side must be 'source' or 'target'")
-        return schreier_graph_arith(member, self._units[:4], QUAT_ONE)
+        return schreier_graph_arith(member, self.generators[:4], QUAT_ONE)
 
 
 def _fold_table(units) -> list:
@@ -383,8 +400,52 @@ def _fold(word: Word, units) -> Quaternion:
     return evaluate_word(letters, units, QUAT_ONE)
 
 
+def _vector_table(units) -> list:
+    """The letters of a _fold_table as primitive integer 4-vectors in the
+    basis 1, i, j, k (each quaternion cleared of its denominators), indexed
+    by the letter itself: entry g is generator g, and entry -g, which is
+    entry 2n + 1 - g of the list, is its conjugate.  An entry is
+    (nrd, x0, x1, x2, x3, a*x1, b*x2, a*b*x3, b*x3, a*x3) with i^2 = a and
+    j^2 = b: the vector's reduced norm, its coordinates, and the multiples
+    that _vector_fold needs."""
+    a, b = I_SQUARE, J_SQUARE
+    vectors = [_cleared(q)[1] for q in units]
+    rows = [None]
+    for v in vectors + [v.conj() for v in reversed(vectors)]:
+        x0, x1, x2, x3 = v.coords()
+        multiples = (a * x1, b * x2, a * b * x3, b * x3, a * x3)
+        rows.append((v.nrd(), x0, x1, x2, x3) + multiples)
+    return rows
+
+
+def _vector_fold(word: Word, vectors) -> Quaternion:
+    """The value of a word, multiplied out over a _vector_table: a
+    primitive integer multiple of the norm-one product, taken up to sign.
+
+    A letter costs 16 integer products and one gcd division, against about
+    35 Fraction operations, each with its own gcd, for _fold.  The content
+    of x*y divides nrd(y) when x is primitive (x*y*conj(y) = nrd(y)*x), so
+    the gcd starts from the letter's small norm and stays linear in the
+    size of the coordinates.
+    """
+    x0, x1, x2, x3 = 1, 0, 0, 0
+    for g in word:
+        n, y0, y1, y2, y3, i1, j2, k3, j3, i3 = vectors[g]
+        x0, x1, x2, x3 = (
+            x0 * y0 + x1 * i1 + x2 * j2 - x3 * k3,
+            x0 * y1 + x1 * y0 - x2 * j3 + x3 * j2,
+            x0 * y2 + x2 * y0 + x1 * i3 - x3 * i1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+        )
+        d = gcd(n, x0, x1, x2, x3)
+        if d != 1:
+            x0, x1, x2, x3 = x0 // d, x1 // d, x2 // d, x3 // d
+    return Quaternion._raw(x0, x1, x2, x3)
+
+
 def _is_one(q: Quaternion) -> bool:
-    """Is the norm-one q equal to +-1, the identity of PSL2?"""
+    """Is q, a nonzero multiple of a norm-one quaternion, equal to +-1, the
+    identity of PSL2?"""
     return not (q.x1 or q.x2 or q.x3)
 
 
@@ -433,7 +494,7 @@ def load_builtin_group() -> HnnGroup:
         target_table=target_table,
     )
     for r in ambient.relators:
-        if not _is_one(_fold(r, group._units)):
+        if not _is_one(_vector_fold(r, group._vectors)):
             raise RuntimeError(
                 f"defining relation fails in the matrix model: "
                 f"{ambient.render(r, 'compact')}"

@@ -198,7 +198,7 @@ def test_lengths_refuses_too_many_letters_in_total(capsys, monkeypatch):
 def test_classify_json_loads_under_the_default_digit_limit(capsys):
     # the field parameter of (at)^1999 t^2 has over 6000 digits, more than
     # Python's default limit for int <-> str, so it is printed as a string;
-    # one that fits stays an integer.  About 3 s, one 4000-letter evaluation.
+    # one that fits stays an integer.  About 0.3 s, one 4000-letter evaluation.
     code, out, err = run(capsys, ["classify", "--json", "at" * 1999 + "tt"])
     assert code == 0 and err == ""
     before = sys.get_int_max_str_digits()

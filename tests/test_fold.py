@@ -1,6 +1,7 @@
 """The built-in group is built from its generator quaternions and its
 verdicts read the folded quaternion; only HnnGroup.evaluate embeds it into
-PSL2 over Q(sqrt(2)).
+PSL2 over Q(sqrt(2)).  Whole-word verdicts fold primitive integer vectors,
+which must agree projectively with the Fraction fold that membership uses.
 
 The lattice must load with the embedding and ProjMat patched to raise, and
 the group's own queries (word problem, Britton reduction, tree distance,
@@ -10,6 +11,7 @@ group membership goes through the SubgroupOracles methods, whose verdicts
 on a pulled-back matrix must agree with the group's.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,72 @@ def test_quaternion_and_matrix_verdicts_agree():
 
     check()
     assert memberships == {True, False}
+
+
+AMBIENT_LETTERS = [g for x in range(1, 6) for g in (x, -x)]
+
+
+def _primitive(q: Quaternion) -> tuple[int, ...]:
+    """The integer 4-vector on the line through q, up to sign."""
+    den = math.lcm(*(x.denominator for x in q.coords()))
+    x = [int(c * den) for c in q.coords()]
+    g = math.gcd(*x)
+    x = [c // g for c in x]
+    return tuple(x if next(c for c in x if c) > 0 else [-c for c in x])
+
+
+def test_vector_fold_agrees_with_the_fraction_fold():
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from(AMBIENT_LETTERS), max_size=200))
+    def check(word):
+        q = hnn._fold(word, G._units)
+        v = hnn._vector_fold(word, G._vectors)
+        assert all(isinstance(x, int) for x in v.coords())
+        assert math.gcd(*v.coords()) == 1
+        assert _primitive(v) == _primitive(q)
+        assert hnn._is_one(v) == hnn._is_one(q)
+        seen.add(any(abs(g) == 5 for g in word))
+
+    check()
+    assert seen == {True, False}
+    # words in the kernel of G -> PSL(2, R) fold to +-1 by both
+    for w in ("aaBCtbAtD", "aTCtDbCtD"):
+        word = G.as_word(w)
+        assert hnn._is_one(hnn._fold(word, G._units))
+        v = hnn._vector_fold(word, G._vectors)
+        assert v.coords() in ((1, 0, 0, 0), (-1, 0, 0, 0))
+
+
+def test_evaluate_refuses_a_fold_whose_norm_is_no_square(monkeypatch):
+    # 1 + i has reduced norm 1 - 2 = -1: no multiple of a norm-one element
+    vectors = list(G._vectors)
+    vectors[1] = (-1, 1, 1, 0, 0, 2, 0, 0, 0, 0)
+    monkeypatch.setattr(G, "_vectors", vectors)
+    with pytest.raises(RuntimeError, match="reduced norm -1, not a square"):
+        G.evaluate("a")
+
+
+def test_whole_word_verdicts_fold_integer_vectors(monkeypatch):
+    folded = []
+    fold = hnn._fold
+
+    def spy(w, units):
+        folded.append(tuple(w))
+        return fold(w, units)
+
+    monkeypatch.setattr(hnn, "_fold", spy)
+    hnn.load_builtin_group.__wrapped__()
+    assert G.is_trivial("AdcbCaBD") and G.is_trivial("aDaBdA") is False
+    assert folded == []
+    # verify_presentation folds Fractions only to ask the membership
+    # oracles about the 26 u_i and the 26 v_i
+    assert G.verify_presentation().all_hold
+    pair_words = [G.vertex.parse(w) for pair in STABLE_PAIRS for w in pair]
+    assert sorted(folded) == sorted(pair_words)
+    folded.clear()
+    assert G.in_source_subgroup("DaacBC") and len(folded) == 1
 
 
 COORDS = st.fractions(min_value=-50, max_value=50, max_denominator=30)

@@ -208,13 +208,13 @@ def test_word_problem_evaluates_the_free_reduction(monkeypatch):
     rng = random.Random(43)
     relator = G.ambient.relators[0]
     evaluated = []
-    fold = hnn._fold
+    fold = hnn._vector_fold
 
-    def spy(w, units):
+    def spy(w, vectors):
         evaluated.append(tuple(w))
-        return fold(w, units)
+        return fold(w, vectors)
 
-    monkeypatch.setattr(hnn, "_fold", spy)
+    monkeypatch.setattr(hnn, "_vector_fold", spy)
     for w in (relator, random_ambient_word(rng), random_ambient_word(rng)):
         padded = list(w)
         for _ in range(6):
