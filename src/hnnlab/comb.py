@@ -497,20 +497,24 @@ class _Enumerator:
         while True:
             if alpha in self.parent:
                 return  # the scan at the surviving root covers this one
-            f, F, i = alpha, (), 0
+            # rep(alpha) * word[:i] = F * rep(f) and rep(b) * word[j:] =
+            # B * rep(alpha); the scans collect the inverses of the
+            # decorations that make up F and B, read from the mirror edges
+            table, deco = self.table, self.deco
+            f, f_parts, i = alpha, [], 0
             while i < k:
-                nxt = self.table[f][cols[i]]
+                nxt = table[f][cols[i]]
                 if nxt is None:
                     break
-                F = free_reduce(F, self.deco[f][cols[i]])
+                f_parts.append(deco[nxt][cols[i] ^ 1])
                 f = nxt
                 i += 1
-            b, B, j = alpha, (), k
+            b, b_parts, j = alpha, [], k
             while j > i:
-                prev = self.table[b][cols[j - 1] ^ 1]
+                prev = table[b][cols[j - 1] ^ 1]
                 if prev is None:
                     break
-                B = free_reduce(self.deco[prev][cols[j - 1]], B)
+                b_parts.append(deco[b][cols[j - 1] ^ 1])
                 b = prev
                 j -= 1
             if j > i + 1:
@@ -518,8 +522,8 @@ class _Enumerator:
                 continue
             if j == i and f == b:
                 return
-            # rep(f) * word[i:j] = p * rep(b)
-            p = free_reduce(invert_word(F), value, invert_word(B))
+            # rep(f) * word[i:j] = p * rep(b), p = F^-1 * value * B^-1
+            p = free_reduce(*reversed(f_parts), value, *b_parts)
             if j == i:
                 self.coincidence(f, b, p)
                 continue

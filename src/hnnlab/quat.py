@@ -10,22 +10,23 @@ It embeds into 2x2 matrices over Q(sqrt(2)) by
     x0 + x1*i + x2*j + x3*k  |->  [ x0 + x1*r2     x2 + x3*r2   ]
                                   [ 13*(x2-x3*r2)  x0 - x1*r2   ]
 
-with r2 = sqrt(2).  Orders are rank-4 lattices kept in Hermite normal
-form, by the integer row reduction of ``exact``; the same reduction gives
-the trace form determinant of a basis.  Reduced discriminants and Hilbert
-symbols give two independent routes to the ramification data.  Membership
-in the lattice's edge groups is decided on quaternions alone; phi and
-phi_inverse are the boundary to matrices.
+with r2 = sqrt(2).  Orders are rank-4 lattices kept as integer rows in
+Hermite normal form over one denominator, by the integer row reduction of
+``exact``; ring closure, conjugation, intersection and the trace form
+determinant of a basis all run on integer 4-vectors.  Reduced
+discriminants and Hilbert symbols give two independent routes to the
+ramification data.  Membership in the lattice's edge groups is decided on
+quaternions alone; phi and phi_inverse are the boundary to matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
-from math import isqrt, lcm, prod
+from itertools import chain
+from math import gcd, isqrt, lcm, prod
 
-from .exact import Mat2, QuadExt, _hnf_integer_rows
+from .exact import Mat2, QuadExt, _hnf_integer_rows, _prime_factors
 
 I_SQUARE = 2
 J_SQUARE = 13
@@ -191,17 +192,23 @@ def phi_inverse(m: Mat2) -> Quaternion:
 
 
 # ---------------------------------------------------------------------------
-# Exact lattice linear algebra (Hermite normal form over Q).
+# Exact lattice linear algebra: integer rows over one denominator.
+
+
+def _integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """(den, integer rows) with the rational rows equal to rows / den, for
+    the least such den."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def hnf_rational_rows(
     rows: list[tuple[Fraction, ...]],
 ) -> list[tuple[Fraction, ...]]:
     """Hermite normal form basis of the Z-lattice spanned by rational rows."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    int_rows = [[int(x * den) for x in row] for row in rows]
-    basis = _hnf_integer_rows(int_rows)
-    return [tuple(Fraction(x, den) for x in row) for row in basis]
+    den, int_rows = _integer_rows(rows)
+    return [tuple(Fraction(x, den) for x in row) for row in _hnf_integer_rows(int_rows)]
 
 
 def solve_in_rows(
@@ -250,51 +257,83 @@ def _cleared(q: Quaternion) -> tuple[int, Quaternion]:
 
 
 class OrderLattice:
-    """A rank-4 lattice in the algebra, stored as an HNF basis.
+    """A rank-4 lattice in the algebra, spanned by integer rows over one
+    denominator: rows[i] / den, the rows in Hermite normal form and den
+    the least that makes them integral.
 
-    The inverse of the basis matrix is computed once, as an integer matrix
-    over one common denominator, so membership is four integer dot
-    products and four divisibility tests.  When ``validate`` is set the
-    order axioms are checked: the lattice contains 1, is closed under
-    multiplication, and its basis elements have integral reduced trace
-    and norm.
+    The inverse of the basis matrix is kept the same way, as integer
+    columns over one denominator, so membership is four integer dot
+    products and four divisibility tests.  Construction, ring closure,
+    conjugation, intersection and the discriminant all run on integer
+    4-vectors.  When ``validate`` is set the order axioms are checked: the
+    lattice contains 1, is closed under multiplication, and its basis
+    elements have integral reduced trace and norm.
     """
 
-    __slots__ = ("basis", "_columns", "_denominator")
+    __slots__ = ("_den", "_rows", "_columns", "_denominator")
 
     def __init__(self, basis_rows, validate: bool = True):
-        rows = [tuple(Fraction(x) for x in row) for row in basis_rows]
-        basis = hnf_rational_rows(rows)
-        if len(basis) != 4:
-            raise NotFullRank(f"lattice rank {len(basis)} < 4")
-        self.basis = tuple(basis)
-        inverse = _upper_triangular_inverse(basis)
-        den = lcm(*(x.denominator for row in inverse for x in row))
-        self._denominator = den
+        self._build(*_integer_rows(basis_rows), validate)
+
+    @classmethod
+    def _over(cls, den: int, rows, validate: bool = True) -> "OrderLattice":
+        """The lattice spanned by the integer rows divided by den."""
+        new = object.__new__(cls)
+        new._build(den, rows, validate)
+        return new
+
+    def _build(self, den: int, rows, validate: bool) -> None:
+        hnf = _hnf_integer_rows(rows)
+        if len(hnf) != 4:
+            raise NotFullRank(f"lattice rank {len(hnf)} < 4")
+        g = gcd(den, *chain.from_iterable(hnf))
+        self._den = den = den // g
+        self._rows = rows = tuple(tuple(x // g for x in row) for row in hnf)
+        # adj = det * R^-1 is integral, so back substitution on the upper
+        # triangular R divides exactly; the basis R / den has inverse
+        # den * adj / det, kept over its least common denominator
+        det = prod(row[i] for i, row in enumerate(rows))
+        adj = [[0] * 4 for _ in range(4)]
+        for j in range(4):
+            adj[j][j] = det // rows[j][j]
+            for i in range(j - 1, -1, -1):
+                acc = sum(rows[i][k] * adj[k][j] for k in range(i + 1, j + 1))
+                adj[i][j] = -acc // rows[i][i]
+        g = gcd(det, *(den * x for row in adj for x in row))
+        self._denominator = det // g
         self._columns = tuple(
-            tuple(int(inverse[r][c] * den) for r in range(4)) for c in range(4)
+            tuple(den * adj[r][c] // g for r in range(4)) for c in range(4)
         )
         if validate:
             self._validate()
 
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Hermite normal form basis as rational rows."""
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._rows)
+
     def _validate(self) -> None:
         self._validate_unit_and_basis()
-        scaled = [_cleared(e) for e in self.basis_quaternions()]
-        for s, e in scaled:
-            for r, f in scaled:
-                if not self._integral(s * r, *(e * f).coords()):
-                    raise ValueError("lattice is not closed under multiplication")
+        if self._products_outside():
+            raise ValueError("lattice is not closed under multiplication")
+
+    def _products_outside(self) -> list[tuple[int, int, int, int]]:
+        """The products e * f of basis rows that leave the lattice, as
+        integer vectors over den^2."""
+        square = self._den * self._den
+        elems = [Quaternion._raw(*row) for row in self._rows]
+        products = ((e * f).coords() for e in elems for f in elems)
+        return [p for p in products if not self._integral(square, *p)]
 
     def _validate_unit_and_basis(self) -> None:
         """The order axioms other than closure under multiplication."""
-        if not self.contains(QUAT_ONE):
+        if not self._integral(1, 1, 0, 0, 0):
             raise ValueError("lattice does not contain 1")
-        for e in self.basis_quaternions():
-            if e.trd().denominator != 1 or e.nrd().denominator != 1:
+        den = self._den
+        for e in self._rows:
+            if 2 * e[0] % den or Quaternion._raw(*e).nrd() % (den * den):
                 raise ValueError("basis element with non-integral trd or nrd")
-
-    def basis_quaternions(self) -> list[Quaternion]:
-        return [Quaternion._raw(*row) for row in self.basis]
 
     def contains(self, q: Quaternion) -> bool:
         den, v = _cleared(q)
@@ -314,54 +353,43 @@ class OrderLattice:
                 return False
         return True
 
-    def dual_basis(self) -> list[tuple[Fraction, ...]]:
-        """Basis of {x : x . y in Z for all y in the lattice}, coordinatewise
-        dot product: the columns of the inverse basis matrix."""
-        den = self._denominator
-        return [tuple(Fraction(x, den) for x in col) for col in self._columns]
-
     def intersect(self, other: "OrderLattice") -> "OrderLattice":
         """The intersection of two orders, as the dual of the sum of their
-        dual lattices; validated as an order."""
-        dual_sum = OrderLattice(
-            self.dual_basis() + other.dual_basis(), validate=False
+        dual lattices; validated as an order.  The dual lattice, {x : x . y
+        in Z for all y in the lattice} under the coordinatewise dot product,
+        is spanned by the columns of the inverse basis matrix."""
+        den = lcm(self._denominator, other._denominator)
+        dual_sum = OrderLattice._over(
+            den,
+            [
+                [x * (den // lattice._denominator) for x in column]
+                for lattice in (self, other)
+                for column in lattice._columns
+            ],
+            validate=False,
         )
-        return OrderLattice(dual_sum.dual_basis())
+        return OrderLattice._over(dual_sum._denominator, dual_sum._columns)
 
     def conjugate(self, g: Quaternion) -> "OrderLattice":
         """The order g * L * g^-1 for an invertible g; validated as an order."""
         _, g = _cleared(g)
-        g_bar, n = g.conj(), g.nrd()
-        rows = []
-        for s, e in map(_cleared, self.basis_quaternions()):
-            rows.append(tuple(Fraction(x, s * n) for x in (g * e * g_bar).coords()))
-        return OrderLattice(rows)
+        g_bar = g.conj()
+        rows = [(g * Quaternion._raw(*e) * g_bar).coords() for e in self._rows]
+        return OrderLattice._over(self._den * abs(g.nrd()), rows)
 
     def reduced_discriminant(self) -> int:
-        return gram_reduced_discriminant(self.basis)
+        return _trace_form_discriminant(self._den, self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, OrderLattice):
             return NotImplemented
-        return self.basis == other.basis
+        return self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash((self._den, self._rows))
 
     def __repr__(self):
         return f"OrderLattice({[[str(x) for x in row] for row in self.basis]})"
-
-
-def _upper_triangular_inverse(rows) -> list[list[Fraction]]:
-    """Inverse of a nonsingular upper triangular 4x4 matrix (an HNF basis),
-    by back substitution."""
-    inv = [[Fraction(0)] * 4 for _ in range(4)]
-    for j in range(4):
-        inv[j][j] = 1 / rows[j][j]
-        for i in range(j - 1, -1, -1):
-            acc = sum(rows[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-            inv[i][j] = -acc / rows[i][i]
-    return inv
 
 
 def gram_reduced_discriminant(basis_rows) -> int:
@@ -369,18 +397,27 @@ def gram_reduced_discriminant(basis_rows) -> int:
 
     The Gram determinant of an order (or any lattice commensurable with
     one) has absolute value a perfect square; the square root is the
-    reduced discriminant times the lattice index factor.  |det| is the
-    product of the pivots of the Gram matrix's Hermite normal form.
+    reduced discriminant times the lattice index factor.
     """
-    elems = [Quaternion._raw(*(Fraction(x) for x in row)) for row in basis_rows]
-    gram = [tuple((e * f).trd() for f in elems) for e in elems]
-    echelon = hnf_rational_rows(gram)
+    return _trace_form_discriminant(*_integer_rows(basis_rows))
+
+
+def _trace_form_discriminant(den: int, rows) -> int:
+    """gram_reduced_discriminant of the rows divided by den.  The Gram
+    matrix is M / den^2 for the integer M = (trd(r_i * r_j)), so its
+    determinant is det(M) / den^8, and |det(M)| is the product of the
+    pivots of M's Hermite normal form."""
+    elems = [Quaternion._raw(*row) for row in rows]
+    gram = [[(e * f).trd() for f in elems] for e in elems]
+    echelon = _hnf_integer_rows(gram)
     if len(echelon) < 4:
         raise NotFullRank("degenerate trace form")
-    absdet = prod(row[i] for i, row in enumerate(echelon))
-    if absdet.denominator != 1:
-        raise ValueError(f"trace form determinant {absdet} is not an integer")
-    n = absdet.numerator
+    pivots = prod(row[i] for i, row in enumerate(echelon))
+    n, rest = divmod(pivots, den**8)
+    if rest:
+        raise ValueError(
+            f"trace form determinant {Fraction(pivots, den**8)} is not an integer"
+        )
     root = isqrt(n)
     if root * root != n:
         raise ValueError(f"|det| = {n} is not a perfect square")
@@ -396,21 +433,16 @@ def ring_closure(gens, max_rounds: int = 64) -> OrderLattice:
     (which happens when the generated ring is not contained in any order).
     """
     rows = [QUAT_ONE.coords()] + [q.coords() for q in gens]
-    basis = hnf_rational_rows(rows)
-    if len(basis) != 4:
-        raise NotFullRank(f"generators span rank {len(basis)} < 4")
+    lattice = OrderLattice._over(*_integer_rows(rows), validate=False)
     for _ in range(max_rounds):
-        elems = [Quaternion._raw(*row) for row in basis]
-        lattice = OrderLattice(basis, validate=False)
-        products = [e * f for e in elems for f in elems]
-        extra = [p.coords() for p in products if not lattice.contains(p)]
+        extra = lattice._products_outside()
         if not extra:
             # closure is what the loop just tested
             lattice._validate_unit_and_basis()
             return lattice
-        basis = hnf_rational_rows(basis + extra)
-        if len(basis) != 4:
-            raise NotFullRank("saturation lost rank")
+        den = lattice._den
+        rows = [[x * den for x in e] for e in lattice._rows] + extra
+        lattice = OrderLattice._over(den * den, rows, validate=False)
     raise RuntimeError("ring closure did not stabilise; input generates no order")
 
 
@@ -478,21 +510,6 @@ def hilbert_symbol(a, b, p: int | None) -> int:
     if alpha % 2:
         result *= _legendre(v, p)
     return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for p in chain([2], count(3, 2)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def ramified_primes(a: int, b: int) -> list[int]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +250,60 @@ def _squarefree_part_by_factorint(n: int) -> tuple[int, int]:
 def test_bounded_squarefree_part_is_exact_below_bound_cubed(n: int) -> None:
     assert abs(n) < BOUND**3
     assert squarefree_part(n) == _squarefree_part_by_factorint(n)
+
+
+def _squarefree_part_by_trial_division(n: int) -> tuple[int, int]:
+    """squarefree_part as it was before the prime product: trial division
+    by 2 and every odd number up to the bound or the square root of what
+    is left, then a square cofactor folded in by isqrt."""
+    if n == 0:
+        return 0, 0
+    sgn = 1 if n > 0 else -1
+    n = abs(n)
+    s, d = 1, 1
+    p = 2
+    while p <= BOUND and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        s, n = s * r, 1
+    d *= n
+    return s, sgn * d
+
+
+_SMALL_PRIME_POWERS = st.builds(
+    pow, st.sampled_from([2, 3, 5, 7, 13, 65519, 65521]), st.integers(1, 5)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.integers(-(BOUND**2), BOUND**2),
+        st.integers(-(1 << 400), 1 << 400),
+        st.builds(
+            lambda k, powers: k * prod(powers),
+            st.integers(-(1 << 200), 1 << 200),
+            st.lists(_SMALL_PRIME_POWERS, max_size=6),
+        ),
+        st.builds(
+            lambda k, p, powers: k * p * p * prod(powers),
+            st.integers(-(1 << 40), 1 << 40),
+            _LARGE_PRIMES,
+            st.lists(_SMALL_PRIME_POWERS, max_size=4),
+        ),
+    )
+)
+def test_squarefree_part_matches_trial_division(n: int) -> None:
+    assert squarefree_part(n) == _squarefree_part_by_trial_division(n)
 
 
 def test_squarefree_part_folds_a_square_cofactor() -> None:

@@ -8,6 +8,7 @@ before being asserted here.
 
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -362,3 +363,11 @@ def test_4000_letter_power_of_at_is_classified(group):
     assert classify(at_2000) == Hyperbolic(length)
     assert length.field_param == 2173
     assert length.multiplier() == lam**2000
+    # squarefree_part of the 22,195-bit tr^2 - 4 takes about 5 ms against
+    # 0.2 s when it trial-divided by every odd number below 2^16
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        classify(at_2000)
+        best = min(best, perf_counter() - start)
+    assert best < 0.1

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hnnlab.exact import Mat2, QuadExt
 from hnnlab.quat import (
@@ -336,7 +338,7 @@ def test_contains_matches_solved_coordinates() -> None:
     ]
     rng = random.Random(15)
     for lattice in lattices:
-        elems = lattice.basis_quaternions()
+        elems = [Quaternion(*row) for row in lattice.basis]
         verdicts = set()
         for _ in range(60):
             q = Quaternion()
@@ -361,10 +363,102 @@ def test_edge_orders_are_eichler_of_level_9() -> None:
     assert oracles.target_order != oracles.source_order
     for eichler in (oracles.target_order, oracles.source_order):
         assert OrderLattice(eichler.basis) == eichler  # validates the axioms
-        assert all(order.contains(e) for e in eichler.basis_quaternions())
+        assert all(order.contains(Quaternion(*row)) for row in eichler.basis)
         # HNF bases are upper triangular, so the index is a diagonal ratio
         index = prod(eichler.basis[i][i] for i in range(4)) / prod(
             order.basis[i][i] for i in range(4)
         )
         assert index == 9
         assert gram_reduced_discriminant(eichler.basis) == 234 == 26 * 9
+
+
+# The HNF bases of the built-in orders, as the rational rows .basis returns.
+PINNED_BASES = {
+    "order": [
+        ["1/2", "0", "1/2", "0"],
+        ["0", "1/2", "0", "1/2"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ],
+    "conjugate_order": [
+        ["1/2", "0", "3/2", "1"],
+        ["0", "1/18", "17/9", "7/6"],
+        ["0", "0", "3", "2"],
+        ["0", "0", "0", "3"],
+    ],
+    "target_order": [
+        ["1/2", "0", "3/2", "1"],
+        ["0", "1/2", "2", "1/2"],
+        ["0", "0", "3", "2"],
+        ["0", "0", "0", "3"],
+    ],
+    "source_order": [
+        ["1/2", "0", "3/2", "2"],
+        ["0", "1/2", "1", "3/2"],
+        ["0", "0", "3", "1"],
+        ["0", "0", "0", "3"],
+    ],
+}
+
+
+def test_order_bases_are_pinned() -> None:
+    oracles = standard_oracles()
+    lattices = {name: getattr(oracles, name) for name in PINNED_BASES}
+    lattices["lipschitz_like"] = lipschitz_like_order()
+    expected = dict(PINNED_BASES, lipschitz_like=[
+        ["1", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"],
+    ])
+    for name, lattice in lattices.items():
+        assert type(lattice.basis) is tuple, name
+        assert all(type(x) is F for row in lattice.basis for x in row), name
+        assert [[str(x) for x in row] for row in lattice.basis] == expected[name], name
+        # a lattice rebuilt from its own rational rows is the same lattice
+        assert OrderLattice(lattice.basis) == lattice, name
+
+
+_GENERATORS = standard_generators()
+_LETTERS = [_GENERATORS[n] for n in "abcdt"]
+_LETTERS += [q.conj() for q in _LETTERS]
+_COORDS = st.fractions(min_value=-20, max_value=20, max_denominator=18)
+
+
+def _in_lattice_by_solving(lattice: OrderLattice, q: Quaternion) -> bool:
+    coords = solve_in_rows(list(lattice.basis), q.coords())
+    return coords is not None and all(x.denominator == 1 for x in coords)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(_LETTERS), max_size=6),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+            st.sampled_from([1, 1, 2, 3, 9, 18]),
+            st.lists(st.sampled_from(_LETTERS), max_size=6),
+            st.tuples(_COORDS, _COORDS, _COORDS, _COORDS),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_membership_agrees_with_solving_in_conjugated_orders(conjugator, draws) -> None:
+    # O conjugated by a word of at most 6 letters over a..d, t and their
+    # inverses, and its intersection with O: the integer inverse columns
+    # against Gaussian elimination over Q
+    g = prod(conjugator, start=QUAT_ONE)
+    order = standard_order()
+    conjugate = order.conjugate(g)
+    for lattice in (conjugate, order.intersect(conjugate)):
+        elems = [Quaternion(*row) for row in lattice.basis]
+        for coeffs, den, word, coords in draws:
+            # a lattice point moved by a small denominator, a norm-one
+            # product of letters, and a random rational quaternion
+            near = sum((Quaternion(c) * e for c, e in zip(coeffs, elems)), Quaternion())
+            near = near + Quaternion(F(1, den)) * elems[den % 4]
+            for q in (near, prod(word, start=QUAT_ONE), Quaternion(*coords)):
+                expected = _in_lattice_by_solving(lattice, q)
+                assert lattice.contains(q) == expected, (lattice, q)
+                assert lattice.contains_unit(q) == (expected and q.nrd() == 1), (lattice, q)
