@@ -23,6 +23,8 @@ lies in the subgroup to a word in the subgroup generators.
 
 from __future__ import annotations
 
+import marshal
+import operator
 import re
 import struct
 from functools import lru_cache
@@ -94,11 +96,14 @@ def _letter_of_col(col: int) -> int:
     return col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1)
 
 
-# Words as bytes: struct packs letter g as the signed byte g & 0xFF, and a
+# Words as bytes: letter g is read as its signed byte g & 0xFF, and a
 # translation table takes that byte to the coset table column _col(g), so a
 # letter and its inverse differ in bit 0 only.  Columns stay below 0xFF,
 # which marks every byte that is no letter of the alphabet.
 _BYTE_GENERATORS = 127
+# the three high bytes of a 4-byte little-endian int in -128..127, from its
+# low byte: its sign, repeated
+_SIGN = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 @lru_cache
@@ -117,15 +122,28 @@ _LETTERS = bytes(_letter_of_col(c) & 0xFF for c in range(256))
 
 
 def _encode(w: Word, ngens: int) -> bytes | None:
-    """The columns of w, one byte per letter, or None unless every letter is
-    an int (bool and other int subclasses included) among the +-1 .. +-127
-    letters of the alphabet."""
-    if not all(issubclass(t, int) for t in set(map(type, w))):
-        return None
+    """The columns of the tuple w, one byte per letter, or None unless every
+    letter is an exact int (no bool or other subclass) among the +-1 .. +-127
+    letters of the alphabet.
+
+    marshal format 2 writes no back-references: a tuple is b"(" and its
+    length in 4 bytes, then each item in turn, and only an exact int of 32
+    bits or fewer is written as b"i" and its 4 little-endian bytes.  Every
+    other item is written under another type byte (a bool as b"T" or b"F",
+    any buffer, numpy's integer scalars among them, as bytes) or refused
+    with ValueError (int subclasses, objects that only have __index__).  So
+    when the bytes at 5, 10, ... are all b"i", item k sits at 5 + 5k, every
+    item is an exact int, and its low byte is its signed byte; the three
+    bytes above repeat its sign exactly when it lies in -128..127.
+    """
     try:
-        s = struct.pack(f"{len(w)}b", *w).translate(_columns(ngens))
-    except struct.error:  # a letter outside -128..127
+        d = marshal.dumps(w, 2)
+    except ValueError:
         return None
+    low, high = d[6::5], d[9::5]
+    if not (d[5::5] == b"i" * len(w) and high == d[8::5] == d[7::5] == low.translate(_SIGN)):
+        return None
+    s = low.translate(_columns(ngens))
     return None if b"\xff" in s else s
 
 
@@ -164,9 +182,11 @@ def _free_reduce_columns(s: bytes) -> bytearray:
 
 def _reduced_words(items, alphabet) -> tuple[Word, ...]:
     """Strings in either grammar or letter sequences, checked against the
-    alphabet and freely reduced."""
+    alphabet, read as exact ints and freely reduced."""
     words = (parse_word(w, alphabet) if isinstance(w, str) else w for w in items)
-    return tuple(free_reduce(_validate_word(w, len(alphabet))) for w in words)
+    return tuple(
+        free_reduce(map(operator.index, _validate_word(w, len(alphabet)))) for w in words
+    )
 
 
 def parse_word(text: str, alphabet) -> Word:
@@ -310,8 +330,8 @@ def is_metric_sixth(symmetrized) -> bool:
 
 @lru_cache(maxsize=16)
 def _dehn_rules(relators: tuple[Word, ...], ngens: int):
-    """(pattern, rules, longest) for Dehn's algorithm over column strings,
-    or None when the symmetrized relators are empty or fail C'(1/6).
+    """(pattern, rules, longest, inverse) for Dehn's algorithm over column
+    strings, or None when the symmetrized relators are empty or fail C'(1/6).
 
     A word is written as the latin-1 string of its column bytes (_encode),
     so a letter and its inverse differ only in the low bit.  ``rules`` maps
@@ -321,7 +341,8 @@ def _dehn_rules(relators: tuple[Word, ...], ngens: int):
     half optional and nested, so greedy.  Under C'(1/6) two relators share
     less than a sixth of either, so at most one relator has a rule prefix at
     any position: a search finds the leftmost match and the longest there,
-    and no rule comes from two relators.
+    and no rule comes from two relators.  ``inverse`` maps each letter's
+    character to its inverse's.
     """
     sym = _symmetrize(relators)
     if not sym or not is_metric_sixth(sym):
@@ -336,7 +357,8 @@ def _dehn_rules(relators: tuple[Word, ...], ngens: int):
         tail = "".join("(?:" + re.escape(x) for x in rel[half:]) + ")?" * (len(r) - half)
         by_first.setdefault(re.escape(rel[0]), []).append(re.escape(rel[1:half]) + tail)
     pattern = re.compile("|".join(f"{x}(?:{'|'.join(alts)})" for x, alts in by_first.items()))
-    return pattern, rules, max(map(len, sym))
+    inverse = {chr(c): chr(c ^ 1) for c in range(2 * ngens)}
+    return pattern, rules, max(map(len, sym)), inverse
 
 
 def dehn_reduce(word, presentation: Presentation) -> Word:
@@ -345,11 +367,13 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     leftmost match and the longest match there.  Under C'(1/6) the result is
     empty exactly when the word represents the identity (Greendlinger).
 
-    The word enters as one byte per letter (_encode): struct packs it and a
-    translation table checks and encodes every letter at C speed, and the
-    free reduction works on those bytes.  So the alphabet may have at most
-    127 generators; a larger one raises ValueError.  Letters outside the
-    alphabet raise ValueError, as in _validate_word.
+    The word enters as one byte per letter (_encode): marshal writes it at C
+    speed, and a few slices of that output check that every letter is an
+    exact int and encode it; the free reduction works on those bytes.  So
+    the alphabet may have at most 127 generators; a larger one raises
+    ValueError.  A word _encode refuses goes through _validate_word, which
+    raises ValueError on a letter outside the alphabet; a word it passes
+    holds bools or other int subclasses, read as their int values.
 
     One left-to-right scan (Domanski & Anshel, J. Algorithms 6, 1985) over
     the bytes read as a string, with every rule in one compiled pattern.
@@ -358,7 +382,8 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     alone would have matched before; so the next search starts longest // 2
     letters back.  Every replacement shortens the word, so the scan tries
     O(longest * n) positions; each replacement also copies the string once,
-    at C speed.
+    at C speed.  An empty complement lets the letters around it cancel,
+    tested through the rules' table of inverse letters.
     """
     ngens = presentation.ngens
     if ngens > _BYTE_GENERATORS:
@@ -368,25 +393,27 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     found = _dehn_rules(presentation.relators, ngens)
     if found is None:
         raise NotDehnPresentation("relators do not satisfy C'(1/6)")
-    pattern, rules, longest = found
+    pattern, rules, longest, inverse = found
     w = tuple(word)
     columns = _encode(w, ngens)
     if columns is None:
-        # raises: up to 127 generators, _encode refuses exactly the words
-        # with a letter that _validate_word names
-        _validate_word(w, ngens)
+        # raises unless every letter is an int in the alphabet; up to 127
+        # generators, _encode then takes their values as exact ints
+        columns = _encode(tuple(map(operator.index, _validate_word(w, ngens))), ngens)
     s = _free_reduce_columns(columns).decode("latin-1")
+    search, back = pattern.search, longest // 2
     pos = 0
-    while m := pattern.search(s, pos):
+    while m := search(s, pos):
         i, j = m.span()
         # the complement cancels into neither neighbour, since a letter that
         # did would extend the match; only an empty one lets them meet
-        comp = rules[m.group()]
+        comp = rules[m[0]]
         if not comp:
-            while i and j < len(s) and ord(s[i - 1]) ^ 1 == ord(s[j]):
+            n = len(s)
+            while i and j < n and inverse[s[i - 1]] == s[j]:
                 i, j = i - 1, j + 1
         s = s[:i] + comp + s[j:]
-        pos = max(i - longest // 2, 0)
+        pos = i - back if i > back else 0
     return struct.unpack(f"{len(s)}b", s.encode("latin-1").translate(_LETTERS))
 
 

@@ -140,6 +140,18 @@ def check_against_reference(p, words):
     return shortened
 
 
+def test_encode_takes_exactly_the_letters_of_the_alphabet():
+    # ints around each byte boundary of a 4-byte int, and past 32 bits
+    values = list(range(-600, 600)) + [
+        s * (x << k) + d
+        for s in (1, -1) for x in (1, 255) for k in (8, 16, 24, 31) for d in (-1, 0, 1, 2)
+    ] + [2**63, 10**30]
+    for g in values:
+        expected = bytes([_col(g)]) if 0 < abs(g) <= 4 else None
+        assert _encode((g,), 4) == expected, g
+        assert _encode((1, g, -2), 4) == (expected and b"\x00" + expected + b"\x03"), g
+
+
 @pytest.mark.parametrize("p", [SURFACE, GENUS10], ids=["genus2", "genus10"])
 def test_column_bytes_free_reduce_like_letters(p):
     @SETTINGS
@@ -177,6 +189,34 @@ class L(IntEnum):
     A = 1
 
 
+class IntLike:
+    """An index, equal to its int and hashed as it, yet no int: a set of
+    the letters would merge it with an equal int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __eq__(self, other):
+        return self.value == other
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"IntLike({self.value})"
+
+
+class BytesInt(bytes):
+    """An index that is also a buffer, as numpy's integer scalars are:
+    marshal writes it as bytes, and struct packs it as its index."""
+
+    def __index__(self):
+        return len(self)
+
+
 BAD_WORDS = [
     (0, 0), (0,), (9,), (-5, 5), (2.0,), (1, 2.0, -2.0), ("a",),
     # bool 0, past a signed byte, past any machine int, not a number
@@ -192,7 +232,13 @@ def test_letters_outside_the_alphabet_raise(word):
         dehn_reduce(word, SURFACE)
 
 
-@pytest.mark.parametrize("word", [w for w in BAD_WORDS if w != (-5, 5)] + [(Index(),)])
+# indexes that are no int, alone and after an int of the same value
+INT_LIKE_WORDS = [
+    (Index(),), (IntLike(1),), (1, IntLike(1)), (BytesInt(b"x"),), (1, BytesInt(b"x")),
+]
+
+
+@pytest.mark.parametrize("word", [w for w in BAD_WORDS if w != (-5, 5)] + INT_LIKE_WORDS)
 def test_word_entry_points_name_the_first_bad_letter(word):
     # none of these words holds t = 5, so they are bad in G's alphabet too
     bad = next(g for g in word if type(g) is not int or not 0 < abs(g) <= 4)
@@ -207,12 +253,24 @@ def test_word_entry_points_name_the_first_bad_letter(word):
         assert str(raised.value) == f"letter {bad!r} outside alphabet of size {ngens}"
 
 
+def test_numpy_integer_letters_are_refused():
+    np = pytest.importorskip("numpy")
+    for word in ((np.int64(1),), (1, np.int8(-2))):
+        with pytest.raises(ValueError, match="outside alphabet of size 4"):
+            dehn_reduce(word, SURFACE)
+
+
 def test_letters_that_are_ints_are_read_as_ints():
     assert dehn_reduce(iter((1, -1, 2)), SURFACE) == (2,)
     for word, plain in (((True,), (1,)), ((L.A, 2), (1, 2)), ((True, -L.A), ())):
         reduced = dehn_reduce(word, SURFACE)
         assert reduced == dehn_reduce(plain, SURFACE) == plain
         assert all(type(g) is int for g in reduced)
+    # so are the letters of relators, which the rules encode
+    relator = SURFACE.relators[0]
+    mixed = Presentation("abcd", [tuple(L.A if g == 1 else g for g in relator)])
+    assert [type(g) for g in mixed.relators[0]] == [int] * len(relator)
+    assert dehn_reduce(relator, mixed) == ()
 
 
 def test_dehn_reduction_takes_at_most_127_generators():
@@ -231,6 +289,57 @@ def test_dehn_reduction_takes_at_most_127_generators():
         _validate_word((129,), wide.ngens)
     with pytest.raises(ValueError, match="at most 127 generators, not 128"):
         dehn_reduce((1,), wide)
+
+
+def first_match(p, word):
+    """The span of the scan's first match in a freely reduced word."""
+    assert free_reduce(word) == word, p.render(word)
+    pattern = _dehn_rules(p.relators, p.ngens)[0]
+    return pattern.search(_encode(word, p.ngens).decode("latin-1")).span()
+
+
+def matches_reference(p, word):
+    reduced = dehn_reduce(word, p)
+    assert reduced == reference_dehn_reduce(word, p), p.render(word)
+    return reduced
+
+
+@pytest.mark.parametrize("p", [SURFACE, GENUS10], ids=["genus2", "genus10"])
+def test_conjugated_relator_cancels_to_both_ends(p):
+    # the relator is the first match and has an empty complement, so the
+    # cancellation around it runs to index 0 and to the end of the word
+    r = p.relators[0]
+    for u in (p.parse("bc"), p.parse("ddbc")):
+        word = u + r + invert_word(u)
+        assert first_match(p, word) == (len(u), len(u) + len(r))
+        assert matches_reference(p, word) == ()
+
+
+@pytest.mark.parametrize("p", [SURFACE, GENUS10], ids=["genus2", "genus10"])
+def test_partial_match_beside_a_full_relator(p):
+    # r[:k], more than half of r and not all of it, goes first when it comes
+    # first, replaced by a non-empty complement; the full relator s goes
+    # first when it comes first, and then r[:k] follows
+    r = p.relators[0]
+    n, s = len(r), r[1:] + r[:1]
+    for k in range(n // 2 + 1, n):
+        for word, span in ((r[:k] + s, (0, k)), (s + r[:k], (0, n))):
+            assert first_match(p, word) == span
+            assert len(matches_reference(p, word)) < len(word)
+
+
+@pytest.mark.parametrize("p", [SURFACE, GENUS10], ids=["genus2", "genus10"])
+def test_match_joined_by_a_cancellation(p):
+    # r split in halves around u s u^-1: neither half is a match, and r
+    # matches only once s is replaced and u cancels; the step back lands
+    # at index 0 exactly, or one letter after it behind x
+    r = p.relators[0]
+    half, s, u = len(r) // 2, r[1:] + r[:1], p.parse("bc")
+    for x in ((), p.parse("b")):
+        word = x + r[:half] + u + s + invert_word(u) + r[half:]
+        start = len(x) + half + len(u)
+        assert first_match(p, word) == (start, start + len(s))
+        assert matches_reference(p, word) == x
 
 
 @pytest.mark.parametrize("p", PRESENTATIONS, ids=IDS)
