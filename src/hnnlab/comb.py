@@ -589,6 +589,10 @@ class CosetTable(NamedTuple):
     Cosets are numbered in breadth-first discovery order from coset 0
     (the subgroup itself), scanning columns g0, g0^-1, g1, g1^-1, ...;
     two enumerations of the same action therefore agree entry by entry.
+    An edge a -x-> b with decoration d means rep(a) * x = d * rep(b), for
+    representatives rep(a) in the cosets H * representatives[a] with
+    rep(0) = 1; once cosets have merged, rep(a) may differ from the word
+    representatives[a] by an element of H.
     """
 
     generators: tuple[str, ...]

@@ -67,7 +67,9 @@ from .quat import (
 
 
 class OracleDisagreement(RuntimeError):
-    """The matrix route and the coset-table route returned different answers."""
+    """The two routes returned different answers: the quaternion fold
+    against a coset table (membership) or against Dehn's algorithm (the
+    word problem)."""
 
 
 SURFACE_RELATOR = "AdcbCaBD"
@@ -102,7 +104,8 @@ STABLE_PAIRS = (
     ("DadCDaDadbAd", "bcbAC"),
 )
 
-T_LETTER = 5  # index of t in the ambient alphabet (a, b, c, d, t)
+AMBIENT_ALPHABET = "abcdt"
+T_LETTER = AMBIENT_ALPHABET.index("t") + 1
 
 
 class BrittonForm(NamedTuple):
@@ -124,8 +127,8 @@ class BrittonForm(NamedTuple):
             out.extend(seg)
         return free_reduce(out)
 
-    def render(self, alphabet=("a", "b", "c", "d", "t")) -> str:
-        return render_word(self.to_word(), alphabet, "compact")
+    def render(self) -> str:
+        return render_word(self.to_word(), AMBIENT_ALPHABET, "compact")
 
 
 class RelationCheck(NamedTuple):
@@ -154,32 +157,45 @@ class VerificationReport(NamedTuple):
 class HnnGroup:
     """The HNN extension with its quaternion model and decorated tables.
 
-    The generators are the norm-one quaternions of a, b, c, d and t; anything
-    else raises ValueError here, not in the middle of a query.
+    Built from its defining data: the vertex presentation, the stable pairs
+    (u_i, v_i) as text, the generators and the edge oracles.  Each pair is
+    parsed once; the ambient presentation (the vertex relators, then
+    t * u_i * t^-1 * v_i^-1 in pair order) and the tables of H = <u1..>
+    and K = <v1..> are derived from those words.  The generators are the
+    norm-one quaternions of a, b, c, d and t; anything else raises
+    ValueError here, not in the middle of a query.
     """
 
     def __init__(
-        self,
-        vertex: Presentation,
-        ambient: Presentation,
-        pairs,
-        generators,
-        oracles: SubgroupOracles,
-        source_table: CosetTable,
-        target_table: CosetTable,
+        self, vertex: Presentation, pairs, generators, oracles: SubgroupOracles
     ):
+        if vertex.generators != tuple(AMBIENT_ALPHABET[:-1]):
+            raise ValueError(f"vertex alphabet {vertex.generators} is not a, b, c, d")
         self.vertex = vertex
-        self.ambient = ambient
         self.pairs = tuple(pairs)
         self.generators = tuple(generators)
+        if len(self.generators) != len(AMBIENT_ALPHABET):
+            raise ValueError(f"{len(self.generators)} generators for a, b, c, d, t")
         for q in self.generators:
             if not (isinstance(q, Quaternion) and q.nrd() == 1):
                 raise ValueError(f"generator {q!r} is not a norm-one Quaternion")
         self._units = _fold_table(self.generators)
         self._vectors = _vector_table(self.generators)
         self.oracles = oracles
-        self.source_table = source_table
-        self.target_table = target_table
+        words = tuple((vertex.parse(u), vertex.parse(v)) for u, v in self.pairs)
+        self._pair_words = words
+        self.ambient = Presentation(
+            AMBIENT_ALPHABET,
+            vertex.relators
+            + tuple((T_LETTER,) + u + (-T_LETTER,) + invert_word(v) for u, v in words),
+        )
+        numbers = range(1, len(words) + 1)
+        self.source_table = todd_coxeter(
+            vertex, [u for u, _ in words], subgroup_names=[f"u{i}" for i in numbers]
+        )
+        self.target_table = todd_coxeter(
+            vertex, [v for _, v in words], subgroup_names=[f"v{i}" for i in numbers]
+        )
 
     @property
     def images(self) -> tuple[ProjMat, ...]:
@@ -204,9 +220,15 @@ class HnnGroup:
 
     # -- dual membership oracles --------------------------------------------
 
+    def _vertex_word(self, g) -> Word:
+        """The intake of the edge-group methods: a word over a, b, c, d, as
+        text in the vertex alphabet or letters checked against it; a stable
+        letter raises ValueError."""
+        if isinstance(g, str):
+            return self.vertex.parse(g)
+        return _validate_word(g, self.vertex.ngens)
+
     def _dual_membership(self, g: Word, table: CosetTable, member) -> bool:
-        if any(abs(x) == T_LETTER for x in g):
-            raise ValueError("membership test needs a word in a, b, c, d")
         by_matrix = member(_fold(g, self._units))
         by_table = table.follow(0, g) == 0
         if by_matrix != by_table:
@@ -219,13 +241,13 @@ class HnnGroup:
     def in_source_subgroup(self, g) -> bool:
         """Is the t-free word in H = <u1..u26>?  Both routes must agree."""
         return self._dual_membership(
-            self.as_word(g), self.source_table, self.oracles.in_source_subgroup
+            self._vertex_word(g), self.source_table, self.oracles.in_source_subgroup
         )
 
     def in_target_subgroup(self, g) -> bool:
         """Is the t-free word in K = <v1..v26>?  Both routes must agree."""
         return self._dual_membership(
-            self.as_word(g), self.target_table, self.oracles.in_target_subgroup
+            self._vertex_word(g), self.target_table, self.oracles.in_target_subgroup
         )
 
     # -- the defining isomorphism H -> K -------------------------------------
@@ -236,12 +258,12 @@ class HnnGroup:
         The u-letter rewriting of g is reinterpreted over the v-letters:
         the defining isomorphism matches them up index by index.
         """
-        sub = self.source_table.rewrite(self.as_word(g))
+        sub = self.source_table.rewrite(self._vertex_word(g))
         return self.target_table.expand_subgroup_word(sub)
 
     def conjugate_into_source(self, g) -> Word:
         """t^-1 * g * t as a word over a..d, for g in K."""
-        sub = self.target_table.rewrite(self.as_word(g))
+        sub = self.target_table.rewrite(self._vertex_word(g))
         return self.source_table.expand_subgroup_word(sub)
 
     # -- Britton reduction ----------------------------------------------------
@@ -350,9 +372,8 @@ class HnnGroup:
                 )
             )
         memberships = True
-        for u, v in self.pairs:
-            u_w, v_w = self.vertex.parse(u), self.vertex.parse(v)
-            if not (self.in_source_subgroup(u_w) and self.in_target_subgroup(v_w)):
+        for u, v in self._pair_words:
+            if not (self.in_source_subgroup(u) and self.in_target_subgroup(v)):
                 memberships = False
         detected = 0
         for r in self.ambient.relators:
@@ -449,54 +470,23 @@ def _is_one(q: Quaternion) -> bool:
     return not (q.x1 or q.x2 or q.x3)
 
 
-def _ambient_presentation(vertex: Presentation) -> Presentation:
-    relators: list[Word] = [vertex.parse(SURFACE_RELATOR) ]
-    for u, v in STABLE_PAIRS:
-        r = (
-            (T_LETTER,)
-            + vertex.parse(u)
-            + (-T_LETTER,)
-            + invert_word(vertex.parse(v))
-        )
-        relators.append(r)
-    return Presentation("abcdt", relators)
-
-
 @lru_cache(maxsize=1)
 def load_builtin_group() -> HnnGroup:
     """Construct the built-in group and run its startup self-checks."""
-    vertex = Presentation("abcd", [SURFACE_RELATOR])
-    ambient = _ambient_presentation(vertex)
     gens = standard_generators()
-    u_words = [w for w, _ in STABLE_PAIRS]
-    v_words = [w for _, w in STABLE_PAIRS]
-    source_table = todd_coxeter(
-        vertex,
-        u_words,
-        subgroup_names=[f"u{i+1}" for i in range(len(u_words))],
-    )
-    target_table = todd_coxeter(
-        vertex,
-        v_words,
-        subgroup_names=[f"v{i+1}" for i in range(len(v_words))],
-    )
-    if source_table.index != 12 or target_table.index != 12:
-        raise RuntimeError(
-            f"subgroup indices {source_table.index}, {target_table.index} != 12"
-        )
     group = HnnGroup(
-        vertex=vertex,
-        ambient=ambient,
+        vertex=Presentation("abcd", [SURFACE_RELATOR]),
         pairs=STABLE_PAIRS,
-        generators=[gens[n] for n in "abcdt"],
+        generators=[gens[n] for n in AMBIENT_ALPHABET],
         oracles=standard_oracles(),
-        source_table=source_table,
-        target_table=target_table,
     )
-    for r in ambient.relators:
+    source, target = group.source_table.index, group.target_table.index
+    if source != 12 or target != 12:
+        raise RuntimeError(f"subgroup indices {source}, {target} != 12")
+    for r in group.ambient.relators:
         if not _is_one(_vector_fold(r, group._vectors)):
             raise RuntimeError(
                 f"defining relation fails in the matrix model: "
-                f"{ambient.render(r, 'compact')}"
+                f"{group.ambient.render(r, 'compact')}"
             )
     return group

@@ -314,7 +314,14 @@ class OrderLattice:
         return tuple(tuple(Fraction(x, den) for x in row) for row in self._rows)
 
     def _validate(self) -> None:
-        self._validate_unit_and_basis()
+        """The order axioms: 1 in the lattice, basis elements with integral
+        trd and nrd, closure under multiplication."""
+        if not self._integral(1, 1, 0, 0, 0):
+            raise ValueError("lattice does not contain 1")
+        den = self._den
+        for e in self._rows:
+            if 2 * e[0] % den or Quaternion._raw(*e).nrd() % (den * den):
+                raise ValueError("basis element with non-integral trd or nrd")
         if self._products_outside():
             raise ValueError("lattice is not closed under multiplication")
 
@@ -326,14 +333,15 @@ class OrderLattice:
         products = ((e * f).coords() for e in elems for f in elems)
         return [p for p in products if not self._integral(square, *p)]
 
-    def _validate_unit_and_basis(self) -> None:
-        """The order axioms other than closure under multiplication."""
-        if not self._integral(1, 1, 0, 0, 0):
-            raise ValueError("lattice does not contain 1")
+    def _trace_integral(self) -> bool:
+        """Do the basis elements have integral trd and nrd, and every
+        product e * f of two of them integral trd?"""
         den = self._den
-        for e in self._rows:
-            if 2 * e[0] % den or Quaternion._raw(*e).nrd() % (den * den):
-                raise ValueError("basis element with non-integral trd or nrd")
+        square = den * den
+        elems = [Quaternion._raw(*row) for row in self._rows]
+        return not any(
+            2 * e.x0 % den or e.nrd() % square for e in elems
+        ) and not any(2 * (e * f).x0 % square for e in elems for f in elems)
 
     def contains(self, q: Quaternion) -> bool:
         den, v = _cleared(q)
@@ -424,26 +432,31 @@ def _trace_form_discriminant(den: int, rows) -> int:
     return root
 
 
-def ring_closure(gens, max_rounds: int = 64) -> OrderLattice:
+def ring_closure(gens) -> OrderLattice:
     """Smallest multiplication-closed lattice containing 1 and the generators.
 
     Iterates HNF saturation with pairwise basis products until stable.
     Raises NotFullRank if 1 and the generators do not already span a
-    rank-4 lattice, and RuntimeError if saturation fails to stabilise
-    (which happens when the generated ring is not contained in any order).
+    rank-4 lattice, and RuntimeError as soon as a round's lattice is not
+    integral: a basis element with non-integral trd or nrd, or a basis
+    pair e, f with non-integral trd(e * f).  Then the generated ring lies
+    in no order.  Otherwise every round's lattice L lies in its trace dual
+    {x : trd(x * L) in Z}, and as the lattices grow their duals shrink, so
+    all of them lie in the dual of the first: a fixed lattice, in which an
+    ascending chain ends.  So the loop ends without a round limit.
     """
     rows = [QUAT_ONE.coords()] + [q.coords() for q in gens]
     lattice = OrderLattice._over(*_integer_rows(rows), validate=False)
-    for _ in range(max_rounds):
+    while True:
+        if not lattice._trace_integral():
+            raise RuntimeError("ring closure is not integral; input generates no order")
         extra = lattice._products_outside()
         if not extra:
-            # closure is what the loop just tested
-            lattice._validate_unit_and_basis()
+            # closure is what the loop just tested, integrality the round's check
             return lattice
         den = lattice._den
         rows = [[x * den for x in e] for e in lattice._rows] + extra
         lattice = OrderLattice._over(den * den, rows, validate=False)
-    raise RuntimeError("ring closure did not stabilise; input generates no order")
 
 
 # ---------------------------------------------------------------------------

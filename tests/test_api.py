@@ -5,6 +5,7 @@ semantics."""
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,26 @@ def test_records_are_immutable_values(cls, values):
     assert twin == record and hash(twin) == hash(record)
     fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
     assert repr(record) == f"{cls.__name__}({fields})"
+
+
+def test_readme_library_block_runs_as_shown():
+    # each line of README's Library block that ends in "# value" must give
+    # a value with that repr; the value is read with the public names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    public = {name: getattr(hnnlab, name) for name in hnnlab.__all__}
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, shown = line.partition("# ")
+        if not shown:
+            exec(code, namespace)
+            continue
+        expected = eval(shown, {"Fraction": Fraction, **public})
+        assert repr(eval(code, namespace)) == repr(expected), line
+        checked += 1
+    assert checked == 5
 
 
 def test_isometry_records_are_told_apart_and_copied():

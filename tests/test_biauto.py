@@ -326,6 +326,16 @@ def test_normal_form_words_are_geodesics():
     assert report.additive == 0
 
 
+def test_detour_word_reads_its_length_over_its_norm():
+    # xyX is y in Z^2: three letters for an element of norm 1
+    detour = Fsa(("x", "X", "y", "Y"), 4, 0, (3,),
+                 [(0, "x", 1), (1, "y", 2), (2, "X", 3)])
+    lang = WindowedLanguage(detour, z2_model(), 4)
+    report = lang.quasigeodesic()
+    assert report.multiplicative == Fraction(3)
+    assert report.additive == 0
+
+
 def test_structure_report_verdicts():
     model = z2_model()
     good = WindowedLanguage(z2_normal_form_fsa(), model, 5).analyze(

@@ -2,6 +2,7 @@
 and byte-for-byte determinism."""
 
 import contextlib
+import copy
 import hashlib
 import json
 import math
@@ -152,6 +153,16 @@ def test_lengths_detects_exact_dependence(capsys):
     assert data["comparison"] == {"kind": "dependent", "p": 2, "q": 1}
 
 
+def test_lengths_below_the_dependence_bound_are_independent_up_to_it(capsys):
+    # 2 * len(a) = 1 * len(d) needs a multiplier of 2, past bound 1
+    code, out, _ = run(capsys, ["lengths", "--bound", "1", "a", "d"])
+    assert code == 0
+    assert out.splitlines()[-1] == "ratio check: independent-up-to (bound 1)"
+    code, data = run_json(capsys, ["lengths", "--bound", "1", "a", "d", "--json"])
+    assert code == 0
+    assert data["comparison"] == {"kind": "independent-up-to", "bound": 1}
+
+
 def test_lengths_certifies_independence_across_fields(capsys):
     code, data = run_json(capsys, ["lengths", "a", "c", "--json"])
     assert code == 0
@@ -171,8 +182,8 @@ def test_lengths_default_four_generators(capsys):
 def test_lengths_of_4000_letter_words(capsys):
     # tr^2 - 4 has about 6680 digits for both words and is never factored;
     # the second word's field parameter keeps nearly all of them, beyond
-    # Python's default 4300-digit limit for int <-> str.  About 10 s, two
-    # evaluations of 4000 letters.
+    # Python's default 4300-digit limit for int <-> str.  About 0.13 s on a
+    # 2-core x86 host, two evaluations of 4000 letters.
     words = ["at" * 2000, "at" * 1999 + "tt"]
     code, out, err = run(capsys, ["lengths", "--json", *words])
     assert code == 0 and err == ""
@@ -1001,15 +1012,10 @@ def test_tree_rejects_three_words(capsys):
 
 def test_oracle_disagreement_exits_3(capsys, monkeypatch):
     group = hnn.load_builtin_group()
-    tampered = hnn.HnnGroup(
-        vertex=group.vertex,
-        ambient=group.ambient,
-        pairs=group.pairs,
-        generators=group.generators,
-        oracles=group.oracles,
-        source_table=group.target_table,  # deliberately swapped
-        target_table=group.source_table,
-    )
+    tampered = copy.copy(group)
+    # deliberately swapped
+    tampered.source_table = group.target_table
+    tampered.target_table = group.source_table
     monkeypatch.setattr(hnn, "load_builtin_group", lambda: tampered)
     code, out, err = run(capsys, ["britton", "tdT"])
     assert code == 3

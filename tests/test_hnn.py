@@ -24,7 +24,6 @@ from hnnlab.comb import (
     evaluate_word,
     free_reduce,
     invert_word,
-    todd_coxeter,
 )
 from hnnlab.exact import ProjMat
 from hnnlab.hnn import (
@@ -93,8 +92,17 @@ def test_membership_facts():
 
 
 def test_membership_rejects_stable_letter():
-    with pytest.raises(ValueError):
-        G.in_source_subgroup("t")
+    # the four edge-group methods share one intake over a, b, c, d: a stable
+    # letter is refused up front, not read past the coset tables' columns
+    for method in (
+        G.in_source_subgroup,
+        G.in_target_subgroup,
+        G.conjugate_into_target,
+        G.conjugate_into_source,
+    ):
+        for word in ("t", "T", "at", "a*t^-1", (5,), (-5,), (1, 5)):
+            with pytest.raises(ValueError, match="generator 't'|letter -?5 outside"):
+                method(word)
 
 
 @pytest.mark.parametrize("word", [(0,), (6,), (2.0,)])
@@ -106,6 +114,7 @@ def test_bad_tuple_letters_are_rejected(word):
         G.is_trivial,
         G.tree_distance,
         G.in_source_subgroup,
+        G.conjugate_into_target,
     ):
         with pytest.raises(ValueError):
             method(word)
@@ -381,33 +390,28 @@ def test_vertex_abelianization():
     assert abelianization(G.vertex) == AbelianStructure(4, ())
 
 
+def _with(**parts):
+    """G with some of its parts replaced: a new group is built from G's
+    defining data with any of vertex, pairs, generators and oracles
+    replaced, then derived parts (ambient, source_table, target_table) are
+    assigned on it, past the constructor."""
+    defining = {
+        name: parts.pop(name, getattr(G, name))
+        for name in ("vertex", "pairs", "generators", "oracles")
+    }
+    group = HnnGroup(**defining)
+    for name, value in parts.items():
+        setattr(group, name, value)
+    return group
+
+
 def test_tampered_group_raises_disagreement():
-    broken = HnnGroup(
-        vertex=G.vertex,
-        ambient=G.ambient,
-        pairs=G.pairs,
-        generators=G.generators,
-        oracles=G.oracles,
-        source_table=G.target_table,  # deliberately swapped
-        target_table=G.source_table,
-    )
+    broken = copy.copy(G)
+    # deliberately swapped
+    broken.source_table, broken.target_table = G.target_table, G.source_table
     with pytest.raises(OracleDisagreement):
         # d lies in K but not in H; the swapped tables must get caught
         broken.in_source_subgroup("d")
-
-
-def _with(**parts):
-    """G with some of its parts replaced."""
-    kwargs = dict(
-        vertex=G.vertex,
-        ambient=G.ambient,
-        pairs=G.pairs,
-        generators=G.generators,
-        oracles=G.oracles,
-        source_table=G.source_table,
-        target_table=G.target_table,
-    )
-    return HnnGroup(**{**kwargs, **parts})
 
 
 def test_inverted_conjugator_is_caught_by_coset_tables():
@@ -507,17 +511,7 @@ def test_swapped_stable_pairs_are_caught_by_both_routes():
     # the group assembled without the load's checks: verify reports the two
     # false relations, and Britton's rewriting through the swapped table
     # contradicts the matrices on a true relation of G
-    ambient = Presentation(
-        "abcdt",
-        [G.ambient.relators[0]]
-        + [(5,) + G.vertex.parse(u) + (-5,) + invert_word(G.vertex.parse(v))
-           for u, v in SWAPPED],
-    )
-    target = todd_coxeter(
-        G.vertex, [v for _, v in SWAPPED],
-        subgroup_names=[f"v{i + 1}" for i in range(len(SWAPPED))],
-    )
-    broken = _with(ambient=ambient, pairs=SWAPPED, target_table=target)
+    broken = _with(pairs=SWAPPED)
     report = broken.verify_presentation()
     assert [r.index for r in report.relations if not r.holds] == [2, 3]
     assert not report.all_hold
@@ -551,6 +545,14 @@ def test_swapped_generator_images_are_caught_by_both_routes():
 def test_image_outside_the_embedding_is_refused_at_construction(outside):
     with pytest.raises(ValueError, match="not a norm-one Quaternion"):
         _with(generators=G.generators[:4] + (outside,))
+
+
+def test_defining_data_off_the_alphabet_is_refused_at_construction():
+    # four quaternions would leave t reading d^-1 from the fold table
+    with pytest.raises(ValueError, match="4 generators for a, b, c, d, t"):
+        _with(generators=G.generators[:4])
+    with pytest.raises(ValueError, match="is not a, b, c, d"):
+        _with(vertex=Presentation("abce", ["AecbCaBE"]))
 
 
 def test_evaluate_respects_identities():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -210,6 +211,34 @@ def test_ring_closure_of_standard_generators_is_maximal() -> None:
         prod *= p
     # two independent routes: trace form Gram determinant vs ramification
     assert disc == prod == 26
+
+
+def test_ring_closure_takes_a_second_round() -> None:
+    # j * k = -13i leaves <1, 2i, j, k>, so a second round adds i
+    gens = [Quaternion(0, 2), QUAT_J, QUAT_K]
+    with pytest.raises(ValueError, match="not closed under multiplication"):
+        OrderLattice([QUAT_ONE.coords()] + [q.coords() for q in gens])
+    order = ring_closure(gens)
+    assert order == lipschitz_like_order()
+    assert order.reduced_discriminant() == 104
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # nrd(i/2) = -1/2: saturation alone would square the denominator
+        # every round and never stop
+        [Quaternion(0, F(1, 2)), QUAT_J, QUAT_K],
+        # x = (i + 2j)/3 has trd 0 and nrd -6, but trd(x * j) = 52/3
+        [Quaternion(0, F(1, 3), F(2, 3)), QUAT_J, QUAT_K],
+    ],
+)
+def test_ring_closure_refuses_a_ring_in_no_order(gens) -> None:
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="not integral"):
+        ring_closure(gens)
+    # the refusal comes in the first round, well inside 1 s
+    assert time.perf_counter() - start < 1.0
 
 
 def test_discriminant_scales_with_index() -> None:
