@@ -330,44 +330,47 @@ class GroupModel:
 
 class BallOracle:
     """Word-metric ball around the identity, computed once by BFS over the
-    letter images.  Norms and distances outside the ball raise OutOfWindow.
+    letter images.  Norms and distances outside the ball raise OutOfWindow;
+    a negative radius raises ValueError.
 
-    Each element reached gets an id, in BFS order (the identity is 0):
-    `ids` maps element to id and `norms[i]` is the norm of element i.  For
-    each letter x, `right[x][i]` is the id of g_i * x, or None when that
-    product lies outside the ball.  `inverse_left[x][i]` is the id of
-    x^-1 * g_i, derived as (g_i^-1 * x)^-1, or None when g_i^-1 or
-    g_i^-1 * x lies outside the ball; with letter images closed under
-    inversion the ball is symmetric and that happens only when x^-1 * g_i
-    itself lies outside.
+    Each element reached gets an id in breadth-first order (the identity is
+    0), so `norms` is non-decreasing in id: `ids` maps element to id and
+    `norms[i]` is the norm of element i.  For each letter x, `right[x][i]`
+    is the id of g_i * x, or None when that product lies outside the ball.
+    `inverse_left[x][i]` is the id of x^-1 * g_i, derived as
+    (g_i^-1 * x)^-1, or None when g_i^-1 or g_i^-1 * x lies outside the
+    ball; with letter images closed under inversion the ball is symmetric
+    and that happens only when x^-1 * g_i itself lies outside.
     """
 
     def __init__(self, model: GroupModel, radius: int):
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         self.model = model
         self.radius = radius
         mul = model.mul
-        letters = list(model.letter_images.items())
         ids = self.ids = {model.identity: 0}
         norms = self.norms = [0]
-        right = self.right = {name: [] for name, _ in letters}
-        # the frontier is visited in id order, so each table grows by one
-        # entry per element
+        right = self.right = {name: [] for name in model.letter_images}
+        # the frontier is visited in id order, so each letter's right
+        # table grows by one entry per element: bind its append once
+        letters = [(img, right[x].append) for x, img in model.letter_images.items()]
         frontier = [model.identity]
         for r in range(1, radius + 1):
             nxt = []
             for g in frontier:
-                for name, img in letters:
+                for img, append in letters:
                     h = mul(g, img)
                     i = ids.get(h)
                     if i is None:
                         i = ids[h] = len(norms)
                         norms.append(r)
                         nxt.append(h)
-                    right[name].append(i)
+                    append(i)
             frontier = nxt
         for g in frontier:
-            for name, img in letters:
-                right[name].append(ids.get(mul(g, img)))
+            for img, append in letters:
+                append(ids.get(mul(g, img)))
         # x^-1 * g = (g^-1 * x)^-1
         inv_id = [ids.get(model.inv(g)) for g in ids]
         self.inverse_left = {
@@ -551,7 +554,9 @@ class WindowedLanguage:
         A ball of radius below L + 2 (one swapped into `ball`) raises
         OutOfWindow before any pair is walked.  Otherwise words are keyed by
         ball id, and every target s * end, near key and walk step is one
-        lookup in the ball's tables.  Each target's near words are listed
+        lookup in the ball's tables.  Ball ids are breadth-first, so a walk
+        keeps only the largest id it visits and reads that id's norm once,
+        after the walk.  Each target's near words are listed
         once per check as one flat list of entries (index of v, |v| + |e_T|,
         v, v's right rows): first the target's own words (e_T the identity),
         then the words one letter right of it (|e_T| = 1), in letter order,
@@ -590,12 +595,11 @@ class WindowedLanguage:
         near_lists: list = [None] * len(norms)
 
         def near(t):
-            if near_lists[t] is None:
-                found = []
-                for h in dict.fromkeys([t] + [table[t] for table in right.values()]):
-                    if words[h] is not None:
-                        found += words[h][1 if h == t else 2]
-                near_lists[t] = (len(found), found)
+            found = []
+            for h in dict.fromkeys([t] + [table[t] for table in right.values()]):
+                if words[h] is not None:
+                    found += words[h][1 if h == t else 2]
+            near_lists[t] = (len(found), found)
             return near_lists[t]
 
         ends = []
@@ -605,18 +609,14 @@ class WindowedLanguage:
             # tuples, not lists, per element: a list is two allocations,
             # and with lists ten rounds of the 60 fsa-window cases in one
             # process read about 0.6 MB more peak RSS
-            own = tuple(
-                [
-                    (index + j, len(w), w, list(map(right.__getitem__, w)))
-                    for j, w in enumerate(ws)
-                ]
-            )
-            index += len(ws)
-            words[k] = (
-                tuple([list(map(left.__getitem__, w)) for w in ws]),
-                own,
-                tuple([(j, size + 1, w, rv) for j, size, w, rv in own]),
-            )
+            lefts, own, near_own = [], [], []
+            for w in ws:
+                rv = list(map(right.__getitem__, w))
+                lefts.append(list(map(left.__getitem__, w)))
+                own.append((index, len(w), w, rv))
+                near_own.append((index, len(w) + 1, w, rv))
+                index += 1
+            words[k] = (tuple(lefts), tuple(own), tuple(near_own))
         # s * g is one inverse-left step by the letter whose image is s^-1
         named = {img: name for name, img in model.letter_images.items()}
         # no shift: e_0 is the identity, id 0
@@ -627,19 +627,19 @@ class WindowedLanguage:
         classical = pair_rule == "classical"
         zeta, worst, pairs = 0, None, 0
         for end in ends:
-            lefts, own = words[end][:2]
+            lefts, own, _ = words[end]
             # each shift's near entries, shared by the words ending here
             targets = []
             for shift_name, e0, table in shifts:
                 if shift_name is None:
                     # right multiplication: ends at most 1 apart
-                    count, entries = near(end)
+                    count, entries = near_lists[end] or near(end)
                 else:
                     # left multiplication: a shifted start, and under the
                     # classical rule equal ends
                     t = table[end]
                     if not classical:
-                        count, entries = near(t)
+                        count, entries = near_lists[t] or near(t)
                     elif words[t] is None:
                         # no word ends there: no pair
                         continue
@@ -658,23 +658,23 @@ class WindowedLanguage:
                     for j, size, v, rv in entries:
                         if j < index or size <= room:
                             continue
-                        # a finished word waits at its end point
-                        e = e0
-                        d = norms[e]
+                        # a finished word waits at its end point; the
+                        # largest id on the walk has its largest norm
+                        e = top = e0
                         for lx, ry in zip(lu, rv):
                             e = ry[lx[e]]
-                            if norms[e] > d:
-                                d = norms[e]
+                            if e > top:
+                                top = e
                         m = len(rv)
                         if n != m:
                             # the longer word's rows past the shorter
                             # word's end, each one step
                             for row in lu[m:] if n > m else rv[n:]:
                                 e = row[e]
-                                if norms[e] > d:
-                                    d = norms[e]
-                        if d > zeta:
-                            zeta, worst = d, (u, v, shift_name)
+                                if e > top:
+                                    top = e
+                        if norms[top] > zeta:
+                            zeta, worst = norms[top], (u, v, shift_name)
         witness = None
         if worst is not None:
             u, v, shift_name = worst

@@ -40,6 +40,7 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from .comb import (
+    CapExceeded,
     CosetTable,
     Presentation,
     Word,
@@ -107,6 +108,11 @@ STABLE_PAIRS = (
 AMBIENT_ALPHABET = "abcdt"
 T_LETTER = AMBIENT_ALPHABET.index("t") + 1
 
+# the cosets either edge enumeration may define: the built-in tables define
+# 71 and 34, while a subgroup of infinite index (no pairs at all, say) would
+# run to Todd-Coxeter's default cap of 10^6 (seconds and hundreds of MB)
+EDGE_COSET_CAP = 10_000
+
 
 class BrittonForm(NamedTuple):
     """word = segments[0] * t^exponents[0] * segments[1] * ... ; segments are
@@ -162,7 +168,8 @@ class HnnGroup:
     parsed once; the ambient presentation (the vertex relators, then
     t * u_i * t^-1 * v_i^-1 in pair order) and the tables of H = <u1..>
     and K = <v1..> are derived from those words.  The generators are the
-    norm-one quaternions of a, b, c, d and t; anything else raises
+    norm-one quaternions of a, b, c, d and t; anything else, and pairs
+    whose H or K enumeration defines more than EDGE_COSET_CAP cosets, raises
     ValueError here, not in the middle of a query.
     """
 
@@ -189,13 +196,21 @@ class HnnGroup:
             vertex.relators
             + tuple((T_LETTER,) + u + (-T_LETTER,) + invert_word(v) for u, v in words),
         )
-        numbers = range(1, len(words) + 1)
-        self.source_table = todd_coxeter(
-            vertex, [u for u, _ in words], subgroup_names=[f"u{i}" for i in numbers]
-        )
-        self.target_table = todd_coxeter(
-            vertex, [v for _, v in words], subgroup_names=[f"v{i}" for i in numbers]
-        )
+        tables = []
+        sides = (("H", "u", [u for u, _ in words]), ("K", "v", [v for _, v in words]))
+        for side, letter, gens in sides:
+            names = [f"{letter}{i}" for i in range(1, len(words) + 1)]
+            try:
+                tables.append(
+                    todd_coxeter(vertex, gens, cap=EDGE_COSET_CAP, subgroup_names=names)
+                )
+            except CapExceeded:
+                raise ValueError(
+                    f"the {side} enumeration defined more than {EDGE_COSET_CAP}"
+                    " cosets: the stable pairs' words must generate a subgroup"
+                    " of finite index"
+                ) from None
+        self.source_table, self.target_table = tables
 
     @property
     def images(self) -> tuple[ProjMat, ...]:

@@ -604,6 +604,10 @@ def test_fellow_traveller_outside_the_ball_raises():
 def test_negative_radius_is_rejected():
     with pytest.raises(ValueError):
         WindowedLanguage(z2_normal_form_fsa(), z2_model(), -1)
+    # a ball of radius -1 used to hold the identity and read radius -1
+    with pytest.raises(ValueError, match="ball radius must be >= 0, got -1"):
+        BallOracle(z2_model(), -1)
+    assert len(BallOracle(z2_model(), 0)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +633,8 @@ def table_entries(ball):
     elements = list(ball.ids)
     assert [ball.ids[g] for g in elements] == list(range(len(ball)))
     assert elements[0] == model.identity and len(ball.norms) == len(ball)
+    # ids are breadth-first: the walks read the norm of the largest id
+    assert ball.norms == sorted(ball.norms)
     for name, img in model.letter_images.items():
         right, left = ball.right[name], ball.inverse_left[name]
         assert len(right) == len(left) == len(ball)

@@ -9,6 +9,7 @@ split, so simply exercising them on random inputs is part of the test.
 import copy
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -553,6 +554,24 @@ def test_defining_data_off_the_alphabet_is_refused_at_construction():
         _with(generators=G.generators[:4])
     with pytest.raises(ValueError, match="is not a, b, c, d"):
         _with(vertex=Presentation("abce", ["AecbCaBE"]))
+
+
+@pytest.mark.parametrize(
+    "pairs, side",
+    [
+        # no pairs: H and K are trivial, of infinite index in the vertex group
+        ((), "H"),
+        # the u-words keep H of index 12, but K = <a> has infinite index
+        (tuple((u, "a") for u, _ in STABLE_PAIRS), "K"),
+    ],
+)
+def test_pairs_of_infinite_index_are_refused_quickly(pairs, side):
+    # the enumeration stops at hnn.EDGE_COSET_CAP cosets, not at
+    # Todd-Coxeter's default of 10^6 (4.5 s and 308 MB for no pairs)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"the {side} enumeration defined more"):
+        _with(pairs=pairs)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_evaluate_respects_identities():
