@@ -26,10 +26,10 @@ rule already forces 3 (translate x^2y^2 by one x and compare with y^2).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import NamedTuple
 
 
 class UnknownLetter(ValueError):
@@ -400,61 +400,54 @@ class BallOracle:
         return [g for g, i in self.ids.items() if norms[i] <= r]
 
 
-class FiniteToOneReport(NamedTuple):
-    bound: int
-    witness_element: object
-    witness_words: tuple
-    surjective: bool
-    missing: tuple
-    window: int
+class FiniteToOneReport(
+    namedtuple(
+        "FiniteToOneReport",
+        "bound witness_element witness_words surjective missing window",
+    )
+):
+    """FiniteToOneReport(bound, witness_element, witness_words, surjective, missing,
+    window): the most words on one element, that element and its words, and the
+    elements of the half-radius ball that no window word reaches."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.bound >= 1 and self.surjective
 
 
-class FellowWitness(NamedTuple):
+class FellowWitness(namedtuple("FellowWitness", "u v shift time separation")):
     """A replayable record of the worst separation found: translate the
     path of u by the shift letter (if any) and compare with the path of v
     at the given time."""
 
-    u: tuple
-    v: tuple
-    shift: str | None
-    time: int
-    separation: int
+    __slots__ = ()
 
 
-class FellowReport(NamedTuple):
-    pair_rule: str
-    zeta: int
-    pairs_checked: int
-    witness: FellowWitness | None
-    window: int
-    cap: int | None
+class FellowReport(
+    namedtuple("FellowReport", "pair_rule zeta pairs_checked witness window cap")
+):
+    """FellowReport(pair_rule, zeta, pairs_checked, witness, window, cap): the worst
+    separation zeta over the near pairs, and its witness (None if no pair separates)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.cap is None or self.zeta <= self.cap
 
 
-class QuasiGeodesicReport(NamedTuple):
-    multiplicative: Fraction
-    additive: int
-    window: int
+QuasiGeodesicReport = namedtuple("QuasiGeodesicReport", "multiplicative additive window")
+TauEstimate = namedtuple("TauEstimate", "value stabilized norms")
 
 
-class TauEstimate(NamedTuple):
-    value: Fraction
-    stabilized: bool
-    norms: tuple
+class StructureReport(
+    namedtuple("StructureReport", "radius finite_to_one fellow quasigeodesic")
+):
+    """StructureReport(radius, finite_to_one, fellow, quasigeodesic): the three checks."""
 
-
-class StructureReport(NamedTuple):
-    radius: int
-    finite_to_one: FiniteToOneReport
-    fellow: FellowReport
-    quasigeodesic: QuasiGeodesicReport
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -27,17 +27,13 @@ import random
 import stat
 import sys
 from decimal import Decimal, localcontext
-from typing import TYPE_CHECKING
 
 # each command imports the layers it uses: a cold `fsa-check` loads `cli`,
 # `comb` and `exact` (through the import below) and `biauto`, the
 # lattice's commands never load `biauto`, and only `classify` and
-# `lengths` load `isom`
+# `lengths` load `isom`.  Annotations are never evaluated, so those naming
+# `isom` or `QuadExt` import nothing.
 from . import comb
-
-if TYPE_CHECKING:
-    from . import isom
-    from .exact import QuadExt
 
 # what a command returns: its exit code, the payload that --json prints
 # and the lines of its text output; only `main` prints either

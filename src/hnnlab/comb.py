@@ -27,9 +27,9 @@ import marshal
 import operator
 import re
 import struct
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .exact import _hnf_integer_rows
 
@@ -40,9 +40,6 @@ Word = tuple[int, ...]
 # 4000-letter words tried, such as (at)^2000 and (atAT)^1000, takes about
 # 0.1-0.2 s on a 2-core x86 host.
 WORD_LETTER_LIMIT = 4000
-# the exponent after '^' in the verbose grammar: an optional sign, then
-# ASCII digits
-_EXPONENT = re.compile(r"[+-]?[0-9]+")
 
 
 class NotInSubgroup(ValueError):
@@ -78,10 +75,12 @@ def free_reduce(*words) -> Word:
 
 
 def cyclic_reduce(word) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    # count the cancelling end pairs, then slice once
+    k = 0
+    while len(w) - 2 * k >= 2 and w[k] == -w[-1 - k]:
+        k += 1
+    return w[k : len(w) - k]
 
 
 def invert_word(word) -> Word:
@@ -212,8 +211,10 @@ def parse_word(text: str, alphabet) -> Word:
         name, caret, exp_text = token.partition("^")
         if name not in names:
             raise ValueError(f"unknown generator {name!r}")
-        # int() alone would also take underscores and non-ASCII digits
-        if caret and not _EXPONENT.fullmatch(exp_text):
+        # the exponent is an optional sign, then ASCII digits: int() alone
+        # would also take underscores and non-ASCII digits
+        digits = exp_text[1:] if exp_text.startswith(("+", "-")) else exp_text
+        if caret and not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad exponent {exp_text!r} in {token!r}")
         exp = int(exp_text) if caret else 1
         if len(out) + abs(exp) > WORD_LETTER_LIMIT:
@@ -583,7 +584,12 @@ class _Enumerator:
         return a
 
 
-class CosetTable(NamedTuple):
+class CosetTable(
+    namedtuple(
+        "CosetTable",
+        "generators subgroup_names subgroup_words table decorations representatives",
+    )
+):
     """A finished, standardized coset table with subgroup decorations.
 
     Cosets are numbered in breadth-first discovery order from coset 0
@@ -595,12 +601,7 @@ class CosetTable(NamedTuple):
     representatives[a] by an element of H.
     """
 
-    generators: tuple[str, ...]
-    subgroup_names: tuple[str, ...]
-    subgroup_words: tuple[Word, ...]
-    table: tuple[tuple[int, ...], ...]
-    decorations: tuple[tuple[Word, ...], ...]
-    representatives: tuple[Word, ...]
+    __slots__ = ()
 
     # the subgroup's index; it shadows tuple.index, as in SchreierGraph
     @property
@@ -732,12 +733,11 @@ def todd_coxeter(
 # arithmetic Schreier graph
 
 
-class SchreierGraph(NamedTuple):
+class SchreierGraph(namedtuple("SchreierGraph", "table representatives")):
     """Coset action computed from concrete group elements and a membership
     oracle, numbered in the same breadth-first order as CosetTable."""
 
-    table: tuple[tuple[int, ...], ...]
-    representatives: tuple[Word, ...]
+    __slots__ = ()
 
     @property
     def index(self) -> int:
@@ -797,9 +797,10 @@ def smith_invariants(rows) -> list[int]:
     return d
 
 
-class AbelianStructure(NamedTuple):
-    betti: int
-    torsion: tuple[int, ...]
+class AbelianStructure(namedtuple("AbelianStructure", "betti torsion")):
+    """AbelianStructure(betti, torsion): Z^betti times Z/d for each d in torsion."""
+
+    __slots__ = ()
 
     def __str__(self):
         parts = ["Z"] * self.betti + [f"Z/{d}" for d in self.torsion]

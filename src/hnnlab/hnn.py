@@ -34,10 +34,10 @@ for callers that want matrices.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .comb import (
     CapExceeded,
@@ -114,13 +114,12 @@ T_LETTER = AMBIENT_ALPHABET.index("t") + 1
 EDGE_COSET_CAP = 10_000
 
 
-class BrittonForm(NamedTuple):
+class BrittonForm(namedtuple("BrittonForm", "segments exponents")):
     """word = segments[0] * t^exponents[0] * segments[1] * ... ; segments are
     t-free and freely reduced, and no pinch t*g*t^-1 (g in H) or t^-1*g*t
     (g in K) remains."""
 
-    segments: tuple[Word, ...]
-    exponents: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def t_count(self) -> int:
@@ -137,19 +136,21 @@ class BrittonForm(NamedTuple):
         return render_word(self.to_word(), AMBIENT_ALPHABET, "compact")
 
 
-class RelationCheck(NamedTuple):
-    index: int
-    relator: str
-    holds: bool
+RelationCheck = namedtuple("RelationCheck", "index relator holds")
 
 
-class VerificationReport(NamedTuple):
-    relations: tuple[RelationCheck, ...]
-    pair_memberships_ok: bool
-    source_index: int
-    target_index: int
-    mutants_detected: int
-    mutants_total: int
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "relations pair_memberships_ok source_index target_index"
+        " mutants_detected mutants_total",
+    )
+):
+    """VerificationReport(relations, pair_memberships_ok, source_index, target_index,
+    mutants_detected, mutants_total): a RelationCheck per relator, the stable pairs'
+    membership in H x K, the indices of H and K, and the mutant relators caught."""
+
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:

@@ -1,6 +1,7 @@
 """The public API is pinned: a name leaves or joins hnnlab.__all__ only
 together with this list, and the public record types keep their value
-semantics."""
+semantics (the records of comb, hnn and biauto also their namedtuple
+interface)."""
 
 import copy
 import pickle
@@ -16,6 +17,7 @@ from hnnlab.biauto import (
     FiniteToOneReport,
     QuasiGeodesicReport,
     StructureReport,
+    TauEstimate,
 )
 from hnnlab.comb import AbelianStructure, CosetTable, SchreierGraph
 from hnnlab.hnn import BrittonForm, RelationCheck, VerificationReport
@@ -96,12 +98,17 @@ def test_every_public_name_resolves():
 
 
 WITNESS = FellowWitness(u=(1,), v=(1, 2), shift="x", time=1, separation=2)
+FINITE_TO_ONE = FiniteToOneReport(
+    bound=1, witness_element=(0, 0), witness_words=((),), surjective=True,
+    missing=(), window=3,
+)
 LENGTH = TransLength(
     rational_part=Fraction(3, 2), surd_coeff=Fraction(1, 2), field_param=5
 )
 
 RECORDS = [
     (BrittonForm, {"segments": ((1,), (-2,)), "exponents": (-5,)}),
+    (RelationCheck, {"index": 1, "relator": "AdcbCaBD", "holds": False}),
     (
         VerificationReport,
         {
@@ -142,18 +149,17 @@ RECORDS = [
         StructureReport,
         {
             "radius": 3,
-            "finite_to_one": FiniteToOneReport(
-                bound=1,
-                witness_element=(0, 0),
-                witness_words=((),),
-                surjective=True,
-                missing=(),
-                window=3,
-            ),
+            "finite_to_one": FINITE_TO_ONE,
             "fellow": FellowReport("classical", 2, 20, WITNESS, 3, 2),
             "quasigeodesic": QuasiGeodesicReport(Fraction(1), 0, 3),
         },
     ),
+    (FiniteToOneReport, FINITE_TO_ONE._asdict()),
+    (
+        QuasiGeodesicReport,
+        {"multiplicative": Fraction(3, 2), "additive": 2, "window": 4},
+    ),
+    (TauEstimate, {"value": Fraction(2), "stabilized": True, "norms": (2, 4, 6, 8)}),
     (
         TransLength,
         {
@@ -186,6 +192,22 @@ def test_records_are_immutable_values(cls, values):
     assert twin == record and hash(twin) == hash(record)
     fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
     assert repr(record) == f"{cls.__name__}({fields})"
+    if cls.__module__ in ("hnnlab.comb", "hnnlab.hnn", "hnnlab.biauto"):
+        # a namedtuple, keeping its own docstring
+        assert isinstance(record, tuple) and cls.__doc__
+        assert cls._fields == cls.__match_args__ == tuple(values)
+        assert record._asdict() == values and list(record._asdict()) == list(values)
+        first, *_ = values
+        changed = record._replace(**{first: None})
+        assert type(changed) is cls and changed == (None, *record[1:])
+        match record:
+            case cls(value):
+                assert value == values[first]
+            case _:
+                pytest.fail(f"{cls.__name__} matches no positional pattern")
+        if cls in (CosetTable, SchreierGraph):
+            # the subgroup index shadows tuple.index
+            assert record.index == len(values["table"])
 
 
 def test_readme_library_block_runs_as_shown():

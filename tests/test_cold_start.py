@@ -1,9 +1,11 @@
 """A cold process loads only the layers it uses: `import hnnlab` loads no
 submodule, the lattice never loads `biauto` or `isom`, `fsa-check` never
 loads the lattice, and none of them, nor `classify` or `lengths`, loads
-`dataclasses` or `inspect`.  Each cold case runs in a fresh `python -I -B`
-process: -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps it from writing
-bytecode into the source tree."""
+`typing`, `dataclasses` or `inspect`.  Each cold case runs in a fresh
+`python -I -S -B` process: -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps
+it from writing bytecode into the source tree, and -S skips `site`, which
+may import `typing` itself before hnnlab is imported (the probe puts the
+source tree on sys.path, and hnnlab has no dependencies)."""
 
 import json
 import subprocess
@@ -40,7 +42,7 @@ print(json.dumps({{"result": result, "out": out.getvalue(),
 def cold(*statements: str) -> dict:
     body = "".join(f"    {s}\n" for s in statements)
     proc = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", PROBE.format(body=body), SRC],
+        [sys.executable, "-I", "-S", "-B", "-c", PROBE.format(body=body), SRC],
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
@@ -75,7 +77,7 @@ def test_the_lattice_loads_neither_biauto_nor_isom():
 def test_no_dataclasses_machinery_is_loaded(layer, statements):
     run = cold(*statements)
     assert run["result"] in (None, 0) and layer in run["added"]
-    assert not {"dataclasses", "inspect"} & set(run["added"])
+    assert not {"typing", "dataclasses", "inspect"} & set(run["added"])
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,28 @@ def test_reduction_and_inversion():
     assert free_reduce(w + invert_word(w)) == ()
 
 
+def cyclic_reduce_by_definition(word):
+    w = free_reduce(word)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+@ROUND_TRIP
+@given(words_over(SHORT_NAMES), words_over(SHORT_NAMES))
+def test_cyclic_reduce_strips_cancelling_ends(core, conjugator):
+    for word in (core, conjugator + core + invert_word(conjugator)):
+        assert cyclic_reduce(word) == cyclic_reduce_by_definition(word)
+
+
+def test_cyclic_reduce_of_a_long_conjugate():
+    # 8000 letters, 3999 cancelling end pairs
+    g = (1, 4) * 1999 + (1,)
+    word = g + (2, 3) + invert_word(g)
+    assert len(word) == 8000 and free_reduce(word) == word
+    assert cyclic_reduce(word) == (2, 3)
+
+
 def test_evaluate_word_in_translation_model():
     images = [Vec(1, 0), Vec(0, 1)]
     assert evaluate_word((1, 2, -1), images, VEC_ONE) == Vec(0, 1)
