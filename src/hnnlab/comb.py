@@ -146,12 +146,22 @@ def _encode(w: Word, ngens: int) -> bytes | None:
     return None if b"\xff" in s else s
 
 
+def _outside(g, ngens: int) -> ValueError:
+    return ValueError(f"letter {g!r} outside alphabet of size {ngens}")
+
+
 def _validate_word(word, ngens: int) -> Word:
     w = tuple(word)
     for g in w:
         if not isinstance(g, int) or g == 0 or abs(g) > ngens:
-            raise ValueError(f"letter {g!r} outside alphabet of size {ngens}")
+            raise _outside(g, ngens)
     return w
+
+
+@lru_cache
+def _letter_columns(ngens: int) -> dict[int, int]:
+    """Each letter of an alphabet of ngens generators -> its column."""
+    return {g: _col(g) for x in range(1, ngens + 1) for g in (x, -x)}
 
 
 def _free_reduce_columns(s: bytes) -> bytearray:
@@ -331,35 +341,37 @@ def is_metric_sixth(symmetrized) -> bool:
 
 @lru_cache(maxsize=16)
 def _dehn_rules(relators: tuple[Word, ...], ngens: int):
-    """(pattern, rules, longest, inverse) for Dehn's algorithm over column
-    strings, or None when the symmetrized relators are empty or fail C'(1/6).
+    """(pattern, rules, longest) for Dehn's algorithm over column bytes, or
+    None when the symmetrized relators are empty or fail C'(1/6).
 
-    A word is written as the latin-1 string of its column bytes (_encode),
-    so a letter and its inverse differ only in the low bit.  ``rules`` maps
-    every encoded prefix p of a symmetrized relator r with 2|p| > |r| to the
-    encoded shorter complement invert(r[|p|:]).  ``pattern`` matches exactly
-    those prefixes, grouped by first letter, each relator's letters past its
-    half optional and nested, so greedy.  Under C'(1/6) two relators share
-    less than a sixth of either, so at most one relator has a rule prefix at
-    any position: a search finds the leftmost match and the longest there,
-    and no rule comes from two relators.  ``inverse`` maps each letter's
-    character to its inverse's.
+    A word is written as its column bytes (_encode), so a letter and its
+    inverse differ only in the low bit.  ``rules`` maps every encoded
+    prefix p of a symmetrized relator r with 2|p| > |r| to the encoded
+    shorter complement invert(r[|p|:]).  ``pattern`` matches exactly those
+    prefixes, grouped by first letter, each relator's letters past its half
+    optional and nested, so greedy.  Under C'(1/6) two relators share less
+    than a sixth of either, so at most one relator has a rule prefix at any
+    position: a search finds the leftmost match and the longest there, and
+    no rule comes from two relators.
     """
     sym = _symmetrize(relators)
     if not sym or not is_metric_sixth(sym):
         return None
-    rules: dict[str, str] = {}
-    by_first: dict[str, list[str]] = {}
+    rules: dict[bytes, bytes] = {}
+    by_first: dict[bytes, list[bytes]] = {}
     for r in sym:
         half = len(r) // 2 + 1
-        rel, inv = (_encode(x, ngens).decode("latin-1") for x in (r, invert_word(r)))
+        rel, inv = _encode(r, ngens), _encode(invert_word(r), ngens)
         for k in range(half, len(r) + 1):
             rules[rel[:k]] = inv[: len(r) - k]
-        tail = "".join("(?:" + re.escape(x) for x in rel[half:]) + ")?" * (len(r) - half)
-        by_first.setdefault(re.escape(rel[0]), []).append(re.escape(rel[1:half]) + tail)
-    pattern = re.compile("|".join(f"{x}(?:{'|'.join(alts)})" for x, alts in by_first.items()))
-    inverse = {chr(c): chr(c ^ 1) for c in range(2 * ngens)}
-    return pattern, rules, max(map(len, sym)), inverse
+        tail = b"".join(b"(?:" + re.escape(rel[k : k + 1]) for k in range(half, len(r)))
+        by_first.setdefault(re.escape(rel[:1]), []).append(
+            re.escape(rel[1:half]) + tail + b")?" * (len(r) - half)
+        )
+    pattern = re.compile(
+        b"|".join(x + b"(?:" + b"|".join(alts) + b")" for x, alts in by_first.items())
+    )
+    return pattern, rules, max(map(len, sym))
 
 
 def dehn_reduce(word, presentation: Presentation) -> Word:
@@ -377,14 +389,15 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     holds bools or other int subclasses, read as their int values.
 
     One left-to-right scan (Domanski & Anshel, J. Algorithms 6, 1985) over
-    the bytes read as a string, with every rule in one compiled pattern.
-    A replacement changes the word only from the match on.  A new match that
+    the freely reduced column bytes, with every rule in one compiled
+    pattern.  Each match is replaced in place in that one bytearray.  A
+    replacement changes the word only from the match on.  A new match that
     starts before it keeps at most half of its relator there, or that part
     alone would have matched before; so the next search starts longest // 2
     letters back.  Every replacement shortens the word, so the scan tries
-    O(longest * n) positions; each replacement also copies the string once,
-    at C speed.  An empty complement lets the letters around it cancel,
-    tested through the rules' table of inverse letters.
+    O(longest * n) positions.  An empty complement lets the letters around
+    it cancel: a column and its inverse differ in bit 0 only, and a 0xFF
+    at each end of the buffer stops the cancellation there.
     """
     ngens = presentation.ngens
     if ngens > _BYTE_GENERATORS:
@@ -394,28 +407,33 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     found = _dehn_rules(presentation.relators, ngens)
     if found is None:
         raise NotDehnPresentation("relators do not satisfy C'(1/6)")
-    pattern, rules, longest, inverse = found
+    pattern, rules, longest = found
     w = tuple(word)
     columns = _encode(w, ngens)
     if columns is None:
         # raises unless every letter is an int in the alphabet; up to 127
         # generators, _encode then takes their values as exact ints
         columns = _encode(tuple(map(operator.index, _validate_word(w, ngens))), ngens)
-    s = _free_reduce_columns(columns).decode("latin-1")
+    s = _free_reduce_columns(columns)
+    # 0xFF at both ends: no rule matches it, and neither it nor 0xFF ^ 1
+    # equals a column, so no cancellation runs past the word's ends
+    s.insert(0, 0xFF)
+    s.append(0xFF)
     search, back = pattern.search, longest // 2
     pos = 0
     while m := search(s, pos):
+        # a match reads its group from the buffer: take it before the edit
         i, j = m.span()
+        comp = rules[m[0]]
         # the complement cancels into neither neighbour, since a letter that
         # did would extend the match; only an empty one lets them meet
-        comp = rules[m[0]]
         if not comp:
-            n = len(s)
-            while i and j < n and inverse[s[i - 1]] == s[j]:
-                i, j = i - 1, j + 1
-        s = s[:i] + comp + s[j:]
+            while s[i - 1] ^ 1 == s[j]:
+                i -= 1
+                j += 1
+        s[i:j] = comp
         pos = i - back if i > back else 0
-    return struct.unpack(f"{len(s)}b", s.encode("latin-1").translate(_LETTERS))
+    return struct.unpack_from(f"{len(s) - 2}b", s.translate(_LETTERS), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +627,12 @@ class CosetTable(
         return len(self.table)
 
     def follow(self, coset: int, word) -> int:
-        table = self.table
-        for g in word:
-            coset = table[coset][_col(g)]
+        table, columns = self.table, _letter_columns(len(self.generators))
+        try:
+            for g in word:
+                coset = table[coset][columns[g]]
+        except KeyError:
+            raise _outside(g, len(self.generators)) from None
         return coset
 
     def rewrite(self, word) -> Word:
@@ -622,11 +643,15 @@ class CosetTable(
         scan must end back at coset 0 for word to lie in the subgroup.
         """
         table, decorations = self.table, self.decorations
+        columns = _letter_columns(len(self.generators))
         a, parts = 0, []
-        for g in word:
-            c = _col(g)
-            parts.append(decorations[a][c])
-            a = table[a][c]
+        try:
+            for g in word:
+                c = columns[g]
+                parts.append(decorations[a][c])
+                a = table[a][c]
+        except KeyError:
+            raise _outside(g, len(self.generators)) from None
         if a != 0:
             raise NotInSubgroup(f"word ends at coset {a}, not at the subgroup")
         return free_reduce(*parts)
@@ -634,9 +659,16 @@ class CosetTable(
     def expand_subgroup_word(self, word) -> Word:
         """Substitute each subgroup letter by its defining ambient word."""
         words, parts = self.subgroup_words, []
-        for g in word:
-            w = words[abs(g) - 1]
-            parts.append(w if g > 0 else invert_word(w))
+        try:
+            for g in word:
+                if g > 0:
+                    parts.append(words[g - 1])
+                elif g:
+                    parts.append(invert_word(words[~g]))  # ~g == -g - 1
+                else:
+                    raise _outside(g, len(words))
+        except IndexError:
+            raise _outside(g, len(words)) from None
         return free_reduce(*parts)
 
     def to_json(self) -> dict:

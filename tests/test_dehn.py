@@ -5,11 +5,14 @@ from the left for a subword matching more than half of a symmetrized
 relator, replace the leftmost-longest match (first relator in sorted order
 on a tie) by the shorter complement, and rescan from the start.
 ``dehn_reduce`` instead makes one left-to-right scan, finding each match
-with one compiled pattern over the word encoded as a string, and steps
-back only as far as a new match can start.  Both make the same
-replacements in the same order, so they must return the same word.
+with one compiled pattern over the word's column bytes and editing them
+in place, and steps back only as far as a new match can start.  Both make
+the same replacements in the same order, so they must return the same
+word.
 """
 
+import hashlib
+import random
 from enum import IntEnum
 
 import pytest
@@ -295,7 +298,7 @@ def first_match(p, word):
     """The span of the scan's first match in a freely reduced word."""
     assert free_reduce(word) == word, p.render(word)
     pattern = _dehn_rules(p.relators, p.ngens)[0]
-    return pattern.search(_encode(word, p.ngens).decode("latin-1")).span()
+    return pattern.search(_encode(word, p.ngens)).span()
 
 
 def matches_reference(p, word):
@@ -405,3 +408,58 @@ def test_presentations_keep_their_own_rules():
         assert dehn_reduce(v, second) == ()
         assert dehn_reduce(v, first) == reference_dehn_reduce(v, first) != ()
         assert dehn_reduce(u, second) == reference_dehn_reduce(u, second) != ()
+
+
+def long_products(p, seed, count, size=2000):
+    """``count`` words of about ``size`` letters, each (word, trivial): a
+    product of rotated relators and their inverses under random
+    conjugators, with the product so far conjugated as a whole now and
+    then, so that replacing one relator lets whole runs of letters cancel.
+    Every other word also gets nonzero-H1 inserts, each with a positive
+    exponent sum in the first generator, so that the word is nontrivial."""
+    rng = random.Random(seed)
+    alphabet = letters(p)
+
+    def short(k):
+        return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, k)))
+
+    out = []
+    for n in range(count):
+        word = ()
+        while len(word) < size:
+            r = rng.choice(p.relators)
+            r = rng.choice((r, invert_word(r)))
+            cut = rng.randrange(len(r))
+            x = short(6)
+            word += x + r[cut:] + r[:cut] + invert_word(x)
+            if rng.random() < 0.3:
+                x = short(10)
+                word = x + word + invert_word(x)
+        if n % 2:
+            for _ in range(rng.randint(1, 3)):
+                insert = short(5)
+                while sum(g == 1 for g in insert) <= sum(g == -1 for g in insert):
+                    insert = short(5)
+                at = rng.randint(0, len(word))
+                word = word[:at] + insert + word[at:]
+        out.append((word, not n % 2))
+    return out
+
+
+# the SHA-256 of the reduced words of long_products(p, 2024, 40), one repr
+# per line, as the scan over latin-1 strings returned them
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (SURFACE, "8c30c623620b37b16dbce6f6fb9108035a23f80f6ea6bba02ec8ceb3ddf9ea96"),
+        (GENUS10, "be43395fd4de7dbece639c40c0279bb4e34e7ab35013dc427995d9ddf1641b9c"),
+    ],
+    ids=["genus2", "genus10"],
+)
+def test_long_relator_products_are_pinned(p, digest):
+    sha = hashlib.sha256()
+    for word, trivial in long_products(p, 2024, 40):
+        reduced = dehn_reduce(word, p)
+        assert (reduced == ()) == trivial, p.render(word)
+        sha.update(repr(reduced).encode() + b"\n")
+    assert sha.hexdigest() == digest

@@ -146,6 +146,27 @@ def test_rewriting_expands_back_to_the_same_element(side, factors):
     assert G.evaluate(expanded) == G.evaluate(w)
 
 
+# (method, its alphabet's size): letter 0 once read as column -1 or as the
+# last subgroup word, and a letter past the alphabet as a bare IndexError
+TABLE_ENTRY_POINTS = [
+    (lambda t, w: t.follow(0, w), 4),
+    (lambda t, w: t.rewrite(w), 4),
+    (lambda t, w: t.expand_subgroup_word(w), 26),
+]
+
+
+@pytest.mark.parametrize("call, size", TABLE_ENTRY_POINTS, ids=["follow", "rewrite", "expand"])
+@pytest.mark.parametrize("bad", [0, "past", "-past"])
+def test_coset_table_entry_points_refuse_letters_outside_their_alphabet(call, size, bad):
+    bad = {"past": size + 1, "-past": -size - 1}.get(bad, bad)
+    for table in (G.source_table, G.target_table):
+        # after a valid letter too, so the letter is not the first one read
+        for word in ((bad,), (1, bad)):
+            with pytest.raises(ValueError) as raised:
+                call(table, word)
+            assert str(raised.value) == f"letter {bad!r} outside alphabet of size {size}"
+
+
 def test_conjugation_matches_matrices():
     t_mat = G.images[4]
     rng = random.Random(23)
