@@ -146,15 +146,17 @@ def _encode(w: Word, ngens: int) -> bytes | None:
     return None if b"\xff" in s else s
 
 
-def _outside(g, ngens: int) -> ValueError:
-    return ValueError(f"letter {g!r} outside alphabet of size {ngens}")
-
-
 def _validate_word(word, ngens: int) -> Word:
+    """The letters of word as a tuple, once each is found to be a letter of
+    the alphabet of ngens generators: an int g with 1 <= |g| <= ngens, bools
+    and other int subclasses (IntEnum) counting as their int values.
+    Anything else raises ValueError naming the first letter that is not.
+    Every reader of letters checks them here; _encode is the byte form of
+    this rule inside Dehn reduction."""
     w = tuple(word)
     for g in w:
         if not isinstance(g, int) or g == 0 or abs(g) > ngens:
-            raise _outside(g, ngens)
+            raise ValueError(f"letter {g!r} outside alphabet of size {ngens}")
     return w
 
 
@@ -189,13 +191,17 @@ def _free_reduce_columns(s: bytes) -> bytearray:
     return out
 
 
+def _as_word(w, alphabet) -> Word:
+    """A word given as text in either grammar or as letters checked against
+    the alphabet."""
+    if isinstance(w, str):
+        return parse_word(w, alphabet)
+    return _validate_word(w, len(alphabet))
+
+
 def _reduced_words(items, alphabet) -> tuple[Word, ...]:
-    """Strings in either grammar or letter sequences, checked against the
-    alphabet, read as exact ints and freely reduced."""
-    words = (parse_word(w, alphabet) if isinstance(w, str) else w for w in items)
-    return tuple(
-        free_reduce(map(operator.index, _validate_word(w, len(alphabet)))) for w in words
-    )
+    """Words taken in by _as_word, read as exact ints and freely reduced."""
+    return tuple(free_reduce(map(operator.index, _as_word(w, alphabet))) for w in items)
 
 
 def parse_word(text: str, alphabet) -> Word:
@@ -235,6 +241,7 @@ def parse_word(text: str, alphabet) -> Word:
 
 
 def render_word(word, alphabet, style: str = "compact") -> str:
+    word = _validate_word(word, len(alphabet))
     if not word:
         return "1"
     if style == "compact":
@@ -261,7 +268,7 @@ def render_word(word, alphabet, style: str = "compact") -> str:
 def evaluate_word(word, images, identity):
     """Fold a word through group element images (needs * and .inverse())."""
     acc = identity
-    for g in word:
+    for g in _validate_word(word, len(images)):
         acc = acc * (images[g - 1] if g > 0 else images[-g - 1].inverse())
     return acc
 
@@ -627,12 +634,10 @@ class CosetTable(
         return len(self.table)
 
     def follow(self, coset: int, word) -> int:
-        table, columns = self.table, _letter_columns(len(self.generators))
-        try:
-            for g in word:
-                coset = table[coset][columns[g]]
-        except KeyError:
-            raise _outside(g, len(self.generators)) from None
+        table, n = self.table, len(self.generators)
+        columns = _letter_columns(n)
+        for g in _validate_word(word, n):
+            coset = table[coset][columns[g]]
         return coset
 
     def rewrite(self, word) -> Word:
@@ -642,34 +647,26 @@ class CosetTable(
         rep(0) * word = result * rep(end), and rep(0) is empty, so the
         scan must end back at coset 0 for word to lie in the subgroup.
         """
-        table, decorations = self.table, self.decorations
-        columns = _letter_columns(len(self.generators))
+        table, decorations, n = self.table, self.decorations, len(self.generators)
+        columns = _letter_columns(n)
         a, parts = 0, []
-        try:
-            for g in word:
-                c = columns[g]
-                parts.append(decorations[a][c])
-                a = table[a][c]
-        except KeyError:
-            raise _outside(g, len(self.generators)) from None
+        for g in _validate_word(word, n):
+            c = columns[g]
+            parts.append(decorations[a][c])
+            a = table[a][c]
         if a != 0:
             raise NotInSubgroup(f"word ends at coset {a}, not at the subgroup")
         return free_reduce(*parts)
 
     def expand_subgroup_word(self, word) -> Word:
         """Substitute each subgroup letter by its defining ambient word."""
-        words, parts = self.subgroup_words, []
-        try:
-            for g in word:
-                if g > 0:
-                    parts.append(words[g - 1])
-                elif g:
-                    parts.append(invert_word(words[~g]))  # ~g == -g - 1
-                else:
-                    raise _outside(g, len(words))
-        except IndexError:
-            raise _outside(g, len(words)) from None
-        return free_reduce(*parts)
+        words = self.subgroup_words
+        return free_reduce(
+            *(
+                words[g - 1] if g > 0 else invert_word(words[-g - 1])
+                for g in _validate_word(word, len(words))
+            )
+        )
 
     def to_json(self) -> dict:
         columns = []

@@ -44,7 +44,7 @@ from .comb import (
     CosetTable,
     Presentation,
     Word,
-    _validate_word,
+    _as_word,
     dehn_reduce,
     evaluate_word,
     free_reduce,
@@ -221,9 +221,7 @@ class HnnGroup:
     # -- words and matrices ------------------------------------------------
 
     def as_word(self, w) -> Word:
-        if isinstance(w, str):
-            return self.ambient.parse(w)
-        return _validate_word(w, self.ambient.ngens)
+        return _as_word(w, self.ambient.generators)
 
     def evaluate(self, w) -> ProjMat:
         v = _vector_fold(self.as_word(w), self._vectors)
@@ -236,15 +234,8 @@ class HnnGroup:
 
     # -- dual membership oracles --------------------------------------------
 
-    def _vertex_word(self, g) -> Word:
-        """The intake of the edge-group methods: a word over a, b, c, d, as
-        text in the vertex alphabet or letters checked against it; a stable
-        letter raises ValueError."""
-        if isinstance(g, str):
-            return self.vertex.parse(g)
-        return _validate_word(g, self.vertex.ngens)
-
-    def _dual_membership(self, g: Word, table: CosetTable, member) -> bool:
+    def _dual_membership(self, g, table: CosetTable, member) -> bool:
+        g = _as_word(g, self.vertex.generators)
         by_matrix = member(_fold(g, self._units))
         by_table = table.follow(0, g) == 0
         if by_matrix != by_table:
@@ -257,13 +248,13 @@ class HnnGroup:
     def in_source_subgroup(self, g) -> bool:
         """Is the t-free word in H = <u1..u26>?  Both routes must agree."""
         return self._dual_membership(
-            self._vertex_word(g), self.source_table, self.oracles.in_source_subgroup
+            g, self.source_table, self.oracles.in_source_subgroup
         )
 
     def in_target_subgroup(self, g) -> bool:
         """Is the t-free word in K = <v1..v26>?  Both routes must agree."""
         return self._dual_membership(
-            self._vertex_word(g), self.target_table, self.oracles.in_target_subgroup
+            g, self.target_table, self.oracles.in_target_subgroup
         )
 
     # -- the defining isomorphism H -> K -------------------------------------
@@ -274,12 +265,12 @@ class HnnGroup:
         The u-letter rewriting of g is reinterpreted over the v-letters:
         the defining isomorphism matches them up index by index.
         """
-        sub = self.source_table.rewrite(self._vertex_word(g))
+        sub = self.source_table.rewrite(_as_word(g, self.vertex.generators))
         return self.target_table.expand_subgroup_word(sub)
 
     def conjugate_into_source(self, g) -> Word:
         """t^-1 * g * t as a word over a..d, for g in K."""
-        sub = self.target_table.rewrite(self._vertex_word(g))
+        sub = self.target_table.rewrite(_as_word(g, self.vertex.generators))
         return self.source_table.expand_subgroup_word(sub)
 
     # -- Britton reduction ----------------------------------------------------

@@ -10,6 +10,7 @@ import copy
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -25,6 +26,7 @@ from hnnlab.comb import (
     evaluate_word,
     free_reduce,
     invert_word,
+    render_word,
 )
 from hnnlab.exact import ProjMat
 from hnnlab.hnn import (
@@ -34,6 +36,7 @@ from hnnlab.hnn import (
     load_builtin_group,
 )
 from hnnlab.quat import (
+    QUAT_ONE,
     OrderLattice,
     Quaternion,
     SubgroupOracles,
@@ -146,17 +149,26 @@ def test_rewriting_expands_back_to_the_same_element(side, factors):
     assert G.evaluate(expanded) == G.evaluate(w)
 
 
-# (method, its alphabet's size): letter 0 once read as column -1 or as the
-# last subgroup word, and a letter past the alphabet as a bare IndexError
-TABLE_ENTRY_POINTS = [
+# (reader of letters, its alphabet's size): letter 0 once read as column -1,
+# as the last subgroup word or as the last image, a letter past the alphabet
+# as a bare IndexError, and a float or Fraction equal to 1 as letter a
+LETTER_READERS = [
     (lambda t, w: t.follow(0, w), 4),
     (lambda t, w: t.rewrite(w), 4),
     (lambda t, w: t.expand_subgroup_word(w), 26),
+    (lambda t, w: render_word(w, t.generators), 4),
+    (lambda t, w: render_word(w, t.subgroup_names, "verbose"), 26),
+    (lambda t, w: evaluate_word(w, G.generators[:4], QUAT_ONE), 4),
 ]
+READER_IDS = ["follow", "rewrite", "expand", "render", "render-verbose", "evaluate"]
 
 
-@pytest.mark.parametrize("call, size", TABLE_ENTRY_POINTS, ids=["follow", "rewrite", "expand"])
-@pytest.mark.parametrize("bad", [0, "past", "-past"])
+@pytest.mark.parametrize("call, size", LETTER_READERS, ids=READER_IDS)
+@pytest.mark.parametrize(
+    "bad",
+    [0, "past", "-past", 1.0, Fraction(1), "a"],
+    ids=["0", "past", "-past", "float", "fraction", "str"],
+)
 def test_coset_table_entry_points_refuse_letters_outside_their_alphabet(call, size, bad):
     bad = {"past": size + 1, "-past": -size - 1}.get(bad, bad)
     for table in (G.source_table, G.target_table):
@@ -165,6 +177,15 @@ def test_coset_table_entry_points_refuse_letters_outside_their_alphabet(call, si
             with pytest.raises(ValueError) as raised:
                 call(table, word)
             assert str(raised.value) == f"letter {bad!r} outside alphabet of size {size}"
+
+
+@pytest.mark.parametrize("call, size", LETTER_READERS, ids=READER_IDS)
+def test_letter_readers_read_bools_as_their_values(call, size):
+    for table in (G.source_table, G.target_table):
+        # a word in the table's subgroup, with letter a in it
+        word = (1, -2) if size == 26 else table.subgroup_words[0] + (1, -1)
+        bools = tuple(True if g == 1 else g for g in word)
+        assert call(table, bools) == call(table, word)
 
 
 def test_conjugation_matches_matrices():
