@@ -404,7 +404,10 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     letters back.  Every replacement shortens the word, so the scan tries
     O(longest * n) positions.  An empty complement lets the letters around
     it cancel: a column and its inverse differ in bit 0 only, and a 0xFF
-    at each end of the buffer stops the cancellation there.
+    at each end of the buffer stops the cancellation there.  A match of
+    ``longest`` letters is deleted without reading the rule table: a rule
+    prefix is no longer than its relator, nor a relator than ``longest``,
+    so such a match is a whole relator and its complement is empty.
     """
     ngens = presentation.ngens
     if ngens > _BYTE_GENERATORS:
@@ -429,16 +432,18 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
     search, back = pattern.search, longest // 2
     pos = 0
     while m := search(s, pos):
-        # a match reads its group from the buffer: take it before the edit
         i, j = m.span()
-        comp = rules[m[0]]
-        # the complement cancels into neither neighbour, since a letter that
+        # a match of longest letters is a whole relator; any other reads its
+        # group from the buffer, so its complement is taken before the edit.
+        # The complement cancels into neither neighbour, since a letter that
         # did would extend the match; only an empty one lets them meet
-        if not comp:
+        if j - i == longest or not (comp := rules[m[0]]):
             while s[i - 1] ^ 1 == s[j]:
                 i -= 1
                 j += 1
-        s[i:j] = comp
+            del s[i:j]
+        else:
+            s[i:j] = comp
         pos = i - back if i > back else 0
     return struct.unpack_from(f"{len(s) - 2}b", s.translate(_LETTERS), 1)
 

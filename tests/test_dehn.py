@@ -307,11 +307,18 @@ def matches_reference(p, word):
     return reduced
 
 
-@pytest.mark.parametrize("p", [SURFACE, GENUS10], ids=["genus2", "genus10"])
-def test_conjugated_relator_cancels_to_both_ends(p):
+@pytest.mark.parametrize(
+    "p, k",
+    [(SURFACE, 0), (GENUS10, 0), (TWO_RELATORS, 0), (TWO_RELATORS, 1)],
+    ids=["genus2", "genus10", "genus2+3-r8", "genus2+3-r12"],
+)
+def test_conjugated_relator_cancels_to_both_ends(p, k):
     # the relator is the first match and has an empty complement, so the
-    # cancellation around it runs to index 0 and to the end of the word
-    r = p.relators[0]
+    # cancellation around it runs to index 0 and to the end of the word;
+    # a match of the longest relator's length is deleted without the rule
+    # table, and TWO_RELATORS' 8-letter relator, shorter than that, still
+    # reads its empty complement there
+    r = p.relators[k]
     for u in (p.parse("bc"), p.parse("ddbc")):
         word = u + r + invert_word(u)
         assert first_match(p, word) == (len(u), len(u) + len(r))
@@ -453,8 +460,9 @@ def long_products(p, seed, count, size=2000):
     [
         (SURFACE, "8c30c623620b37b16dbce6f6fb9108035a23f80f6ea6bba02ec8ceb3ddf9ea96"),
         (GENUS10, "be43395fd4de7dbece639c40c0279bb4e34e7ab35013dc427995d9ddf1641b9c"),
+        (TWO_RELATORS, "0e6b53e34853d352d2c0ef33387ed4d381369a1873ce9ef64331cea8784ad0e1"),
     ],
-    ids=["genus2", "genus10"],
+    ids=["genus2", "genus10", "genus2+3"],
 )
 def test_long_relator_products_are_pinned(p, digest):
     sha = hashlib.sha256()
