@@ -314,10 +314,7 @@ class GroupModel:
             raise UnknownLetter(f"letter {letter!r} has no image") from None
 
     def evaluate(self, word):
-        g = self.identity
-        for letter in word:
-            g = self.mul(g, self._image(letter))
-        return g
+        return self.path(word)[-1]
 
     def path(self, word, start=None):
         g = start if start is not None else self.identity
@@ -488,6 +485,7 @@ class WindowedLanguage:
         self.model = model
         self.radius = radius
         self.words_by_element: dict = {}
+        # L, the longest word in the window
         longest = 0
         # each word's element is its prefix's times its last letter's image;
         # shortest first, so each element's words are sorted by length
@@ -497,6 +495,7 @@ class WindowedLanguage:
         ):
             self.words_by_element.setdefault(g, []).append(w)
             longest = len(w)
+        self._longest = longest
         self.ball = BallOracle(model, max(longest + 2, radius // 2))
 
     # -- uniform finiteness -------------------------------------------------
@@ -562,10 +561,7 @@ class WindowedLanguage:
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
         ball = self.ball
-        # each element's words are sorted by length
-        walk_radius = 2 + max(
-            (len(ws[-1]) for ws in self.words_by_element.values()), default=0
-        )
+        walk_radius = self._longest + 2
         if ball.radius < walk_radius:
             raise OutOfWindow(
                 f"the walks need a ball of radius {walk_radius},"
@@ -700,7 +696,8 @@ class WindowedLanguage:
 
     # -- stable lengths -----------------------------------------------------------
 
-    def _language_lengths(self) -> dict:
+    @cached_property
+    def _ell_cache(self) -> dict:
         """Shortest accepted-word length per element, by breadth-first search
         over (set of states, element) pairs of the automaton's subset rows
         and the group, to depth 2 * radius + 2 whatever the ball's radius:
@@ -727,10 +724,6 @@ class WindowedLanguage:
                         nxt.append(node)
             frontier = nxt
         return best
-
-    @cached_property
-    def _ell_cache(self) -> dict:
-        return self._language_lengths()
 
     def ell(self, g) -> int:
         """Length of the shortest accepted word representing g."""
@@ -854,56 +847,29 @@ def z2_parity_fsa() -> Fsa:
     so no fellow traveller constant works: the separation grows linearly
     with the window radius.
     """
-    # state 0: start
-    # 1..4:   initial x-run as (sign, parity of the length so far):
-    #         (+, odd), (+, even), (-, odd), (-, even)
-    # 5..8:   y-run after x-run, accepting when total parity is even
-    # 9..12:  initial y-run
-    # 13..16: x-run after y-run, accepting when total parity is odd
-    def xrun(sign, parity):
-        return 1 + (0 if sign > 0 else 2) + (0 if parity else 1)
+    # state 0 is the start; each axis order has a block of four states for
+    # its first run and the next block for its second run:
+    #   1..4:   x-run first     5..8:   then a y-run, accepting on even totals
+    #   9..12:  y-run first     13..16: then an x-run, accepting on odd totals
+    def state(block, letter, parity):
+        # the last letter's sign and the parity of the length so far:
+        # (+, odd), (+, even), (-, odd), (-, even)
+        return block + 2 * letter.isupper() + 1 - parity
 
-    def yafter(sign, parity):
-        return 5 + (0 if sign > 0 else 2) + (0 if parity else 1)
-
-    def yrun(sign, parity):
-        return 9 + (0 if sign > 0 else 2) + (0 if parity else 1)
-
-    def xafter(sign, parity):
-        return 13 + (0 if sign > 0 else 2) + (0 if parity else 1)
-
-    trans = []
-    trans += [(0, "x", xrun(1, 1)), (0, "X", xrun(-1, 1))]
-    trans += [(0, "y", yrun(1, 1)), (0, "Y", yrun(-1, 1))]
-    for p in (0, 1):
-        q = 1 - p
-        trans += [(xrun(1, p), "x", xrun(1, q)), (xrun(-1, p), "X", xrun(-1, q))]
-        for s in (1, -1):
-            trans += [
-                (xrun(s, p), "y", yafter(1, q)),
-                (xrun(s, p), "Y", yafter(-1, q)),
-            ]
-        trans += [
-            (yafter(1, p), "y", yafter(1, q)),
-            (yafter(-1, p), "Y", yafter(-1, q)),
-        ]
-        trans += [(yrun(1, p), "y", yrun(1, q)), (yrun(-1, p), "Y", yrun(-1, q))]
-        for s in (1, -1):
-            trans += [
-                (yrun(s, p), "x", xafter(1, q)),
-                (yrun(s, p), "X", xafter(-1, q)),
-            ]
-        trans += [
-            (xafter(1, p), "x", xafter(1, q)),
-            (xafter(-1, p), "X", xafter(-1, q)),
-        ]
-    accepting = [0]
-    for s in (1, -1):
+    trans, accepting = [], [0]
+    for first, second, block, total_parity in (("xX", "yY", 1, 0), ("yY", "xX", 9, 1)):
+        then = block + 4
+        trans += [(0, a, state(block, a, 1)) for a in first]
+        for p, q in ((0, 1), (1, 0)):
+            for a in first:
+                trans.append((state(block, a, p), a, state(block, a, q)))
+                trans += [(state(block, a, p), b, state(then, b, q)) for b in second]
+            trans += [(state(then, b, p), b, state(then, b, q)) for b in second]
         # a pure x-run is the even form x^m y^0 or the odd form y^0 x^m;
         # either way the word itself is accepted, and likewise pure y-runs
-        accepting += [xrun(s, 0), xrun(s, 1), yrun(s, 0), yrun(s, 1)]
-        accepting += [yafter(s, 0), xafter(s, 1)]
-    return Fsa(("x", "X", "y", "Y"), 17, 0, sorted(set(accepting)), trans)
+        accepting += range(block, then)
+        accepting += [state(then, b, total_parity) for b in second]
+    return Fsa(("x", "X", "y", "Y"), 17, 0, accepting, trans)
 
 
 def two_words_fsa() -> Fsa:

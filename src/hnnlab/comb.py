@@ -241,6 +241,8 @@ def parse_word(text: str, alphabet) -> Word:
 
 
 def render_word(word, alphabet, style: str = "compact") -> str:
+    if style not in ("compact", "verbose"):
+        raise ValueError(f"unknown style {style!r}")
     word = _validate_word(word, len(alphabet))
     if not word:
         return "1"
@@ -250,8 +252,6 @@ def render_word(word, alphabet, style: str = "compact") -> str:
         return "".join(
             alphabet[g - 1] if g > 0 else alphabet[-g - 1].upper() for g in word
         )
-    if style != "verbose":
-        raise ValueError(f"unknown style {style!r}")
     parts = []
     run_letter, run = word[0], 0
     for g in list(word) + [0]:

@@ -3,6 +3,7 @@ and an independent brute-force route for the fellow traveller constants."""
 
 import hashlib
 import itertools
+import json
 import time
 from collections import Counter
 from fractions import Fraction
@@ -122,6 +123,22 @@ def test_json_round_trip():
     for w in fsa.words_up_to(4):
         assert clone.accepts(w)
     assert not clone.accepts(("x", "y", "x"))
+
+
+# SHA-256 of json.dumps(fsa.to_json(), sort_keys=True): the report pins see
+# only the accepted words, these every state number and transition
+BUILTIN_AUTOMATA = {
+    "z2-normal": "64caf0b236ae8557dd415c69ddba0b40cb039d9dc4a7a0c5bd26bbe1f3a5f9d8",
+    "z2-adversarial": "31cccfcd09a4cbd8c7714ab846768b6744ed228ae3bfc080b40d10027e9628f0",
+    "two-words": "0f2d1b178392ea3d4c8218c3ea0ed5aeda340add62fe1e33cf8f157b7de2e2a0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_AUTOMATA))
+def test_builtin_automata_are_pinned(name):
+    make_fsa, _ = BUILTIN_LANGUAGES[name]
+    text = json.dumps(make_fsa().to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_AUTOMATA[name]
 
 
 def test_negative_state_counts_are_refused():
