@@ -420,9 +420,6 @@ def _cmd_fsa_check(args) -> Output:
     if args.cap is not None and args.cap < 0:
         raise ValueError(f"fellow-traveller cap must be >= 0, got {args.cap}")
     fsa, model = _load_language(args.language)
-    # the window's own message, before the path count refuses it in other words
-    if args.radius < 0:
-        raise ValueError(f"window radius must be >= 0, got {args.radius}")
     # count_paths, stopped at the first length over the limit: each further
     # length can multiply the count, and the cost of the next, by the
     # automaton's out-degree

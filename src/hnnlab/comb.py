@@ -243,12 +243,12 @@ def parse_word(text: str, alphabet) -> Word:
 def render_word(word, alphabet, style: str = "compact") -> str:
     if style not in ("compact", "verbose"):
         raise ValueError(f"unknown style {style!r}")
+    if style == "compact" and any(len(n) != 1 or not n.islower() for n in alphabet):
+        raise ValueError("compact rendering needs single-character names")
     word = _validate_word(word, len(alphabet))
     if not word:
         return "1"
     if style == "compact":
-        if any(len(n) != 1 or not n.islower() for n in alphabet):
-            raise ValueError("compact rendering needs single-character names")
         return "".join(
             alphabet[g - 1] if g > 0 else alphabet[-g - 1].upper() for g in word
         )

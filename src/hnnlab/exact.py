@@ -38,6 +38,14 @@ class SingularMatrix(ArithmeticError):
 RationalLike = (int, Fraction)
 
 
+def _as_fraction(x) -> Fraction:
+    """x as a Fraction: an int (bools and IntEnums count as their values) or a
+    Fraction.  Anything else (float, str, Decimal) raises TypeError."""
+    if not isinstance(x, RationalLike):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def sign_of_rational(q) -> int:
     """Sign of an int or Fraction as -1, 0 or +1."""
     if q > 0:
@@ -169,11 +177,14 @@ def squarefree_part(n: int) -> tuple[int, int]:
 _SQUAREFREE_OK: set[int] = set()
 
 
-def _check_field_param(d: int) -> int:
-    if d in _SQUAREFREE_OK:
+def _check_field_param(d) -> int:
+    """d as a plain int, once it is found to be a squarefree integer >= 2."""
+    # the type is tested before the cache: 2.0 == 2 and hashes alike
+    if type(d) is int and d in _SQUAREFREE_OK:
         return d
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"field parameter must be an integer >= 2, got {d!r}")
+    d = int(d)
     if d >= SQUAREFREE_TRIAL_BOUND**3:
         raise ValueError(f"field parameter {d} is too large to prove squarefree")
     _, sf = squarefree_part(d)
@@ -212,8 +223,8 @@ class QuadExt:
 
     def __init__(self, d: int, a=0, b=0):
         self.d = _check_field_param(d)
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+        self.a = _as_fraction(a)
+        self.b = _as_fraction(b)
 
     @classmethod
     def _raw(cls, d: int, a: Fraction, b: Fraction) -> "QuadExt":
@@ -383,19 +394,15 @@ class Mat2:
     __slots__ = ("d", "m11", "m12", "m21", "m22")
 
     def __init__(self, d: int, m11, m12, m21, m22):
-        self.d = _check_field_param(d)
-        entries = []
-        for v in (m11, m12, m21, m22):
-            if isinstance(v, QuadExt):
-                if v.d != d:
-                    raise MismatchedField(
-                        f"entry in Q(sqrt({v.d})) inside a matrix over Q(sqrt({d}))"
-                    )
-                entries.append(v)
-            elif isinstance(v, RationalLike):
-                entries.append(QuadExt._raw(d, Fraction(v), Fraction(0)))
-            else:
-                raise TypeError(f"bad matrix entry: {v!r}")
+        self.d = d = _check_field_param(d)
+        entries = [
+            v if isinstance(v, QuadExt) else QuadExt(d, v) for v in (m11, m12, m21, m22)
+        ]
+        for v in entries:
+            if v.d != d:
+                raise MismatchedField(
+                    f"entry in Q(sqrt({v.d})) inside a matrix over Q(sqrt({d}))"
+                )
         self.m11, self.m12, self.m21, self.m22 = entries
 
     @classmethod

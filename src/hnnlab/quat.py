@@ -26,7 +26,8 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 
-from .exact import Mat2, QuadExt, _hnf_integer_rows, _prime_factors
+from .exact import Mat2, QuadExt, RationalLike, _as_fraction, _prime_factors
+from .exact import _hnf_integer_rows
 
 I_SQUARE = 2
 J_SQUARE = 13
@@ -46,10 +47,7 @@ class Quaternion:
     __slots__ = ("x0", "x1", "x2", "x3")
 
     def __init__(self, x0=0, x1=0, x2=0, x3=0):
-        self.x0 = x0 if type(x0) is Fraction else Fraction(x0)
-        self.x1 = x1 if type(x1) is Fraction else Fraction(x1)
-        self.x2 = x2 if type(x2) is Fraction else Fraction(x2)
-        self.x3 = x3 if type(x3) is Fraction else Fraction(x3)
+        self.x0, self.x1, self.x2, self.x3 = map(_as_fraction, (x0, x1, x2, x3))
 
     @classmethod
     def _raw(cls, x0, x1, x2, x3) -> "Quaternion":
@@ -149,7 +147,7 @@ class Quaternion:
 def _as_quaternion(x):
     if isinstance(x, Quaternion):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, RationalLike):
         return Quaternion._raw(Fraction(x), Fraction(0), Fraction(0), Fraction(0))
     return None
 
@@ -198,7 +196,7 @@ def phi_inverse(m: Mat2) -> Quaternion:
 def _integer_rows(rows) -> tuple[int, list[list[int]]]:
     """(den, integer rows) with the rational rows equal to rows / den, for
     the least such den."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [[_as_fraction(x) for x in row] for row in rows]
     den = lcm(*(x.denominator for row in rows for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
@@ -490,31 +488,26 @@ def hilbert_symbol(a, b, p: int | None) -> int:
 
     Rational arguments are cleared by squares first.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a = _as_fraction(a)
+    b = _as_fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     ai = a.numerator * a.denominator
     bi = b.numerator * b.denominator
     if p is None:
         return -1 if (ai < 0 and bi < 0) else 1
+    if p != 2 and _prime_factors(p) != [p]:
+        raise ValueError(f"not a prime: {p}")
+    # the units u and v keep the signs of a and b: % and // keep a unit's sign
+    alpha, u = _p_part(ai, p)
+    beta, v = _p_part(bi, p)
     if p == 2:
-        alpha, u = _p_part(abs(ai), 2)
-        beta, v = _p_part(abs(bi), 2)
-        u *= 1 if ai > 0 else -1
-        v *= 1 if bi > 0 else -1
         eps_u = ((u - 1) // 2) % 2
         eps_v = ((v - 1) // 2) % 2
         omega_u = ((u * u - 1) // 8) % 2
         omega_v = ((v * v - 1) // 8) % 2
         exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
         return -1 if exponent % 2 else 1
-    if _prime_factors(p) != [p]:
-        raise ValueError(f"not a prime: {p}")
-    alpha, u = _p_part(abs(ai), p)
-    beta, v = _p_part(abs(bi), p)
-    u *= 1 if ai > 0 else -1
-    v *= 1 if bi > 0 else -1
     result = 1
     if (alpha * beta * (p - 1) // 2) % 2:
         result = -result

@@ -230,6 +230,24 @@ def test_readme_library_block_runs_as_shown():
     assert checked == 5
 
 
+def test_readme_library_comments_are_the_reprs_shown():
+    # README's Library block, run line by line: each trailing "# value"
+    # comment is, as text, the repr of its line's result
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    shown_lines = 0
+    for line in block.splitlines():
+        code, _, shown = line.partition("# ")
+        if not shown:
+            exec(code, namespace)
+            continue
+        assert repr(eval(code, namespace)) == shown.strip(), line
+        shown_lines += 1
+    assert shown_lines == 5
+
+
 def test_isometry_records_are_told_apart_and_copied():
     empty = [Identity, EllipticInfinite, Parabolic]
     for cls in empty:

@@ -107,6 +107,9 @@ def test_word_grammar_multicharacter_names():
     assert render_word((2, -1, -1), alph, "verbose") == "u13*u1^-2"
     with pytest.raises(ValueError):
         render_word((1,), alph, "compact")
+    # the names are checked before the empty-word shortcut
+    with pytest.raises(ValueError, match="compact rendering needs single-character"):
+        render_word((), alph, "compact")
     # the style is checked before the empty-word shortcut
     for word in ((), (1,)):
         with pytest.raises(ValueError, match="unknown style 'bogus'"):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, prod
@@ -20,6 +22,14 @@ from hnnlab.exact import (
     SingularMatrix,
     render_quadext,
     squarefree_part,
+)
+from hnnlab.hnn import load_builtin_group
+from hnnlab.quat import (
+    OrderLattice,
+    Quaternion,
+    gram_reduced_discriminant,
+    hilbert_symbol,
+    hnf_rational_rows,
 )
 
 
@@ -214,6 +224,63 @@ def test_field_parameter_validation() -> None:
         QuadExt(12, 1, 1)  # 12 = 4 * 3
     with pytest.raises(ValueError):
         QuadExt(1, 1, 1)
+
+
+class Two(IntEnum):
+    TWO = 2
+
+
+def _scaled_rows(x):
+    return [[x, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+# each constructor of an exact value, reading the number x
+NUMBER_READERS = {
+    "QuadExt": lambda x: QuadExt(2, 1, x).b,
+    "Mat2": lambda x: Mat2(2, x, 0, 0, 1).m11.a,
+    "Quaternion": lambda x: Quaternion(1, 0, x).x2,
+    "OrderLattice": lambda x: OrderLattice(_scaled_rows(x), validate=False).basis,
+    "gram_reduced_discriminant": lambda x: gram_reduced_discriminant(_scaled_rows(x)),
+    "hnf_rational_rows": lambda x: hnf_rational_rows([(x, 1)]),
+    "hilbert_symbol": lambda x: [hilbert_symbol(x, -13, p) for p in (None, 2, 3, 13)],
+}
+
+
+@pytest.mark.parametrize("read", NUMBER_READERS.values(), ids=NUMBER_READERS)
+@pytest.mark.parametrize(
+    "bad", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"]
+)
+def test_number_readers_refuse_inexact_numbers(read, bad) -> None:
+    with pytest.raises(TypeError, match="not an exact rational"):
+        read(bad)
+
+
+@pytest.mark.parametrize("read", NUMBER_READERS.values(), ids=NUMBER_READERS)
+def test_number_readers_take_ints_and_fractions_as_their_values(read) -> None:
+    for x in (3, True, Two.TWO, Fraction(3, 2)):
+        assert repr(read(x)) == repr(read(Fraction(x)))
+
+
+def test_operators_leave_floats_to_python() -> None:
+    for exact in (QuadExt(2, 1, 1), Quaternion(1, 2)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            exact + 0.5
+        with pytest.raises(TypeError, match="unsupported operand"):
+            0.5 * exact
+
+
+def test_field_parameter_is_an_int_whatever_ran_before() -> None:
+    # the group's matrices are over Q(sqrt(2)), isom's constants over Q(sqrt(5))
+    load_builtin_group().evaluate("a")
+    import hnnlab.isom  # noqa: F401
+
+    for d in (2.0, Fraction(2), 5.0, Fraction(5)):
+        with pytest.raises(ValueError, match="field parameter must be an integer"):
+            QuadExt(d, 1, 1)
+        with pytest.raises(ValueError, match="field parameter must be an integer"):
+            Mat2(d, 1, 0, 0, 1)
+    assert type(QuadExt(Two.TWO, 1, 1).d) is int
+    assert type(Mat2(Two.TWO, 1, 0, 0, 1).d) is int
 
 
 def test_squarefree_part() -> None:

@@ -318,6 +318,21 @@ def test_hilbert_product_formula() -> None:
         assert prod == 1, (a, b)
 
 
+def test_hilbert_product_formula_over_rationals() -> None:
+    # numerators up to 500 and denominators up to 60: high 2-adic valuations,
+    # and denominators that the symbol clears by squares
+    odd_primes = [p for p in range(3, 500) if _is_prime_local(p)]
+    rng = random.Random(36)
+    for _ in range(3000):
+        a, b = (
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 500), rng.randint(1, 60))
+            for _ in range(2)
+        )
+        parts = (a.numerator, a.denominator, b.numerator, b.denominator)
+        places = [None, 2] + [p for p in odd_primes if any(n % p == 0 for n in parts)]
+        assert prod(hilbert_symbol(a, b, p) for p in places) == 1, (a, b)
+
+
 def _is_prime_local(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, int(n**0.5) + 1))
 
