@@ -451,6 +451,14 @@ class StructureReport(
         return self.finite_to_one.ok and self.fellow.ok
 
 
+def _letter_digits(model: GroupModel) -> tuple:
+    """(bits, digit): the k-th letter of model.letter_images is the digit k
+    of `bits` bits.  A word's digits, its first letter the most
+    significant, make one int; no letter is the digit 0."""
+    bits = len(model.letter_images).bit_length()
+    return bits, {name: i for i, name in enumerate(model.letter_images, 1)}
+
+
 class WindowedLanguage:
     """All accepted words of length <= radius, indexed by group element.
 
@@ -485,15 +493,25 @@ class WindowedLanguage:
         self.model = model
         self.radius = radius
         self.words_by_element: dict = {}
+        # _codes[g]: the digits of g's words (see _letter_digits), in order,
+        # each padded with zero digits to radius + 1 places; the fellow
+        # check reads them beside words_by_element, so neither changes
+        self._codes: dict = {}
         # L, the longest word in the window
         longest = 0
-        # each word's element is its prefix's times its last letter's image;
-        # shortest first, so each element's words are sorted by length
+        # each word's element is its prefix's times its last letter's image,
+        # and its digits its prefix's and its last letter's; shortest first,
+        # so each element's words are sorted by length
         mul, letter_images = model.mul, model.letter_images
-        for w, g in fsa._fold_words(
-            radius, model.identity, lambda g, letter: mul(g, letter_images[letter])
-        ):
+        bits, digit = _letter_digits(model)
+
+        def extend(value, letter):
+            g, code = value
+            return mul(g, letter_images[letter]), code << bits | digit[letter]
+
+        for w, (g, code) in fsa._fold_words(radius, (model.identity, 0), extend):
             self.words_by_element.setdefault(g, []).append(w)
+            self._codes.setdefault(g, []).append(code << bits * (radius + 1 - len(w)))
             longest = len(w)
         self._longest = longest
         self.ball = BallOracle(model, max(longest + 2, radius // 2))
@@ -529,14 +547,26 @@ class WindowedLanguage:
     ) -> FellowReport:
         """The largest separation over all near pairs of window words.
 
-        Every near pair is counted in `pairs_checked`, but two kinds of
-        pair are not walked, since neither can change the report:
+        Every near pair is counted in `pairs_checked`, but three kinds of
+        pair are not walked, since none can change the report:
 
           * a pair (u, s, v) whose mirror (v, s^-1, u), with the same
             separations, came earlier: v has a smaller index than u, each
             word's index being its position in `words_by_element` order;
           * a pair whose separation bound (see the class docstring) is at
-            most the worst separation found so far.
+            most the worst separation zeta found so far;
+          * a pair whose v spells s * u (u when there is no shift) letter
+            for letter over its first k letters, where the bound restarted
+            at time k is at most zeta.  Each e_t with t <= k is then the
+            identity (no shift) or the inverse of u's t-th letter, so
+            |e_t| <= c, with c = 0 unshifted and c = 1 shifted, and from
+            time k on the triangle inequality gives
+            floor((c + |e_T| + |u| + |v| - 2k) / 2).  So a shifted pair
+            is skipped only once zeta >= 1.  Words are compared as ints,
+            one digit per letter, padded with a digit no letter has: a
+            stretch that runs past the end of u or v matches only when
+            v = u (no shift) or v starts with all of s * u, and the bound
+            holds there too.
 
         The worst pair is still the first one in enumeration order.  The
         walks keep only that pair; after them, the group's own products
@@ -548,15 +578,15 @@ class WindowedLanguage:
         ball id, and every target s * end, near key and walk step is one
         lookup in the ball's tables.  Ball ids are breadth-first, so a walk
         keeps only the largest id it visits and reads that id's norm once,
-        after the walk.  Each target's near words are listed
-        once per check as one flat list of entries (index of v, |v| + |e_T|,
-        v, v's right rows): first the target's own words (e_T the identity),
-        then the words one letter right of it (|e_T| = 1), in letter order,
-        each element once.  The list is shared by every (end, shift) that
-        lands on the target, and each entry by every list that holds it.  So
-        the two skips above are integer comparisons on the entry, each pair
-        is one loop iteration, and `pairs_checked` grows by a whole list at
-        a time.
+        after the walk.  Each target's near words are listed once per check
+        as one flat list of entries (index of v, |v| + |e_T|, v's padded
+        digits, v's right rows): first the target's own words (e_T the
+        identity), then the words one letter right of it (|e_T| = 1), in
+        letter order, each element once.  The list is shared by every
+        (end, shift) that lands on the target, and each entry by every list
+        that holds it.  So the three skips above are integer operations on
+        the entry, each pair is one loop iteration, and `pairs_checked`
+        grows by a whole list at a time.
         """
         if pair_rule not in ("classical", "simultaneous"):
             raise ValueError(f"unknown pair rule {pair_rule!r}")
@@ -591,7 +621,18 @@ class WindowedLanguage:
             near_lists[t] = (len(found), found)
             return near_lists[t]
 
-        ends = []
+        # two padded words a and b agree on their first (d + 1) // 2
+        # places exactly when a ^ b < agree[d]
+        bits, digit = _letter_digits(model)
+        width = bits * (self.radius + 1)
+        agree = [
+            1 << width - bits * ((d + 1) // 2) for d in range(2 * self._longest + 2)
+        ]
+        # a lead that agrees with no padded word in any place
+        never = 1 << width
+        codes = self._codes
+        # listed[index]: the word of that index, for the witness
+        ends, listed = [], []
         index = 0
         for g, ws in self.words_by_element.items():
             ends.append(k := ids[g])
@@ -599,27 +640,31 @@ class WindowedLanguage:
             # and with lists ten rounds of the 60 fsa-window cases in one
             # process read about 0.6 MB more peak RSS
             lefts, own, near_own = [], [], []
-            for w in ws:
+            for w, code in zip(ws, codes[g]):
                 rv = list(map(right.__getitem__, w))
                 lefts.append(list(map(left.__getitem__, w)))
-                own.append((index, len(w), w, rv))
-                near_own.append((index, len(w) + 1, w, rv))
+                own.append((index, len(w), code, rv))
+                near_own.append((index, len(w) + 1, code, rv))
                 index += 1
+            listed += ws
             words[k] = (tuple(lefts), tuple(own), tuple(near_own))
         # s * g is one inverse-left step by the letter whose image is s^-1
         named = {img: name for name, img in model.letter_images.items()}
-        # no shift: e_0 is the identity, id 0
-        shifts = [(None, 0, None)]
+        # no shift: e_0 is the identity, id 0; s's digit in the top place,
+        # over the padded digits of u moved down one place, is s * u
+        shifts = [(None, 0, None, None)]
         for name, s in sorted(model.letter_images.items()):
             s_inv = model.inv(s)
-            shifts.append((name, ids[s_inv], left[named[s_inv]]))
+            shifts.append(
+                (name, ids[s_inv], left[named[s_inv]], digit[name] << width - bits)
+            )
         classical = pair_rule == "classical"
         zeta, worst, pairs = 0, None, 0
         for end in ends:
             lefts, own, _ = words[end]
             # each shift's near entries, shared by the words ending here
             targets = []
-            for shift_name, e0, table in shifts:
+            for shift_name, e0, table, head in shifts:
                 if shift_name is None:
                     # right multiplication: ends at most 1 apart
                     count, entries = near_lists[end] or near(end)
@@ -636,16 +681,29 @@ class WindowedLanguage:
                         entries = words[t][1]
                         count = len(entries)
                 # 1 - |e_0|: e_0 = s^-1 is at most one letter
-                targets.append(
-                    (shift_name, e0, count, entries, 1 if shift_name is None else 0)
-                )
-            for (index, n, u, _), lu in zip(own, lefts):
-                for shift_name, e0, count, entries, slack in targets:
+                slack = 1 if shift_name is None else 0
+                targets.append((shift_name, e0, count, entries, slack, head))
+            for (index, n, code, _), lu in zip(own, lefts):
+                for shift_name, e0, count, entries, slack, head in targets:
                     pairs += count
                     # the bound is at most zeta when |v| + |e_T| <= room
                     room = 2 * zeta + slack - n
-                    for j, size, v, rv in entries:
+                    # the padded digits of s * u: while v spells s * u, each
+                    # e_t is at most 1 - slack long, so a shifted lead needs
+                    # zeta >= 1
+                    if head is None:
+                        lead = code
+                    elif zeta:
+                        lead = head | code >> bits
+                    else:
+                        lead = never
+                    for j, size, cv, rv in entries:
                         if j < index or size <= room:
+                            continue
+                        # v spells s * u for the first k letters, k half of
+                        # size - room rounded up: the bound from time k on
+                        # is at most zeta
+                        if (cv ^ lead) < agree[size - room]:
                             continue
                         # a finished word waits at its end point; the
                         # largest id on the walk has its largest norm
@@ -663,10 +721,10 @@ class WindowedLanguage:
                                 if e > top:
                                     top = e
                         if norms[top] > zeta:
-                            zeta, worst = norms[top], (u, v, shift_name)
+                            zeta, worst = norms[top], (index, j, shift_name)
         witness = None
         if worst is not None:
-            u, v, shift_name = worst
+            u, v, shift_name = listed[worst[0]], listed[worst[1]], worst[2]
             seps = _pair_separations(model, ball, u, shift_name, v)
             witness = FellowWitness(u, v, shift_name, seps.index(zeta), zeta)
         return FellowReport(
@@ -735,6 +793,11 @@ class WindowedLanguage:
             ) from None
 
     def power_norms(self, g, max_power: int = 6) -> tuple:
+        """ell(g), ell(g^2), ..., ell(g^max_power).  A max_power that is not
+        an int >= 1 raises ValueError, here and in tau_estimate and
+        conjugacy_tau, which read these norms."""
+        if not isinstance(max_power, int) or max_power < 1:
+            raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
         out = []
         acc = self.model.identity
         for _ in range(max_power):

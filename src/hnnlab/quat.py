@@ -475,7 +475,8 @@ def _legendre(u: int, p: int) -> int:
 
 
 def hilbert_symbol(a, b, p: int | None) -> int:
-    """Hilbert symbol (a, b)_p over Q_p, with p = None for the real place.
+    """Hilbert symbol (a, b)_p over Q_p, with p = None for the real place;
+    any other p that is not an int prime raises ValueError.
 
     Follows the classical formulas: for odd p with a = p^alpha * u and
     b = p^beta * v (u, v units),
@@ -496,8 +497,8 @@ def hilbert_symbol(a, b, p: int | None) -> int:
     bi = b.numerator * b.denominator
     if p is None:
         return -1 if (ai < 0 and bi < 0) else 1
-    if p != 2 and _prime_factors(p) != [p]:
-        raise ValueError(f"not a prime: {p}")
+    if not isinstance(p, int) or (p != 2 and _prime_factors(p) != [p]):
+        raise ValueError(f"not a prime: {p!r}")
     # the units u and v keep the signs of a and b: % and // keep a unit's sign
     alpha, u = _p_part(ai, p)
     beta, v = _p_part(bi, p)

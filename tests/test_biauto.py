@@ -401,6 +401,15 @@ def test_tau_out_of_window():
         lang.tau_estimate((3, 3), max_power=6)
 
 
+def test_power_counts_below_one_are_refused():
+    lang = WindowedLanguage(z2_normal_form_fsa(), z2_model(), 8)
+    for max_power in (0, -1, 2.0, "3"):
+        for call in (lang.power_norms, lang.tau_estimate, lang.conjugacy_tau):
+            with pytest.raises(ValueError, match="max_power must be an int >= 1"):
+                call((1, 0), max_power=max_power)
+    assert lang.tau_estimate((1, 0), max_power=1) == TauEstimate(Fraction(1), False, (1,))
+
+
 def test_language_length_is_shortest_accepted_word():
     lang = WindowedLanguage(z2_normal_form_fsa(), z2_model(), 6)
     assert lang.ell((2, 3)) == 5
@@ -728,11 +737,25 @@ def symmetric_s5_model():
     )
 
 
+def z_with_identity_letters_model():
+    """Z^2's x and X, with y and Y sent to the identity: distinct letters
+    share an image, and a pair shifted by y or Y starts at separation 0."""
+    z2 = z2_model()
+    return GroupModel(
+        {**z2.letter_images, "y": (0, 0), "Y": (0, 0)},
+        mul=z2.mul,
+        inv=z2.inv,
+        identity=z2.identity,
+    )
+
+
 def longest_word(lang):
     return max((len(ws[-1]) for ws in lang.words_by_element.values()), default=0)
 
 
-@pytest.mark.parametrize("make_model", [z2_model, symmetric_s5_model])
+@pytest.mark.parametrize(
+    "make_model", [z2_model, symmetric_s5_model, z_with_identity_letters_model]
+)
 def test_pruned_walk_matches_reference_route(make_model):
     outcomes = Counter()
 
@@ -774,6 +797,18 @@ def test_pruned_walk_matches_reference_route(make_model):
     assert outcomes["out of window"] >= 30
     assert outcomes["zeta above 1"] >= 40
     assert outcomes["zeta at most 1"] >= 40
+
+
+def test_a_shifted_pair_that_spells_s_u_is_walked_while_zeta_is_0():
+    # the words y and Xy of S5: the first pair that separates is
+    # (y, X, Xy), whose v spells X * y letter for letter, and it is
+    # |X^-1| = 1 apart at time 0
+    fsa = Fsa(("x", "X", "y"), 3, 0, [1], [(0, "y", 1), (0, "X", 2), (2, "y", 1)])
+    lang = WindowedLanguage(fsa, symmetric_s5_model(), 2)
+    for rule in ("classical", "simultaneous"):
+        report = lang.check_fellow_traveller(rule)
+        assert report == reference_check_fellow_traveller(lang, rule)
+        assert report.witness == FellowWitness(("y",), ("X", "y"), "X", 0, 1)
 
 
 def test_ball_radius_follows_the_separation_bound():

@@ -297,6 +297,10 @@ def test_hilbert_symbol_refuses_non_primes() -> None:
     for p in (0, 1, 4, 9, 15, 91):
         with pytest.raises(ValueError, match="not a prime"):
             hilbert_symbol(2, 13, p)
+    # a place is an int: a float is refused even where it equals a prime
+    for p in (2.0, 3.0, 13.0):
+        with pytest.raises(ValueError, match=f"not a prime: {p}"):
+            hilbert_symbol(2, 13, p)
     # 2 and 13 are units at every odd prime but 13
     primes = (3, 5, 7, 13, 10007)
     assert [hilbert_symbol(2, 13, p) for p in primes] == [1, 1, 1, -1, 1]
