@@ -27,6 +27,7 @@ rule already forces 3 (translate x^2y^2 by one x and compare with y^2).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -48,31 +49,39 @@ def _check_length(max_len: int) -> None:
 class Fsa:
     """A finite-state automaton over named letters.
 
-    States are integers 0..num_states-1.  Nondeterminism (several initial
-    states or repeated (state, letter) transitions) is allowed: every walk
-    over the language, and count_paths, reads one lazily built subset
-    automaton (_Subsets) over the live states, made on first use.
+    States are ints 0..num_states-1, by from_json's rule: num_states and
+    every state must be an exact int, not a bool, or ValueError is raised.
+    Nondeterminism (several initial states or repeated (state, letter)
+    transitions) is allowed: every walk over the language, and
+    count_paths, reads one lazily built subset automaton (_Subsets) over
+    the live states, made on first use.
     """
 
     def __init__(self, alphabet, num_states, initial, accepting, transitions):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate letters in alphabet")
-        self.num_states = int(num_states)
-        if self.num_states < 0:
+        if not _is_state(num_states):
+            raise ValueError(f"num_states must be an int, got {num_states!r}")
+        if num_states < 0:
             raise ValueError(f"num_states must be >= 0, got {num_states}")
-        if isinstance(initial, int):
+        self.num_states = num_states
+        if not isinstance(initial, Iterable):
             initial = (initial,)
+        # checked before the sets merge equal values such as 1 and 1.0
+        initial, accepting = tuple(initial), tuple(accepting)
+        _check_states(initial + accepting)
         self.initial = tuple(sorted(set(initial)))
         self.accepting = frozenset(accepting)
-        if not all(0 <= q < self.num_states for q in (*self.initial, *self.accepting)):
+        if not all(0 <= q < num_states for q in (*self.initial, *self.accepting)):
             raise ValueError("initial or accepting state out of range")
         self._letters = frozenset(self.alphabet)
         delta: dict[tuple[int, str], set[int]] = {}
         for src, letter, dst in transitions:
             if letter not in self._letters:
                 raise UnknownLetter(f"transition letter {letter!r} not in alphabet")
-            if not (0 <= src < self.num_states and 0 <= dst < self.num_states):
+            _check_states((src, dst))
+            if not (0 <= src < num_states and 0 <= dst < num_states):
                 raise ValueError("transition endpoint out of range")
             delta.setdefault((src, letter), set()).add(dst)
         self._delta = {key: tuple(sorted(dsts)) for key, dsts in delta.items()}
@@ -275,6 +284,12 @@ _FSA_FIELDS = ("alphabet", "num_states", "initial", "accepting", "transitions")
 
 def _is_state(x) -> bool:
     return type(x) is int
+
+
+def _check_states(states) -> None:
+    for q in states:
+        if not _is_state(q):
+            raise ValueError(f"state {q!r} is not an int")
 
 
 def _is_letter(x) -> bool:

@@ -266,11 +266,16 @@ def render_word(word, alphabet, style: str = "compact") -> str:
 
 
 def evaluate_word(word, images, identity):
-    """Fold a word through group element images (needs * and .inverse())."""
-    acc = identity
+    """Fold a word through group element images (needs * and .inverse()).
+
+    The product starts from the first letter's image, so identity is used
+    only for the empty word; a one-letter word returns the image itself.
+    """
+    acc = None
     for g in _validate_word(word, len(images)):
-        acc = acc * (images[g - 1] if g > 0 else images[-g - 1].inverse())
-    return acc
+        x = images[g - 1] if g > 0 else images[-g - 1].inverse()
+        acc = x if acc is None else acc * x
+    return identity if acc is None else acc
 
 
 class Presentation:
@@ -452,6 +457,22 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
 # modified Todd-Coxeter
 
 
+def _join(*words) -> Word:
+    """free_reduce for freely reduced words: only the junctions cancel.
+
+    Each word must be freely reduced, as every word the enumerator builds
+    is; an unreduced word keeps its inner cancelling pairs.
+    """
+    out: list[int] = []
+    for w in words:
+        k = 0
+        while out and k < len(w) and out[-1] == -w[k]:
+            out.pop()
+            k += 1
+        out.extend(w[k:])
+    return tuple(out)
+
+
 class _Enumerator:
     """Working state of the modified Todd-Coxeter enumeration (HLT style).
 
@@ -461,7 +482,9 @@ class _Enumerator:
     mirrored (inverse) decorations, in columns c and c ^ 1 (a letter and
     its inverse), so backward scans can read decorations straight from the
     table.  Words are scanned as column sequences.  A merged coset has an
-    entry in parent and an empty row.
+    entry in parent and an empty row.  Every word it multiplies (a
+    decoration, a parent word, a coincidence word, a subgroup letter) is
+    freely reduced, so _join forms its products.
     """
 
     def __init__(self, ncols: int, cap: int):
@@ -486,7 +509,7 @@ class _Enumerator:
         if entry is None:
             return a, ()
         root, up = self.find(entry[0])
-        w = free_reduce(entry[1], up)
+        w = _join(entry[1], up)
         self.parent[a] = (root, w)
         return root, w
 
@@ -509,10 +532,10 @@ class _Enumerator:
             # rep(l) = w*rep(m):  lw*rep(lr) = w*mw*rep(mr)
             if lr < mr:
                 keep, gone = lr, mr
-                u = free_reduce(invert_word(mw), invert_word(w), lw)
+                u = _join(invert_word(mw), invert_word(w), lw)
             else:
                 keep, gone = mr, lr
-                u = free_reduce(invert_word(lw), w, mw)
+                u = _join(invert_word(lw), w, mw)
             # rep(gone) = u * rep(keep)
             self.parent[gone] = (keep, u)
             row = self.table[gone]
@@ -530,12 +553,12 @@ class _Enumerator:
                     self.deco[beta][c ^ 1] = None
                 br, bw = self.find(beta)
                 # rep(gone)*x = p*rep(beta):  rep(keep)*x = u^-1*p*bw*rep(br)
-                q = free_reduce(invert_word(u), drow[c], bw)
+                q = _join(invert_word(u), drow[c], bw)
                 target = self.table[keep][c]
                 if target is not None:
                     # rep(keep)*x also equals deco*rep(target)
                     self.pending.append(
-                        (target, br, free_reduce(invert_word(self.deco[keep][c]), q))
+                        (target, br, _join(invert_word(self.deco[keep][c]), q))
                     )
                     continue
                 back = self.table[br][c ^ 1]
@@ -543,7 +566,7 @@ class _Enumerator:
                     # some coset already maps to br under x
                     pb = self.deco[br][c ^ 1]
                     # rep(br)*x^-1 = pb*rep(back) => rep(back)*x = pb^-1*rep(br)
-                    self.pending.append((keep, back, free_reduce(q, pb)))
+                    self.pending.append((keep, back, _join(q, pb)))
                     continue
                 self.set_edge(keep, c, br, q)
 
@@ -581,7 +604,7 @@ class _Enumerator:
             if j == i and f == b:
                 return
             # rep(f) * word[i:j] = p * rep(b), p = F^-1 * value * B^-1
-            p = free_reduce(*reversed(f_parts), value, *b_parts)
+            p = _join(*reversed(f_parts), value, *b_parts)
             if j == i:
                 self.coincidence(f, b, p)
                 continue

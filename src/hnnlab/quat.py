@@ -86,13 +86,16 @@ class Quaternion:
         o = _as_quaternion(other)
         if o is None:
             return NotImplemented
-        a, b = I_SQUARE, J_SQUARE
+        # the int constants multiply from the right, so that a Fraction
+        # coordinate takes Fraction.__mul__'s forward path, not __rmul__'s
+        # numbers.Rational check
+        a, b, ab = I_SQUARE, J_SQUARE, I_SQUARE * J_SQUARE
         x0, x1, x2, x3 = self.x0, self.x1, self.x2, self.x3
         y0, y1, y2, y3 = o.x0, o.x1, o.x2, o.x3
         return Quaternion._raw(
-            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y0 + x1 * y1 * a + x2 * y2 * b - x3 * y3 * ab,
+            x0 * y1 + x1 * y0 + (x3 * y2 - x2 * y3) * b,
+            x0 * y2 + x2 * y0 + (x1 * y3 - x3 * y1) * a,
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
 

@@ -146,6 +146,23 @@ def test_negative_state_counts_are_refused():
     with pytest.raises(ValueError, match="num_states must be >= 0"):
         Fsa(["x"], -5, [], [], [])
     assert Fsa(["x"], 0, [], [], []).to_json()["num_states"] == 0
+    # states follow from_json's rule, an exact int and not a bool: a float
+    # count used to be truncated, a string parsed, and True, 1.0 and a
+    # float endpoint taken as states
+    for count in (2.7, "3", True, 2.0):
+        with pytest.raises(ValueError, match="num_states must be an int"):
+            Fsa(("x",), count, 0, [1], [(0, "x", 1)])
+    for initial, accepting, transitions in [
+        (True, [1], []),
+        (0.0, [1], []),
+        ([0, 0.0], [1], []),
+        (0, [1.0], []),
+        (0, [False], []),
+        (0, [1], [(0.0, "x", 1)]),
+        (0, [1], [(0, "x", True)]),
+    ]:
+        with pytest.raises(ValueError, match="is not an int"):
+            Fsa(("x",), 2, initial, accepting, transitions)
 
 
 def test_duplicate_transitions_collapse_in_sorted_order():

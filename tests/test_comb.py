@@ -16,6 +16,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hnnlab.comb import (
     WORD_LETTER_LIMIT,
+    _join,
     AbelianStructure,
     CapExceeded,
     NotDehnPresentation,
@@ -290,6 +291,42 @@ def test_enumeration_cap():
     z2 = Presentation("xy", ["xyXY"])
     with pytest.raises(CapExceeded):
         todd_coxeter(z2, ["x"], cap=40)
+
+
+REDUCED_WORDS = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(
+    free_reduce
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(REDUCED_WORDS, max_size=6))
+def test_enumerator_join_is_free_reduce_on_reduced_words(words):
+    assert _join(*words) == free_reduce(*words)
+    # each junction of a word and its inverse cancels all the way through
+    assert _join(*words, *map(invert_word, reversed(words))) == ()
+
+
+SMALL_ENUMERATIONS = [
+    (Presentation("x", ["xxxxx"]), []),
+    (Presentation("x", ["xxxxx"]), ["xx"]),
+    (Presentation("x", ["x^6"]), ["xx"]),
+    (Presentation("xy", ["xyXY"]), ["xx", "y"]),
+    (Presentation("xy", ["xx", "yyy", "xyxy"]), ["y"]),
+    (Presentation("ab", ["AAbaa", "abAaa"]), []),
+    (Presentation("ab", ["bAABa", "AAbab"]), []),
+    (Presentation("ab", ["bAABa", "AAbab"]), ["Ab"]),
+    (SURFACE, ["a", "b", "c", "d"]),
+]
+
+
+@pytest.mark.parametrize("presentation, subgroup", SMALL_ENUMERATIONS)
+def test_enumerated_decorations_are_freely_reduced(presentation, subgroup):
+    # the enumerator joins words only at their junctions, which is the
+    # free reduction only while every word it holds is freely reduced
+    table = todd_coxeter(presentation, subgroup)
+    for row in table.decorations:
+        for deco in row:
+            assert free_reduce(deco) == deco
 
 
 def test_decorated_rewriting_z2():

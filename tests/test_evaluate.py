@@ -15,6 +15,7 @@ from hnnlab.comb import evaluate_word, invert_word
 from hnnlab.exact import ProjMat
 from hnnlab import hnn
 from hnnlab.hnn import load_builtin_group
+from hnnlab.quat import QUAT_ONE
 
 G = load_builtin_group()
 IDENTITY = ProjMat.identity(2)
@@ -46,10 +47,7 @@ def relator_products(draw):
 def test_evaluate_matches_the_matrix_fold():
     verdicts = set()
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(RANDOM_WORDS, relator_products()))
-    def check(word):
-        assert len(word) <= 300
+    def compare(word):
         got, want = G.evaluate(word), reference_evaluate(word)
         assert got == want
         assert repr(got) == repr(want)
@@ -57,5 +55,26 @@ def test_evaluate_matches_the_matrix_fold():
         assert got.is_identity() == hnn._is_one(hnn._fold(word, G._units))
         verdicts.add(got.is_identity())
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(RANDOM_WORDS, relator_products()))
+    def check(word):
+        assert len(word) <= 300
+        compare(word)
+
     check()
     assert verdicts == {True, False}
+
+    # the fold starts from the first letter's image: the empty word, one
+    # letter either way round, and a word whose first letter is inverted,
+    # over ProjMat and over quaternion images
+    for images, identity in ((G.images, IDENTITY), (G.generators, QUAT_ONE)):
+        a, b, c, d, t = images
+        expected = {
+            (): identity,
+            (3,): c,
+            (-2,): b.inverse(),
+            (-4, 1, 5): d.inverse() * a * t,
+        }
+        for word, value in expected.items():
+            assert evaluate_word(word, images, identity) == value
+            compare(word)

@@ -122,15 +122,38 @@ def test_phi_on_standard_generators() -> None:
     assert tt.det() == 1
 
 
+def _raw_quaternion(rng: random.Random, fractions: float) -> Quaternion:
+    """Coordinates kept as drawn: each a Fraction with the given chance,
+    else an int, as in the integer rows of an OrderLattice."""
+    return Quaternion._raw(
+        *(
+            F(rng.randint(-12, 12), rng.randint(1, 6))
+            if rng.random() < fractions
+            else rng.randint(-12, 12)
+            for _ in range(4)
+        )
+    )
+
+
 def test_phi_is_a_ring_homomorphism() -> None:
     rng = random.Random(11)
-    for _ in range(300):
-        p = _random_quaternion(rng)
-        q = _random_quaternion(rng)
-        assert phi(p * q) == phi(p) * phi(q)
-        assert phi(p + q).trace() == phi(p).trace() + phi(q).trace()
-        assert phi(p).det() == QuadExt(2, p.nrd())
-        assert phi(p).trace() == QuadExt(2, p.trd())
+    draws = [
+        lambda: _random_quaternion(rng),
+        lambda: _raw_quaternion(rng, 0.0),
+        lambda: _raw_quaternion(rng, 0.5),
+    ]
+    for draw in draws:
+        for _ in range(300):
+            p, q = draw(), draw()
+            assert phi(p * q) == phi(p) * phi(q)
+            assert phi(p + q).trace() == phi(p).trace() + phi(q).trace()
+            assert phi(p).det() == QuadExt(2, p.nrd())
+            assert phi(p).trace() == QuadExt(2, p.trd())
+            # the product is exact whatever the mix of coordinate types
+            assert p * q == Quaternion(*p.coords()) * Quaternion(*q.coords())
+    for _ in range(100):
+        p, q = _raw_quaternion(rng, 0.0), _raw_quaternion(rng, 0.0)
+        assert all(type(x) is int for x in (p * q).coords())
 
 
 def test_phi_inverse_round_trip() -> None:
