@@ -8,14 +8,18 @@ is checked in at least two of the three models.
 
 Layers, bottom up:
 
-  exact   rational quadratic extensions, 2x2 matrices, PSL(2) classes,
-          the integer Hermite normal form
-  quat    the rational quaternion algebra, its maximal order, unit groups
+  exact   rational quadratic extensions, 2x2 matrices, PSL(2) classes
+  quat    the rational quaternion algebra, its maximal order, unit groups;
+          the number rule (an exact rational is an int or a Fraction) and
+          the integer Hermite normal form, which `exact` and `comb` import
   isom    isometry classification and exact translation lengths
   comb    words, small cancellation, decorated coset enumeration, homology
   hnn     the built-in lattice with dual membership oracles
   biauto  windowed checks of automatic-structure axioms
   cli     the hnn-lab command line tool
+
+Loading the lattice imports `quat`, `comb` and `hnn` only: `exact` is
+imported by the calls that build matrices or factor integers.
 """
 
 from importlib import import_module

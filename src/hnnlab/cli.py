@@ -29,10 +29,10 @@ import sys
 from decimal import Decimal, localcontext
 
 # each command imports the layers it uses: a cold `fsa-check` loads `cli`,
-# `comb` and `exact` (through the import below) and `biauto`, the
-# lattice's commands never load `biauto`, and only `classify` and
-# `lengths` load `isom`.  Annotations are never evaluated, so those naming
-# `isom` or `QuadExt` import nothing.
+# `comb` (through the import below) and `biauto`, the lattice's commands
+# load `quat` and `hnn` but never `biauto`, and only `classify` and
+# `lengths`, which build matrices, load `exact` and `isom`.  Annotations
+# are never evaluated, so those naming `isom` or `QuadExt` import nothing.
 from . import comb
 
 # what a command returns: its exit code, the payload that --json prints

@@ -31,8 +31,6 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import _hnf_integer_rows
-
 Word = tuple[int, ...]
 
 # parse_word refuses longer words.  Quaternion coordinates grow with the
@@ -84,6 +82,8 @@ def cyclic_reduce(word) -> Word:
 
 
 def invert_word(word) -> Word:
+    if not word:
+        return ()
     return tuple([-g for g in reversed(word)])
 
 
@@ -460,11 +460,19 @@ def dehn_reduce(word, presentation: Presentation) -> Word:
 def _join(*words) -> Word:
     """free_reduce for freely reduced words: only the junctions cancel.
 
-    Each word must be freely reduced, as every word the enumerator builds
-    is; an unreduced word keeps its inner cancelling pairs.
+    Each word must be a freely reduced tuple, as every word the enumerator
+    builds is; an unreduced word keeps its inner cancelling pairs.  Empty
+    words are skipped, and a lone nonempty word is returned as it is.
     """
-    out: list[int] = []
+    out: Word | list[int] = ()
     for w in words:
+        if not w:
+            continue
+        if not out:
+            out = w
+            continue
+        if type(out) is tuple:
+            out = list(out)
         k = 0
         while out and k < len(w) and out[-1] == -w[k]:
             out.pop()
@@ -509,6 +517,8 @@ class _Enumerator:
         if entry is None:
             return a, ()
         root, up = self.find(entry[0])
+        if root == entry[0]:
+            return entry  # up is empty: the entry is already compressed
         w = _join(entry[1], up)
         self.parent[a] = (root, w)
         return root, w
@@ -538,6 +548,7 @@ class _Enumerator:
                 u = _join(invert_word(lw), w, mw)
             # rep(gone) = u * rep(keep)
             self.parent[gone] = (keep, u)
+            u_inv = invert_word(u)
             row = self.table[gone]
             drow = self.deco[gone]
             self.table[gone] = [None] * self.ncols
@@ -553,7 +564,7 @@ class _Enumerator:
                     self.deco[beta][c ^ 1] = None
                 br, bw = self.find(beta)
                 # rep(gone)*x = p*rep(beta):  rep(keep)*x = u^-1*p*bw*rep(br)
-                q = _join(invert_word(u), drow[c], bw)
+                q = _join(u_inv, drow[c], bw)
                 target = self.table[keep][c]
                 if target is not None:
                     # rep(keep)*x also equals deco*rep(target)
@@ -580,14 +591,17 @@ class _Enumerator:
                 return  # the scan at the surviving root covers this one
             # rep(alpha) * word[:i] = F * rep(f) and rep(b) * word[j:] =
             # B * rep(alpha); the scans collect the inverses of the
-            # decorations that make up F and B, read from the mirror edges
+            # nonempty decorations that make up F and B, read from the
+            # mirror edges
             table, deco = self.table, self.deco
             f, f_parts, i = alpha, [], 0
             while i < k:
                 nxt = table[f][cols[i]]
                 if nxt is None:
                     break
-                f_parts.append(deco[nxt][cols[i] ^ 1])
+                d = deco[nxt][cols[i] ^ 1]
+                if d:
+                    f_parts.append(d)
                 f = nxt
                 i += 1
             b, b_parts, j = alpha, [], k
@@ -595,7 +609,9 @@ class _Enumerator:
                 prev = table[b][cols[j - 1] ^ 1]
                 if prev is None:
                     break
-                b_parts.append(deco[b][cols[j - 1] ^ 1])
+                d = deco[b][cols[j - 1] ^ 1]
+                if d:
+                    b_parts.append(d)
                 b = prev
                 j -= 1
             if j > i + 1:
@@ -733,8 +749,12 @@ def todd_coxeter(
     returning the standardized decorated table.
 
     subgroup_generators may be words or strings in either grammar.  The
-    subgroup alphabet defaults to h1, h2, ...
+    subgroup alphabet defaults to h1, h2, ...; given names must be
+    distinct, one per generator.  cap, the most cosets the enumeration may
+    define, must be an int >= 1; more raises CapExceeded.
     """
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be an int >= 1, got {cap!r}")
     words = _reduced_words(subgroup_generators, presentation.generators)
     if subgroup_names is None:
         subgroup_names = tuple(f"h{m+1}" for m in range(len(words)))
@@ -742,6 +762,8 @@ def todd_coxeter(
         subgroup_names = tuple(subgroup_names)
         if len(subgroup_names) != len(words):
             raise ValueError("one name per subgroup generator required")
+        if len(set(subgroup_names)) != len(subgroup_names):
+            raise ValueError("duplicate subgroup generator names")
 
     enum = _Enumerator(2 * presentation.ngens, cap)
     generators = [tuple(map(_col, h)) for h in words]
@@ -844,6 +866,8 @@ def smith_invariants(rows) -> list[int]:
     pair of diagonal entries (d_i, d_j), i < j, becomes (gcd, lcm): the sum
     of the Z/d_i is kept, and each entry comes to divide the next.
     """
+    from .quat import _hnf_integer_rows
+
     a = _hnf_integer_rows([list(map(int, r)) for r in rows])
     while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
         a = _hnf_integer_rows([list(col) for col in zip(*a)])

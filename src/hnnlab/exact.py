@@ -1,5 +1,4 @@
-"""Exact arithmetic over real quadratic fields and 2x2 matrices over them,
-and the one integer row reduction of the package.
+"""Exact arithmetic over real quadratic fields and 2x2 matrices over them.
 
 Everything in this module is computed over Z, Q or Q(sqrt(d)) with d a
 squarefree integer >= 2.  There are no floats anywhere: coefficients are
@@ -10,9 +9,13 @@ Values from different fields never mix silently.  Binary operations on
 ``QuadExt`` elements with different ``d`` raise ``MismatchedField``;
 plain integers and ``Fraction`` values embed into any field.
 
-The Hermite normal form of integer rows, ``_hnf_integer_rows``, serves
-``quat`` (the orders and the trace form discriminant) and ``comb`` (the
-Smith invariants of the abelianization).
+The number rule, what counts as an exact rational (``RationalLike`` and
+``_as_fraction``), lives in ``quat`` with the integer Hermite normal form:
+the lattice's quaternions and orders use both while it loads, and loading
+the lattice does not import this module.  Only the functions that build
+matrices or factor integers import it: ``quat.phi``,
+``quat.hilbert_symbol``, ``quat.ramified_primes``, ``HnnGroup.evaluate``
+and ``HnnGroup.images``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from itertools import chain, compress, count
 from math import gcd, isqrt, prod
+
+from .quat import RationalLike, _as_fraction
 
 
 class MismatchedField(ValueError):
@@ -35,17 +40,6 @@ class SingularMatrix(ArithmeticError):
     """Matrix has determinant zero and cannot be inverted."""
 
 
-RationalLike = (int, Fraction)
-
-
-def _as_fraction(x) -> Fraction:
-    """x as a Fraction: an int (bools and IntEnums count as their values) or a
-    Fraction.  Anything else (float, str, Decimal) raises TypeError."""
-    if not isinstance(x, RationalLike):
-        raise TypeError(f"not an exact rational: {x!r}")
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def sign_of_rational(q) -> int:
     """Sign of an int or Fraction as -1, 0 or +1."""
     if q > 0:
@@ -53,43 +47,6 @@ def sign_of_rational(q) -> int:
     if q < 0:
         return -1
     return 0
-
-
-def _hnf_integer_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an integer matrix.
-
-    Returns the nonzero rows: row echelon, positive pivots, entries above
-    each pivot reduced into [0, pivot).  Row operations are unimodular, so
-    the row lattice is preserved.
-    """
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            mat[r], mat[i0] = mat[i0], mat[r]
-            done = True
-            for i in range(r + 1, len(mat)):
-                if mat[i][c] != 0:
-                    q = mat[i][c] // mat[r][c]
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-                    if mat[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < len(mat) and mat[r][c] != 0:
-            if mat[r][c] < 0:
-                mat[r] = [-x for x in mat[r]]
-            for i in range(r):
-                q = mat[i][c] // mat[r][c]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-            r += 1
-    return mat[:r]
 
 
 # squarefree_part strips the squares of the primes below this bound, however

@@ -53,7 +53,6 @@ from .comb import (
     schreier_graph_arith,
     todd_coxeter,
 )
-from .exact import ProjMat
 from .quat import (
     I_SQUARE,
     J_SQUARE,
@@ -216,6 +215,8 @@ class HnnGroup:
     @property
     def images(self) -> tuple[ProjMat, ...]:
         """The generators embedded into PSL2 over Q(sqrt(2)), on each read."""
+        from .exact import ProjMat
+
         return tuple(ProjMat(phi(q)) for q in self.generators)
 
     # -- words and matrices ------------------------------------------------
@@ -224,6 +225,8 @@ class HnnGroup:
         return _as_word(w, self.ambient.generators)
 
     def evaluate(self, w) -> ProjMat:
+        from .exact import ProjMat
+
         v = _vector_fold(self.as_word(w), self._vectors)
         # v is s times a norm-one quaternion, for a positive integer s
         n = v.nrd()

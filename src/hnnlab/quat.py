@@ -11,12 +11,19 @@ It embeds into 2x2 matrices over Q(sqrt(2)) by
                                   [ 13*(x2-x3*r2)  x0 - x1*r2   ]
 
 with r2 = sqrt(2).  Orders are rank-4 lattices kept as integer rows in
-Hermite normal form over one denominator, by the integer row reduction of
-``exact``; ring closure, conjugation, intersection and the trace form
-determinant of a basis all run on integer 4-vectors.  Reduced
-discriminants and Hilbert symbols give two independent routes to the
-ramification data.  Membership in the lattice's edge groups is decided on
-quaternions alone; phi and phi_inverse are the boundary to matrices.
+Hermite normal form over one denominator; ring closure, conjugation,
+intersection and the trace form determinant of a basis all run on integer
+4-vectors.  Reduced discriminants and Hilbert symbols give two independent
+routes to the ramification data.  Membership in the lattice's edge groups
+is decided on quaternions alone; phi and phi_inverse are the boundary to
+matrices.
+
+This module holds the package's number rule (``RationalLike`` and
+``_as_fraction``: an exact rational is an int or a Fraction) and its one
+integer row reduction, ``_hnf_integer_rows``, which also serves the Smith
+invariants of ``comb``.  ``exact`` takes the number rule from here.  The
+lattice loads this module but not ``exact``: only phi, hilbert_symbol and
+ramified_primes import ``exact``, when they are called.
 """
 
 from __future__ import annotations
@@ -26,11 +33,19 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
 
-from .exact import Mat2, QuadExt, RationalLike, _as_fraction, _prime_factors
-from .exact import _hnf_integer_rows
-
 I_SQUARE = 2
 J_SQUARE = 13
+
+# The number rule of the package: an exact rational is an int or a Fraction.
+RationalLike = (int, Fraction)
+
+
+def _as_fraction(x) -> Fraction:
+    """x as a Fraction: an int (bools and IntEnums count as their values) or a
+    Fraction.  Anything else (float, str, Decimal) raises TypeError."""
+    if not isinstance(x, RationalLike):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class NotInImage(ValueError):
@@ -163,6 +178,8 @@ QUAT_K = Quaternion(0, 0, 0, 1)
 
 def phi(q: Quaternion) -> Mat2:
     """Embed into 2x2 matrices over Q(sqrt(2))."""
+    from .exact import Mat2, QuadExt
+
     d = 2
     return Mat2._raw(
         d,
@@ -194,6 +211,43 @@ def phi_inverse(m: Mat2) -> Quaternion:
 
 # ---------------------------------------------------------------------------
 # Exact lattice linear algebra: integer rows over one denominator.
+
+
+def _hnf_integer_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of an integer matrix.
+
+    Returns the nonzero rows: row echelon, positive pivots, entries above
+    each pivot reduced into [0, pivot).  Row operations are unimodular, so
+    the row lattice is preserved.
+    """
+    mat = [row[:] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[i0] = mat[i0], mat[r]
+            done = True
+            for i in range(r + 1, len(mat)):
+                if mat[i][c] != 0:
+                    q = mat[i][c] // mat[r][c]
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+                    if mat[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < len(mat) and mat[r][c] != 0:
+            if mat[r][c] < 0:
+                mat[r] = [-x for x in mat[r]]
+            for i in range(r):
+                q = mat[i][c] // mat[r][c]
+                if q:
+                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
+            r += 1
+    return mat[:r]
 
 
 def _integer_rows(rows) -> tuple[int, list[list[int]]]:
@@ -492,6 +546,8 @@ def hilbert_symbol(a, b, p: int | None) -> int:
 
     Rational arguments are cleared by squares first.
     """
+    from .exact import _prime_factors
+
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a == 0 or b == 0:
@@ -529,6 +585,8 @@ def ramified_primes(a: int, b: int) -> list[int]:
     finite.  The real place is not included; query it directly with
     hilbert_symbol(a, b, None).
     """
+    from .exact import _prime_factors
+
     candidates = sorted(set([2] + _prime_factors(a) + _prime_factors(b)))
     return [p for p in candidates if hilbert_symbol(a, b, p) == -1]
 
@@ -585,7 +643,9 @@ class SubgroupOracles:
         self.order = order
         self.conjugate_order = order.conjugate(conjugator)
         self.target_order = order.intersect(self.conjugate_order)
-        self.source_order = order.intersect(order.conjugate(conjugator.conj()))
+        # g^-1 (O meet g O g^-1) g = O meet g^-1 O g, and conj(g) is g^-1
+        # up to a rational scalar
+        self.source_order = self.target_order.conjugate(conjugator.conj())
 
     def in_target_subgroup(self, q: Quaternion) -> bool:
         return self.target_order.contains_unit(q)

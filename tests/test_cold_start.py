@@ -1,7 +1,8 @@
 """A cold process loads only the layers it uses: `import hnnlab` loads no
-submodule, the lattice never loads `biauto` or `isom`, `fsa-check` never
-loads the lattice, and none of them, nor `classify` or `lengths`, loads
-`typing`, `dataclasses` or `inspect`.  Each cold case runs in a fresh
+submodule, the lattice never loads `biauto`, `isom` or `exact`,
+`fsa-check` never loads the lattice or `exact`, and none of them, nor
+`classify` or `lengths`, loads `typing`, `dataclasses` or `inspect`.
+Each cold case runs in a fresh
 `python -I -S -B` process: -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps
 it from writing bytecode into the source tree, and -S skips `site`, which
 may import `typing` itself before hnnlab is imported (the probe puts the
@@ -58,7 +59,7 @@ def test_bare_import_loads_no_submodule():
 def test_the_lattice_loads_neither_biauto_nor_isom():
     run = cold("hnnlab.load_builtin_group()")
     assert "hnnlab.hnn" in run["modules"]
-    assert not {"hnnlab.biauto", "hnnlab.isom"} & set(run["modules"])
+    assert not {"hnnlab.biauto", "hnnlab.isom", "hnnlab.exact"} & set(run["modules"])
 
 
 @pytest.mark.parametrize(
@@ -84,12 +85,12 @@ def test_no_dataclasses_machinery_is_loaded(layer, statements):
     "argv, code, out, err, absent",
     [
         (["fsa-check", "z2-normal", "--radius", "6"], 0, None, "",
-         {"hnnlab.hnn", "hnnlab.quat", "hnnlab.isom"}),
+         {"hnnlab.hnn", "hnnlab.quat", "hnnlab.isom", "hnnlab.exact"}),
         (["fsa-check", "z2-normal", "--radius", "-1"], 2, "",
          "error: window radius must be >= 0, got -1\n",
-         {"hnnlab.hnn", "hnnlab.quat", "hnnlab.isom"}),
+         {"hnnlab.hnn", "hnnlab.quat", "hnnlab.isom", "hnnlab.exact"}),
         (["trivial", "tDaacBCTD"], 0, "trivial\n", "",
-         {"hnnlab.biauto", "hnnlab.isom"}),
+         {"hnnlab.biauto", "hnnlab.isom", "hnnlab.exact"}),
     ],
 )
 def test_cli_commands_load_only_their_layers(argv, code, out, err, absent):

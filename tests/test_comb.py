@@ -5,6 +5,8 @@ translations, permutations): for every table edge alpha -> beta under x
 the identity rep(alpha)*x = deco*rep(beta) must hold in the model.
 """
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 
@@ -293,6 +295,22 @@ def test_enumeration_cap():
         todd_coxeter(z2, ["x"], cap=40)
 
 
+@pytest.mark.parametrize("cap", [0, -3, 2.5, 10.0, "40", None])
+def test_enumeration_refuses_a_cap_that_is_not_a_positive_int(cap):
+    s4 = Presentation("ab", ["aa", "bbb", "abababab"])
+    with pytest.raises(ValueError, match="cap must be an int >= 1"):
+        todd_coxeter(s4, ["a", "b"], cap=cap)
+    assert todd_coxeter(s4, ["a", "b"], cap=1).index == 1
+
+
+def test_enumeration_refuses_duplicate_subgroup_names():
+    s4 = Presentation("ab", ["aa", "bbb", "abababab"])
+    with pytest.raises(ValueError, match="duplicate subgroup generator names"):
+        todd_coxeter(s4, ["a", "b"], subgroup_names=["h", "h"])
+    table = todd_coxeter(s4, ["a", "b"], subgroup_names=["h", "k"])
+    assert table.to_json()["subgroup_generators"] == {"h": "a", "k": "b"}
+
+
 REDUCED_WORDS = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(
     free_reduce
 )
@@ -317,6 +335,41 @@ SMALL_ENUMERATIONS = [
     (Presentation("ab", ["bAABa", "AAbab"]), ["Ab"]),
     (SURFACE, ["a", "b", "c", "d"]),
 ]
+
+
+# two enumerations with many coincidences, over the trivial subgroup:
+# <a, b | a^2, b^3, (ab)^7, (abab^-1)^4>, PSL(2, 7) of order 168, and
+# <a, b | a^-1 b^2 a b^3, b^-1 a^2 b a^3>, of order 125
+COINCIDENCE_ENUMERATIONS = [
+    (Presentation("ab", ["aa", "bbb", "ab" * 7, "abaB" * 4]), []),
+    (Presentation("ab", ["Abbabbb", "Baabaaa"]), []),
+]
+
+# SHA-256 of each table's to_json() (sort_keys), in the order of
+# SMALL_ENUMERATIONS then COINCIDENCE_ENUMERATIONS: the coset numbering and
+# every decoration, byte for byte
+PINNED_TABLES = [
+    "788edf20136d743cea79d0003e2dbd72bcc26904d329d12ad94b8683aab117b5",
+    "1b7a824ac762faa0f8875b6a5db470fac7f1c0ab8c1fb7ef0c1921de2f1f1e34",
+    "89ea016f27b3f83301030f1173049a5f7fd9a734fadf09af14620416b7ad2f31",
+    "523cfbecb7ceeed262b6d7942f6f886f1abccff04af1634453f731a121e5a894",
+    "286da299da1512e6300400714a98881ce1452eb3f0c36289412466022ee8deae",
+    "0a6847b317a316df409ca96edf03a6e80df5d31304aa67b645ecc50f2812bca8",
+    "3853da005bd4956d977818bf69ccf6cedb3de62e83906b7be1cf01a5bbaf733e",
+    "f065d319284d8b42ceb2b5a513c060963a1b4cbd38b27fffa838df26c164bece",
+    "aa1d2f87b589f7af2f0f7fee49a45f219c744acf85258b31f681b13b51677f44",
+    "3199c1880adf9bfbb2ca2f7404172e61e55a4611d43040d843cff6c0128857c1",
+    "408652ae1dd346f2ce0139efb5584445e2e3c4497ef33db1d85a0182dea259f0",
+]
+
+
+@pytest.mark.parametrize(
+    "case, digest", zip(SMALL_ENUMERATIONS + COINCIDENCE_ENUMERATIONS, PINNED_TABLES)
+)
+def test_enumerated_tables_are_pinned(case, digest):
+    table = todd_coxeter(*case)
+    text = json.dumps(table.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("presentation, subgroup", SMALL_ENUMERATIONS)

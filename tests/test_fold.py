@@ -75,7 +75,7 @@ def test_verdicts_do_not_embed_the_fold(monkeypatch):
 
 def test_the_lattice_loads_without_building_a_matrix(monkeypatch):
     monkeypatch.setattr(hnn, "phi", _refuse("phi"))
-    monkeypatch.setattr(hnn, "ProjMat", _refuse("ProjMat"))
+    monkeypatch.setattr(exact, "ProjMat", _refuse("ProjMat"))
     group = hnn.load_builtin_group.__wrapped__()
     assert group.generators == G.generators
     assert group.verify_presentation().all_hold

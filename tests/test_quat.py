@@ -19,6 +19,7 @@ from hnnlab.quat import (
     NotInImage,
     OrderLattice,
     Quaternion,
+    SubgroupOracles,
     gram_reduced_discriminant,
     hilbert_symbol,
     hnf_rational_rows,
@@ -441,6 +442,29 @@ def test_edge_orders_are_eichler_of_level_9() -> None:
         )
         assert index == 9
         assert gram_reduced_discriminant(eichler.basis) == 234 == 26 * 9
+
+
+_T = standard_generators()["t"]
+EDGE_CONJUGATORS = {
+    "t": _T,
+    "t^2": _T * _T,
+    "a*t": standard_generators()["a"] * _T,
+    "4+j (nrd 3)": Quaternion(4, 0, 1, 0),
+    "j+k (nrd 13)": Quaternion(0, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CONJUGATORS)
+def test_edge_orders_equal_their_definitions(name) -> None:
+    # SubgroupOracles builds the source order as the target order
+    # conjugated by g^-1, since g^-1 (O meet g O g^-1) g = O meet g^-1 O g;
+    # the definitions stay here as the reference
+    g = EDGE_CONJUGATORS[name]
+    order = standard_order()
+    oracles = SubgroupOracles(order, g)
+    assert oracles.conjugate_order == order.conjugate(g)
+    assert oracles.target_order == order.intersect(order.conjugate(g))
+    assert oracles.source_order == order.intersect(order.conjugate(g.conj()))
 
 
 # The HNF bases of the built-in orders, as the rational rows .basis returns.
