@@ -8,18 +8,21 @@ is checked in at least two of the three models.
 
 Layers, bottom up:
 
-  exact   rational quadratic extensions, 2x2 matrices, PSL(2) classes
-  quat    the rational quaternion algebra, its maximal order, unit groups;
-          the number rule (an exact rational is an int or a Fraction) and
-          the integer Hermite normal form, which `exact` and `comb` import
+  quat    the rational quaternion algebra, its orders, unit groups and
+          Hilbert symbols; the number rule (an exact rational is an int or
+          a Fraction) and the integer Hermite normal form
+  exact   rational quadratic extensions, 2x2 matrices, PSL(2) classes, and
+          phi/phi_inverse between quaternions and matrices
   isom    isometry classification and exact translation lengths
   comb    words, small cancellation, decorated coset enumeration, homology
   hnn     the built-in lattice with dual membership oracles
   biauto  windowed checks of automatic-structure axioms
   cli     the hnn-lab command line tool
 
-Loading the lattice imports `quat`, `comb` and `hnn` only: `exact` is
-imported by the calls that build matrices or factor integers.
+Every import points down this list.  An import inside a function exists
+only so that a cold start does not load a layer it does not use: loading
+the lattice imports `quat`, `comb` and `hnn` only, and `exact` is imported
+by the calls that build matrices.
 """
 
 from importlib import import_module
@@ -62,6 +65,8 @@ _PUBLIC = {
         "NotUnimodular",
         "ProjMat",
         "QuadExt",
+        "phi",
+        "phi_inverse",
     ),
     "hnn": (
         "BrittonForm",
@@ -87,8 +92,6 @@ _PUBLIC = {
     ),
     "quat": (
         "Quaternion",
-        "phi",
-        "phi_inverse",
         "ring_closure",
         "standard_generators",
         "standard_oracles",

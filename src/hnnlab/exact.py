@@ -1,4 +1,5 @@
-"""Exact arithmetic over real quadratic fields and 2x2 matrices over them.
+"""Exact arithmetic over real quadratic fields and 2x2 matrices over them,
+and the embedding of the quaternion algebra of ``quat`` into them.
 
 Everything in this module is computed over Z, Q or Q(sqrt(d)) with d a
 squarefree integer >= 2.  There are no floats anywhere: coefficients are
@@ -9,23 +10,25 @@ Values from different fields never mix silently.  Binary operations on
 ``QuadExt`` elements with different ``d`` raise ``MismatchedField``;
 plain integers and ``Fraction`` values embed into any field.
 
-The number rule, what counts as an exact rational (``RationalLike`` and
-``_as_fraction``), lives in ``quat`` with the integer Hermite normal form:
-the lattice's quaternions and orders use both while it loads, and loading
-the lattice does not import this module.  Only the functions that build
-matrices or factor integers import it: ``quat.phi``,
-``quat.hilbert_symbol``, ``quat.ramified_primes``, ``HnnGroup.evaluate``
-and ``HnnGroup.images``.
+The algebra with i*i = 2 and j*j = 13 splits over Q(sqrt(2)): ``phi`` maps
+
+    x0 + x1*i + x2*j + x3*k  |->  [ x0 + x1*r2     x2 + x3*r2   ]
+                                  [ 13*(x2-x3*r2)  x0 - x1*r2   ]
+
+with r2 = sqrt(2), and ``phi_inverse`` pulls a matrix back.  The number
+rule (``RationalLike``, ``_as_fraction``: an exact rational is an int or a
+Fraction), the quaternions and prime factoring come from ``quat``, the
+layer below this one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import chain, compress, count
+from itertools import compress
 from math import gcd, isqrt, prod
 
-from .quat import RationalLike, _as_fraction
+from .quat import J_SQUARE, Quaternion, RationalLike, _as_fraction, _prime_factors
 
 
 class MismatchedField(ValueError):
@@ -40,6 +43,10 @@ class SingularMatrix(ArithmeticError):
     """Matrix has determinant zero and cannot be inverted."""
 
 
+class NotInImage(ValueError):
+    """Matrix is not in the image of the quaternion embedding."""
+
+
 def sign_of_rational(q) -> int:
     """Sign of an int or Fraction as -1, 0 or +1."""
     if q > 0:
@@ -52,23 +59,6 @@ def sign_of_rational(q) -> int:
 # squarefree_part strips the squares of the primes below this bound, however
 # large n is.
 SQUAREFREE_TRIAL_BOUND = 1 << 16
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n, by trial division up to the square
-    root of what is left."""
-    n = abs(n)
-    out = []
-    for p in chain([2], count(3, 2)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +306,8 @@ class QuadExt:
 
     def __hash__(self):
         # d deliberately excluded: equal rationals in different fields
-        # must hash alike.
-        return hash((self.a, self.b))
+        # must hash alike, and alike with the Fraction they equal.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -511,3 +501,34 @@ def _sign_normalize(m: Mat2) -> Mat2:
         if s > 0:
             return m
     return m
+
+
+def phi(q: Quaternion) -> Mat2:
+    """Embed into 2x2 matrices over Q(sqrt(2))."""
+    d = 2
+    return Mat2._raw(
+        d,
+        QuadExt(d, q.x0, q.x1),
+        QuadExt(d, q.x2, q.x3),
+        QuadExt(d, J_SQUARE * q.x2, -J_SQUARE * q.x3),
+        QuadExt(d, q.x0, -q.x1),
+    )
+
+
+def phi_inverse(m: Mat2) -> Quaternion:
+    """Pull a matrix back along the embedding, or raise NotInImage.
+
+    A matrix is in the image iff m22 is the conjugate of m11 and
+    m21 = 13 * conj(m12).
+    """
+    if m.d != 2:
+        raise NotInImage(f"matrix lives over Q(sqrt({m.d})), not Q(sqrt(2))")
+    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
+    if (
+        m22.a != m11.a
+        or m22.b != -m11.b
+        or m21.a != J_SQUARE * m12.a
+        or m21.b != -J_SQUARE * m12.b
+    ):
+        raise NotInImage("matrix entries do not satisfy the image constraints")
+    return Quaternion._raw(m11.a, m11.b, m12.a, m12.b)

@@ -26,7 +26,7 @@ with Fraction coordinates: it lies in H or K when the SubgroupOracles find
 it a unit of the matching Eichler order.  The map G -> PSL(2, R) is not
 injective, so a word whose stable letters survive Britton reduction is not
 trivial by Britton's lemma alone, whatever it folds to.  Only evaluate()
-embeds the product into PSL2 over Q(sqrt(2)) (quat.phi), as an exact,
+embeds the product into PSL2 over Q(sqrt(2)) (exact.phi), as an exact,
 sign-normalized ProjMat, after dividing the vector by the square root of
 its reduced norm; the images property embeds the generators the same way
 for callers that want matrices.
@@ -60,7 +60,6 @@ from .quat import (
     Quaternion,
     SubgroupOracles,
     _cleared,
-    phi,
     standard_generators,
     standard_oracles,
 )
@@ -215,7 +214,7 @@ class HnnGroup:
     @property
     def images(self) -> tuple[ProjMat, ...]:
         """The generators embedded into PSL2 over Q(sqrt(2)), on each read."""
-        from .exact import ProjMat
+        from .exact import ProjMat, phi
 
         return tuple(ProjMat(phi(q)) for q in self.generators)
 
@@ -225,7 +224,7 @@ class HnnGroup:
         return _as_word(w, self.ambient.generators)
 
     def evaluate(self, w) -> ProjMat:
-        from .exact import ProjMat
+        from .exact import ProjMat, phi
 
         v = _vector_fold(self.as_word(w), self._vectors)
         # v is s times a norm-one quaternion, for a positive integer s

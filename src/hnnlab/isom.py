@@ -133,7 +133,8 @@ IsometryClass = Identity | EllipticFinite | EllipticInfinite | Parabolic | Hyper
 _HALF = Fraction(1, 2)
 
 # |trace| -> PSL2 order for every elliptic trace of finite order and degree
-# at most 2 over Q.  Matched with ==: QuadExt hashes apart from Fraction.
+# at most 2 over Q.  Matched with ==, so a rational |trace| in any field
+# finds its Fraction entry.
 _FINITE_ORDERS = (
     (Fraction(0), 2),
     (Fraction(1), 3),

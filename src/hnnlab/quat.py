@@ -5,32 +5,25 @@ The algebra is fixed once and for all: basis 1, i, j, k with
 
     i*i = 2,   j*j = 13,   k = i*j = -j*i,   k*k = -26.
 
-It embeds into 2x2 matrices over Q(sqrt(2)) by
+Orders are rank-4 lattices kept as integer rows in Hermite normal form
+over one denominator; ring closure, conjugation, intersection and the
+trace form determinant of a basis all run on integer 4-vectors.  Reduced
+discriminants and Hilbert symbols give two independent routes to the
+ramification data.  Membership in the lattice's edge groups is decided on
+quaternions alone.
 
-    x0 + x1*i + x2*j + x3*k  |->  [ x0 + x1*r2     x2 + x3*r2   ]
-                                  [ 13*(x2-x3*r2)  x0 - x1*r2   ]
-
-with r2 = sqrt(2).  Orders are rank-4 lattices kept as integer rows in
-Hermite normal form over one denominator; ring closure, conjugation,
-intersection and the trace form determinant of a basis all run on integer
-4-vectors.  Reduced discriminants and Hilbert symbols give two independent
-routes to the ramification data.  Membership in the lattice's edge groups
-is decided on quaternions alone; phi and phi_inverse are the boundary to
-matrices.
-
-This module holds the package's number rule (``RationalLike`` and
-``_as_fraction``: an exact rational is an int or a Fraction) and its one
-integer row reduction, ``_hnf_integer_rows``, which also serves the Smith
-invariants of ``comb``.  ``exact`` takes the number rule from here.  The
-lattice loads this module but not ``exact``: only phi, hilbert_symbol and
-ramified_primes import ``exact``, when they are called.
+This module is the bottom layer and imports no other part of the package.
+It holds the package's number rule (``RationalLike`` and ``_as_fraction``:
+an exact rational is an int or a Fraction), its one integer row
+reduction, ``_hnf_integer_rows``, and prime factoring by trial division,
+``_prime_factors``, which the Hilbert symbols use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from math import gcd, isqrt, lcm, prod
 
 I_SQUARE = 2
@@ -46,10 +39,6 @@ def _as_fraction(x) -> Fraction:
     if not isinstance(x, RationalLike):
         raise TypeError(f"not an exact rational: {x!r}")
     return x if type(x) is Fraction else Fraction(x)
-
-
-class NotInImage(ValueError):
-    """Matrix is not in the image of the quaternion embedding."""
 
 
 class NotFullRank(ValueError):
@@ -153,6 +142,9 @@ class Quaternion:
         return self.coords() == o.coords()
 
     def __hash__(self):
+        # a rational quaternion hashes as the Fraction it equals
+        if self.x1 == self.x2 == self.x3 == 0:
+            return hash(self.x0)
         return hash(self.coords())
 
     def __bool__(self):
@@ -174,39 +166,6 @@ QUAT_ONE = Quaternion(1)
 QUAT_I = Quaternion(0, 1)
 QUAT_J = Quaternion(0, 0, 1)
 QUAT_K = Quaternion(0, 0, 0, 1)
-
-
-def phi(q: Quaternion) -> Mat2:
-    """Embed into 2x2 matrices over Q(sqrt(2))."""
-    from .exact import Mat2, QuadExt
-
-    d = 2
-    return Mat2._raw(
-        d,
-        QuadExt(d, q.x0, q.x1),
-        QuadExt(d, q.x2, q.x3),
-        QuadExt(d, J_SQUARE * q.x2, -J_SQUARE * q.x3),
-        QuadExt(d, q.x0, -q.x1),
-    )
-
-
-def phi_inverse(m: Mat2) -> Quaternion:
-    """Pull a matrix back along the embedding, or raise NotInImage.
-
-    A matrix is in the image iff m22 is the conjugate of m11 and
-    m21 = 13 * conj(m12).
-    """
-    if m.d != 2:
-        raise NotInImage(f"matrix lives over Q(sqrt({m.d})), not Q(sqrt(2))")
-    m11, m12, m21, m22 = m.m11, m.m12, m.m21, m.m22
-    if (
-        m22.a != m11.a
-        or m22.b != -m11.b
-        or m21.a != J_SQUARE * m12.a
-        or m21.b != -J_SQUARE * m12.b
-    ):
-        raise NotInImage("matrix entries do not satisfy the image constraints")
-    return Quaternion._raw(m11.a, m11.b, m12.a, m12.b)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +477,23 @@ def ring_closure(gens) -> OrderLattice:
 # Hilbert symbols and ramification.
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, by trial division up to the square
+    root of what is left."""
+    n = abs(n)
+    out = []
+    for p in chain([2], count(3, 2)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _p_part(n: int, p: int) -> tuple[int, int]:
     e = 0
     while n % p == 0:
@@ -546,8 +522,6 @@ def hilbert_symbol(a, b, p: int | None) -> int:
 
     Rational arguments are cleared by squares first.
     """
-    from .exact import _prime_factors
-
     a = _as_fraction(a)
     b = _as_fraction(b)
     if a == 0 or b == 0:
@@ -585,8 +559,6 @@ def ramified_primes(a: int, b: int) -> list[int]:
     finite.  The real place is not included; query it directly with
     hilbert_symbol(a, b, None).
     """
-    from .exact import _prime_factors
-
     candidates = sorted(set([2] + _prime_factors(a) + _prime_factors(b)))
     return [p for p in candidates if hilbert_symbol(a, b, p) == -1]
 

@@ -163,6 +163,11 @@ def test_negative_state_counts_are_refused():
     ]:
         with pytest.raises(ValueError, match="is not an int"):
             Fsa(("x",), 2, initial, accepting, transitions)
+    # a transition on a letter outside the alphabet, or to a state past the count
+    with pytest.raises(UnknownLetter, match="transition letter 'y' not in alphabet"):
+        Fsa(("x",), 2, 0, [1], [(0, "y", 1)])
+    with pytest.raises(ValueError, match="transition endpoint out of range"):
+        Fsa(("x",), 2, 0, [1], [(0, "x", 2)])
 
 
 def test_duplicate_transitions_collapse_in_sorted_order():
@@ -642,6 +647,8 @@ def test_fellow_traveller_outside_the_ball_raises():
     for rule in ("classical", "simultaneous"):
         with pytest.raises(OutOfWindow):
             lang.check_fellow_traveller(rule)
+    with pytest.raises(ValueError, match="unknown pair rule 'bogus'"):
+        lang.check_fellow_traveller("bogus")
 
 
 def test_negative_radius_is_rejected():
@@ -1004,6 +1011,9 @@ def test_path_and_replay_refuse_unknown_letters():
     with pytest.raises(UnknownLetter):
         model.path(("x", "q"))
     assert model.path(("x", "y")) == [(0, 0), (1, 0), (1, 1)]
+    # an automaton letter that the model gives no image
+    with pytest.raises(UnknownLetter, match="no image for letter 'q'"):
+        WindowedLanguage(Fsa(("x", "q"), 1, 0, [0], []), model, 2)
     for witness in (
         FellowWitness(u=("x",), v=("y",), shift="q", time=1, separation=2),
         FellowWitness(u=("q",), v=("y",), shift=None, time=1, separation=2),

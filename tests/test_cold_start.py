@@ -1,13 +1,16 @@
 """A cold process loads only the layers it uses: `import hnnlab` loads no
-submodule, the lattice never loads `biauto`, `isom` or `exact`,
-`fsa-check` never loads the lattice or `exact`, and none of them, nor
-`classify` or `lengths`, loads `typing`, `dataclasses` or `inspect`.
+submodule, `quat` loads no other layer and `exact` only `quat`, the
+lattice never loads `biauto`, `isom` or `exact`, `fsa-check` never loads
+the lattice or `exact`, and none of them, nor `classify` or `lengths`,
+loads `typing`, `dataclasses` or `inspect`.  Every import inside the
+package points down the layers of its docstring.
 Each cold case runs in a fresh
 `python -I -S -B` process: -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps
 it from writing bytecode into the source tree, and -S skips `site`, which
 may import `typing` itself before hnnlab is imported (the probe puts the
 source tree on sys.path, and hnnlab has no dependencies)."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -54,6 +57,68 @@ def test_bare_import_loads_no_submodule():
     run = cold("result = hnnlab.biauto.__name__")
     assert run["result"] == "hnnlab.biauto"
     assert run["modules"] == ["hnnlab.biauto"]
+
+
+# the package docstring's layers, bottom up
+LAYERS = ("quat", "exact", "isom", "comb", "hnn", "biauto", "cli")
+
+
+def _imported_layers(path: Path):
+    """(line, layer) for every import of an hnnlab module in the file, at
+    module level or inside a function."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("hnnlab"):
+                continue
+            module = (node.module or "").removeprefix("hnnlab").lstrip(".")
+            if module:
+                yield node.lineno, module
+            else:
+                for alias in node.names:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hnnlab."):
+                    yield node.lineno, alias.name.removeprefix("hnnlab.")
+
+
+def test_every_import_points_down_the_layers():
+    package = Path(hnnlab.__file__).parent
+    modules = {path.stem: path for path in package.glob("*.py")}
+    assert set(modules) == {"__init__", *LAYERS}
+    assert list(_imported_layers(modules["__init__"])) == []
+    upward = [
+        f"{layer}.py:{line} imports {target}"
+        for layer in LAYERS
+        for line, target in _imported_layers(modules[layer])
+        if LAYERS.index(target) >= LAYERS.index(layer)
+    ]
+    assert upward == []
+
+
+@pytest.mark.parametrize(
+    "statements, modules, result",
+    [
+        (["import hnnlab.quat"], ["hnnlab.quat"], None),
+        (["import hnnlab.exact"], ["hnnlab.exact", "hnnlab.quat"], None),
+        (["from hnnlab.quat import hilbert_symbol, ramified_primes",
+          "result = [hilbert_symbol(2, 13, 2), ramified_primes(2, 13)]"],
+         ["hnnlab.quat"], [-1, [2, 13]]),
+    ],
+    ids=["quat", "exact", "hilbert"],
+)
+def test_the_arithmetic_layers_load_only_what_is_below_them(statements, modules, result):
+    run = cold(*statements)
+    assert run["modules"] == modules
+    assert run["result"] == result
+
+
+def test_phi_lives_beside_the_matrices():
+    from hnnlab import exact, quat
+
+    assert hnnlab.phi is exact.phi and hnnlab.phi_inverse is exact.phi_inverse
+    for name in ("phi", "phi_inverse", "NotInImage"):
+        assert hasattr(exact, name) and not hasattr(quat, name)
 
 
 def test_the_lattice_loads_neither_biauto_nor_isom():

@@ -18,6 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hnnlab.comb import (
     WORD_LETTER_LIMIT,
+    _Enumerator,
     _join,
     AbelianStructure,
     CapExceeded,
@@ -337,12 +338,16 @@ SMALL_ENUMERATIONS = [
 ]
 
 
-# two enumerations with many coincidences, over the trivial subgroup:
-# <a, b | a^2, b^3, (ab)^7, (abab^-1)^4>, PSL(2, 7) of order 168, and
-# <a, b | a^-1 b^2 a b^3, b^-1 a^2 b a^3>, of order 125
+# three enumerations with many coincidences, over the trivial subgroup:
+# <a, b | a^2, b^3, (ab)^7, (abab^-1)^4>, PSL(2, 7) of order 168,
+# <a, b | a^-1 b^2 a b^3, b^-1 a^2 b a^3>, of order 125, and
+# <a, b | a^2, b^3, (ab)^4, (abab^-1)^4>, of order 2, whose coincidences
+# meet chains of merged cosets (its table, and so its digest, is that of
+# <a, b | AAbaa, abAaa> above)
 COINCIDENCE_ENUMERATIONS = [
     (Presentation("ab", ["aa", "bbb", "ab" * 7, "abaB" * 4]), []),
     (Presentation("ab", ["Abbabbb", "Baabaaa"]), []),
+    (Presentation("ab", ["aa", "bbb", "ab" * 4, "abaB" * 4]), []),
 ]
 
 # SHA-256 of each table's to_json() (sort_keys), in the order of
@@ -360,6 +365,7 @@ PINNED_TABLES = [
     "aa1d2f87b589f7af2f0f7fee49a45f219c744acf85258b31f681b13b51677f44",
     "3199c1880adf9bfbb2ca2f7404172e61e55a4611d43040d843cff6c0128857c1",
     "408652ae1dd346f2ce0139efb5584445e2e3c4497ef33db1d85a0182dea259f0",
+    "0a6847b317a316df409ca96edf03a6e80df5d31304aa67b645ecc50f2812bca8",
 ]
 
 
@@ -370,6 +376,17 @@ def test_enumerated_tables_are_pinned(case, digest):
     table = todd_coxeter(*case)
     text = json.dumps(table.to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_find_compresses_a_chain_of_merged_cosets():
+    # rep(2) = (1,) * rep(1) and rep(1) = (2,) * rep(0): coset 2 was merged
+    # into coset 1, which was merged later into coset 0
+    enum = _Enumerator(2, 10)
+    enum.new_coset(), enum.new_coset()
+    enum.parent.update({2: (1, (1,)), 1: (0, (2,))})
+    assert enum.find(2) == (0, (1, 2))
+    assert enum.parent[2] == (0, (1, 2))
+    assert enum.find(1) == (0, (2,)) and enum.find(0) == (0, ())
 
 
 @pytest.mark.parametrize("presentation, subgroup", SMALL_ENUMERATIONS)

@@ -208,6 +208,7 @@ def test_embedding_of_rationals() -> None:
     assert x.is_rational
     assert x + 1 == QuadExt(5, Fraction(5, 3))
     assert 2 * x == QuadExt(5, Fraction(4, 3))
+    assert 3 - QuadExt(2, 1, 1) == QuadExt(2, 2, -1)
 
 
 def test_division_by_zero() -> None:
@@ -266,7 +267,27 @@ def test_operators_leave_floats_to_python() -> None:
         with pytest.raises(TypeError, match="unsupported operand"):
             exact + 0.5
         with pytest.raises(TypeError, match="unsupported operand"):
+            exact - 0.5
+        with pytest.raises(TypeError, match="unsupported operand"):
             0.5 * exact
+
+
+# small values, so that equal pairs of different types are drawn often
+SMALL_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+MOSTLY_ZERO = st.one_of(st.just(0), SMALL_RATIONALS)
+EXACT_NUMBERS = st.one_of(
+    st.integers(-2, 2),
+    SMALL_RATIONALS,
+    st.builds(QuadExt, st.sampled_from([2, 5]), SMALL_RATIONALS, MOSTLY_ZERO),
+    st.builds(Quaternion, SMALL_RATIONALS, MOSTLY_ZERO, MOSTLY_ZERO, MOSTLY_ZERO),
+)
+
+
+@PROPERTY
+@given(EXACT_NUMBERS, EXACT_NUMBERS)
+def test_equal_exact_numbers_hash_alike(x, y) -> None:
+    if x == y:
+        assert hash(x) == hash(y)
 
 
 def test_field_parameter_is_an_int_whatever_ran_before() -> None:

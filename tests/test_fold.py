@@ -61,8 +61,8 @@ def test_verdicts_do_not_embed_the_fold(monkeypatch):
     assert want["in_target_subgroup"] == [True, False, True]
     assert want["verify_presentation"].all_hold
     for owner, name in (
-        (hnn, "phi"),
-        (quat, "phi_inverse"),
+        (exact, "phi"),
+        (exact, "phi_inverse"),
         (exact, "_sign_normalize"),
     ):
         monkeypatch.setattr(owner, name, _refuse(name))
@@ -74,7 +74,7 @@ def test_verdicts_do_not_embed_the_fold(monkeypatch):
 
 
 def test_the_lattice_loads_without_building_a_matrix(monkeypatch):
-    monkeypatch.setattr(hnn, "phi", _refuse("phi"))
+    monkeypatch.setattr(exact, "phi", _refuse("phi"))
     monkeypatch.setattr(exact, "ProjMat", _refuse("ProjMat"))
     group = hnn.load_builtin_group.__wrapped__()
     assert group.generators == G.generators
@@ -127,7 +127,7 @@ def test_quaternion_and_matrix_verdicts_agree():
     def check(word):
         m = G.evaluate(word)
         source, target = G.in_source_subgroup(word), G.in_target_subgroup(word)
-        q = quat.phi_inverse(m.rep)
+        q = exact.phi_inverse(m.rep)
         assert G.oracles.in_source_subgroup(q) == source
         assert G.oracles.in_target_subgroup(q) == target
         assert m.is_identity() == hnn._is_one(hnn._fold(word, G._units))

@@ -28,7 +28,7 @@ from hnnlab.comb import (
     invert_word,
     render_word,
 )
-from hnnlab.exact import ProjMat
+from hnnlab.exact import ProjMat, phi
 from hnnlab.hnn import (
     STABLE_PAIRS,
     HnnGroup,
@@ -41,7 +41,6 @@ from hnnlab.quat import (
     Quaternion,
     SubgroupOracles,
     lipschitz_like_order,
-    phi,
     standard_generators,
     standard_order,
 )

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import nextprime
 
-from hnnlab.exact import SQUAREFREE_TRIAL_BOUND, Mat2, ProjMat, QuadExt
+from hnnlab.exact import SQUAREFREE_TRIAL_BOUND, Mat2, ProjMat, QuadExt, phi
 from hnnlab.hnn import load_builtin_group
 from hnnlab.isom import (
     Dependent,
@@ -32,7 +32,7 @@ from hnnlab.isom import (
     length_ratio_independent,
     translation_length,
 )
-from hnnlab.quat import phi, standard_generators
+from hnnlab.quat import standard_generators
 
 
 def proj(name: str) -> ProjMat:

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hnnlab import hnn
+from hnnlab.exact import NotInImage, phi_inverse
 from hnnlab.hnn import STABLE_PAIRS, load_builtin_group
-from hnnlab.quat import NotInImage, phi_inverse, solve_in_rows, standard_order
+from hnnlab.quat import solve_in_rows, standard_order
 
 G = load_builtin_group()
 ORDER = standard_order()

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnnlab.exact import Mat2, QuadExt
+from hnnlab.exact import Mat2, NotInImage, QuadExt, phi, phi_inverse
 from hnnlab.quat import (
     QUAT_I,
     QUAT_J,
     QUAT_K,
     QUAT_ONE,
     NotFullRank,
-    NotInImage,
     OrderLattice,
     Quaternion,
     SubgroupOracles,
@@ -24,8 +23,6 @@ from hnnlab.quat import (
     hilbert_symbol,
     hnf_rational_rows,
     lipschitz_like_order,
-    phi,
-    phi_inverse,
     ramified_primes,
     ring_closure,
     solve_in_rows,
@@ -56,6 +53,13 @@ def test_multiplication_table() -> None:
     assert QUAT_K * QUAT_I == Quaternion(0, 0, -2, 0)
     assert QUAT_J * QUAT_K == Quaternion(0, -13, 0, 0)
     assert QUAT_K * QUAT_J == Quaternion(0, 13, 0, 0)
+
+
+def test_subtraction_embeds_rationals() -> None:
+    q, p = Quaternion(1, 2, 3, 4), Quaternion(F(1, 2), 0, -1, 1)
+    assert q - p == Quaternion(F(1, 2), 2, 4, 3)
+    assert 1 - q == Quaternion(0, -2, -3, -4)
+    assert F(1, 2) - q == Quaternion(F(-1, 2), -2, -3, -4)
 
 
 def test_norm_and_trace_forms() -> None:
@@ -188,6 +192,10 @@ def test_hnf_and_solve() -> None:
     assert outside == (F(1), F(-1, 2), F(0), F(0))
     inside = solve_in_rows(basis, (F(3), F(1), F(0), F(0)))
     assert inside == (F(3), F(-1), F(0), F(0))
+    # a target outside the rows' rational span has no solution
+    assert solve_in_rows(basis[:2], (F(0), F(0), F(1), F(0))) is None
+    with pytest.raises(ValueError, match="linearly dependent"):
+        solve_in_rows(rows[:2] + rows[4:], (F(1), F(0), F(0), F(0)))
 
 
 def test_coordinates_of_one_in_generator_span() -> None:
@@ -315,6 +323,8 @@ def test_hilbert_symbols() -> None:
     # split algebra (1, n)
     assert ramified_primes(1, 7) == []
     assert ramified_primes(-1, 3) == [2, 3]
+    with pytest.raises(ValueError, match="must be nonzero"):
+        hilbert_symbol(0, 13, 2)
 
 
 def test_hilbert_symbol_refuses_non_primes() -> None:
