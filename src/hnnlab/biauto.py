@@ -26,6 +26,7 @@ rule already forces 3 (translate x^2y^2 by one x and compare with y^2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -135,29 +136,23 @@ class Fsa:
         """Yield all accepted words of length <= max_len (letter tuples),
         shortest first, pruning branches that cannot reach acceptance."""
         _check_length(max_len)
-        words = self._fold_words(max_len, None, lambda value, letter: None)
-        return (word for word, _ in words)
+        return self._words_up_to(max_len)
 
-    def _fold_words(self, max_len: int, start, extend):
-        """Yield (word, value) for the words of words_up_to, in its order.
-        The empty word has value `start` and a word w + (x,) has value
-        extend(value of w, x): each word costs one step past its prefix.
-
-        The frontier holds every live prefix of the current length, with
-        the number of the set of states it reaches."""
+    def _words_up_to(self, max_len: int):
+        # the frontier holds every live prefix of the current length, with
+        # the number of the set of states it reaches
         sets = self._subsets
         if sets.accepting[0]:
-            yield (), start
-        frontier = [((), 0, start)]
+            yield ()
+        frontier = [((), 0)]
         for _ in range(max_len):
             nxt = []
-            for word, i, value in frontier:
+            for word, i in frontier:
                 for letter, j, accepted in sets[i]:
                     w2 = word + (letter,)
-                    v2 = extend(value, letter)
                     if accepted:
-                        yield w2, v2
-                    nxt.append((w2, j, v2))
+                        yield w2
+                    nxt.append((w2, j))
             frontier = nxt
 
     def count_paths(self, max_len: int) -> int:
@@ -266,6 +261,19 @@ class _Subsets(dict):
             row.append((letter, j, accepting[j]))
         return row
 
+    def longest(self, max_len: int) -> int:
+        """The length of the longest accepted word of length <= max_len, 0
+        if there is none: the sets reached by the words of each length,
+        stepped one length at a time."""
+        longest, reached = 0, {0}
+        for length in range(1, max_len + 1):
+            reached = {j for i in reached for _, j, _ in self[i]}
+            if not reached:
+                break
+            if any(self.accepting[j] for j in reached):
+                longest = length
+        return longest
+
 
 def _closure(seeds, edges) -> set:
     """The states reached from seeds along edges (state -> successors)."""
@@ -346,13 +354,15 @@ class BallOracle:
     a negative radius raises ValueError.
 
     Each element reached gets an id in breadth-first order (the identity is
-    0), so `norms` is non-decreasing in id: `ids` maps element to id and
-    `norms[i]` is the norm of element i.  For each letter x, `right[x][i]`
-    is the id of g_i * x, or None when that product lies outside the ball.
-    `inverse_left[x][i]` is the id of x^-1 * g_i, derived as
-    (g_i^-1 * x)^-1, or None when g_i^-1 or g_i^-1 * x lies outside the
-    ball; with letter images closed under inversion the ball is symmetric
-    and that happens only when x^-1 * g_i itself lies outside.
+    0), so `norms` is non-decreasing in id: `ids` maps element to id,
+    `elements[i]` is element i and `norms[i]` its norm.  For each letter x,
+    `right[x][i]` is the id of g_i * x, or None when that product lies
+    outside the ball.  `inverse_left[x][i]` is the id of x^-1 * g_i,
+    derived as (g_i^-1 * x)^-1, or None when g_i^-1 or g_i^-1 * x lies
+    outside the ball; with letter images closed under inversion the ball
+    is symmetric and that happens only when x^-1 * g_i itself lies
+    outside.  A word of length at most the radius is a walk over these
+    tables from id 0, one index per letter, with no product and no hash.
     """
 
     def __init__(self, model: GroupModel, radius: int):
@@ -383,8 +393,9 @@ class BallOracle:
         for g in frontier:
             for img, append in letters:
                 append(ids.get(mul(g, img)))
+        self.elements = list(ids)
         # x^-1 * g = (g^-1 * x)^-1
-        inv_id = [ids.get(model.inv(g)) for g in ids]
+        inv_id = [ids.get(model.inv(g)) for g in self.elements]
         self.inverse_left = {
             name: [
                 None if j is None or table[j] is None else inv_id[table[j]]
@@ -408,8 +419,7 @@ class BallOracle:
         return self.norm(self.model.mul(self.model.inv(g), h))
 
     def elements_of_norm_at_most(self, r: int):
-        norms = self.norms
-        return [g for g, i in self.ids.items() if norms[i] <= r]
+        return self.elements[: bisect_right(self.norms, r)]
 
 
 class FiniteToOneReport(
@@ -489,6 +499,20 @@ class WindowedLanguage:
     radius L + 2 then holds every end, target and near key and every step
     of every walk, and radius // 2 keeps the half window that surjectivity
     is checked on; the ball has the larger of the two radii.
+
+    The window lives on its ball's ids.  L is read from the subset
+    automaton first, the ball is built, and the window is folded over the
+    ball's right tables to depth L, shortest word first: a word's ball id
+    is one index into its last letter's table at its prefix's id, and its
+    padded digits (see _letter_digits) and its rows (the inverse-left and
+    the right tables of its letters, in order) extend its prefix's.  Words
+    are stored by the id they end at, so the checks read ids and `norms`
+    and hash no element; `words_by_element` is built from that storage on
+    first use, in the same order.  The rows belong to the ball they were
+    folded on: a ball swapped into `ball` is folded over again when a check
+    next reads the words, and one below radius L, which cannot hold every
+    word, raises OutOfWindow there (check_fellow_traveller refuses a ball
+    below L + 2 first).
     """
 
     def __init__(self, fsa: Fsa, model: GroupModel, radius: int):
@@ -507,29 +531,81 @@ class WindowedLanguage:
         self.fsa = fsa
         self.model = model
         self.radius = radius
-        self.words_by_element: dict = {}
-        # _codes[g]: the digits of g's words (see _letter_digits), in order,
-        # each padded with zero digits to radius + 1 places; the fellow
-        # check reads them beside words_by_element, so neither changes
-        self._codes: dict = {}
         # L, the longest word in the window
-        longest = 0
-        # each word's element is its prefix's times its last letter's image,
-        # and its digits its prefix's and its last letter's; shortest first,
-        # so each element's words are sorted by length
-        mul, letter_images = model.mul, model.letter_images
-        bits, digit = _letter_digits(model)
+        self._longest = fsa._subsets.longest(radius)
+        self.ball = BallOracle(model, max(self._longest + 2, radius // 2))
+        self._fold = self._fold_over(self.ball)
 
-        def extend(value, letter):
-            g, code = value
-            return mul(g, letter_images[letter]), code << bits | digit[letter]
+    def _fold_over(self, ball: BallOracle) -> tuple:
+        """(ball, ends, words, listed): the window folded over ball.
 
-        for w, (g, code) in fsa._fold_words(radius, (model.identity, 0), extend):
-            self.words_by_element.setdefault(g, []).append(w)
-            self._codes.setdefault(g, []).append(code << bits * (radius + 1 - len(w)))
-            longest = len(w)
-        self._longest = longest
-        self.ball = BallOracle(model, max(longest + 2, radius // 2))
+        `ends` lists the ids that words end at, in the order the fold first
+        reaches them, and `words[k]` holds the words ending at id k (None if
+        there are none) as three tuples with one item per word: its
+        inverse-left rows, its own entry (index, |w|, padded digits, right
+        rows) and its near entry, the same with |w| + 1.  A word's padded
+        digits are its letters' digits (see _letter_digits) followed by zero
+        digits to L + 1 places, and its index is its position in `listed`,
+        which lists the words end by end."""
+        longest = self._longest
+        if ball.radius < longest:
+            raise OutOfWindow(
+                f"the window needs a ball of radius {longest}, not {ball.radius}"
+            )
+        bits, digit = _letter_digits(self.model)
+        right, left = ball.right, ball.inverse_left
+        sets = self.fsa._subsets
+        # each live prefix of the current length as (word, number of its set
+        # of states, ball id, padded digits, inverse-left rows, right rows);
+        # found[k] lists the accepted ones ending at id k
+        empty = ((), 0, 0, 0, (), ())
+        found = {0: [empty]} if sets.accepting[0] else {}
+        frontier = [empty]
+        for depth in range(longest):
+            # the next letter's digit is in place depth + 1 of longest + 1,
+            # counted from the most significant
+            place = bits * (longest - depth)
+            steps = {x: (right[x], left[x], d << place) for x, d in digit.items()}
+            nxt = []
+            for w, i, k, code, lu, ru in frontier:
+                for letter, j, accepted in sets[i]:
+                    row, lx, d = steps[letter]
+                    h = row[k]
+                    item = (w + (letter,), j, h, code | d, lu + (lx,), ru + (row,))
+                    if accepted:
+                        found.setdefault(h, []).append(item)
+                    nxt.append(item)
+            frontier = nxt
+        words: list = [None] * len(ball)
+        listed: list = []
+        for k, items in found.items():
+            # tuples, not lists, per element: a list is two allocations,
+            # and with lists ten rounds of the 60 fsa-window cases in one
+            # process read about 0.6 MB more peak RSS
+            lefts, own, near = [], [], []
+            for w, _, _, code, lu, rv in items:
+                lefts.append(lu)
+                own.append((len(listed), len(w), code, rv))
+                near.append((len(listed), len(w) + 1, code, rv))
+                listed.append(w)
+            words[k] = (tuple(lefts), tuple(own), tuple(near))
+        return ball, list(found), words, listed
+
+    def _folded(self) -> tuple:
+        """The fold over `ball`, folded again if another ball was swapped in."""
+        if self._fold[0] is not self.ball:
+            self._fold = self._fold_over(self.ball)
+        return self._fold
+
+    @cached_property
+    def words_by_element(self) -> dict:
+        """Each element a window word reaches, with its words shortest first,
+        in the order the words first reach the elements."""
+        ball, ends, words, listed = self._fold
+        return {
+            ball.elements[k]: [listed[entry[0]] for entry in words[k][1]]
+            for k in ends
+        }
 
     # -- uniform finiteness -------------------------------------------------
 
@@ -537,19 +613,23 @@ class WindowedLanguage:
         """Multiplicity bound over the window, plus surjectivity onto the
         half-radius ball (words up to twice as long as the norm get a
         chance to represent each element)."""
-        bound, element, words = 0, None, ()
-        for g, ws in self.words_by_element.items():
-            if len(ws) > bound:
-                bound, element, words = len(ws), g, tuple(ws)
+        ball, ends, words, listed = self._folded()
+        bound, element, witness_words = 0, None, ()
+        for k in ends:
+            own = words[k][1]
+            if len(own) > bound:
+                bound, element = len(own), ball.elements[k]
+                witness_words = tuple(listed[entry[0]] for entry in own)
+        # ids are breadth-first: the half-radius ball is an initial run of them
         missing = tuple(
-            g
-            for g in self.ball.elements_of_norm_at_most(self.radius // 2)
-            if g not in self.words_by_element
+            ball.elements[k]
+            for k in range(bisect_right(ball.norms, self.radius // 2))
+            if words[k] is None
         )
         return FiniteToOneReport(
             bound=bound,
             witness_element=element,
-            witness_words=words,
+            witness_words=witness_words,
             surjective=not missing,
             missing=missing,
             window=self.radius,
@@ -589,15 +669,17 @@ class WindowedLanguage:
         its separation).
 
         A ball of radius below L + 2 (one swapped into `ball`) raises
-        OutOfWindow before any pair is walked.  Otherwise words are keyed by
-        ball id, and every target s * end, near key and walk step is one
-        lookup in the ball's tables.  Ball ids are breadth-first, so a walk
-        keeps only the largest id it visits and reads that id's norm once,
-        after the walk.  Each target's near words are listed once per check
-        as one flat list of entries (index of v, |v| + |e_T|, v's padded
-        digits, v's right rows): first the target's own words (e_T the
-        identity), then the words one letter right of it (|e_T| = 1), in
-        letter order, each element once.  The list is shared by every
+        OutOfWindow before any pair is walked.  Otherwise the words are the
+        window's fold over the ball (see the class docstring): each word's
+        end id, padded digits and rows come from its prefix's, and every
+        target s * end, near key and walk step is one lookup in the ball's
+        tables.  Ball ids are breadth-first, so a walk keeps only the
+        largest id it visits and reads that id's norm once, after the walk.
+        Each target's near words are listed once per check as one flat list
+        of entries (index of v, |v| + |e_T|, v's padded digits, v's right
+        rows): first the target's own words (e_T the identity), then the
+        words one letter right of it (|e_T| = 1), in letter order, once per
+        letter image other than the identity.  The list is shared by every
         (end, shift) that lands on the target, and each entry by every list
         that holds it.  So the three skips above are integer operations on
         the entry, each pair is one loop iteration, and `pairs_checked`
@@ -612,57 +694,46 @@ class WindowedLanguage:
                 f"the walks need a ball of radius {walk_radius},"
                 f" not {ball.radius}"
             )
+        _, ends, words, listed = self._folded()
         model = self.model
         ids, norms = ball.ids, ball.norms
         right, left = ball.right, ball.inverse_left
+        # t * x = t * y exactly when x and y have one image, and t * x = t
+        # when x's image is the identity (id 0): so the ids one letter right
+        # of a target are read from the tables of the distinct images other
+        # than the identity, each under its first letter
+        firsts: dict = {}
+        for name in model.letter_images:
+            firsts.setdefault(right[name][0], right[name])
+        firsts.pop(0, None)
+        tables = list(firsts.values())
         # the separation at time t of u shifted by s and v is the norm of
         # e_t = (s * u[:t])^-1 * v[:t]: e_0 = s^-1 and
         # e_{t+1} = x_t^-1 * e_t * y_t for the letters x_t of u and y_t of v,
         # one step in an inverse-left and one in a right table
         #
-        # words[k]: the inverse-left rows of the words ending at ball id k,
-        # and their near entries with |e_T| = 0 and with |e_T| = 1; None if
-        # no word ends there
-        words: list = [None] * len(norms)
         # near_lists[k]: (pairs counted, near entries) over k and the ids
         # one letter right of it, built the first time a pair needs it
         near_lists: list = [None] * len(norms)
 
         def near(t):
-            found = []
-            for h in dict.fromkeys([t] + [table[t] for table in right.values()]):
-                if words[h] is not None:
-                    found += words[h][1 if h == t else 2]
+            found = [] if words[t] is None else list(words[t][1])
+            for table in tables:
+                at = words[table[t]]
+                if at is not None:
+                    found += at[2]
             near_lists[t] = (len(found), found)
             return near_lists[t]
 
         # two padded words a and b agree on their first (d + 1) // 2
         # places exactly when a ^ b < agree[d]
         bits, digit = _letter_digits(model)
-        width = bits * (self.radius + 1)
+        width = bits * (self._longest + 1)
         agree = [
             1 << width - bits * ((d + 1) // 2) for d in range(2 * self._longest + 2)
         ]
         # a lead that agrees with no padded word in any place
         never = 1 << width
-        codes = self._codes
-        # listed[index]: the word of that index, for the witness
-        ends, listed = [], []
-        index = 0
-        for g, ws in self.words_by_element.items():
-            ends.append(k := ids[g])
-            # tuples, not lists, per element: a list is two allocations,
-            # and with lists ten rounds of the 60 fsa-window cases in one
-            # process read about 0.6 MB more peak RSS
-            lefts, own, near_own = [], [], []
-            for w, code in zip(ws, codes[g]):
-                rv = list(map(right.__getitem__, w))
-                lefts.append(list(map(left.__getitem__, w)))
-                own.append((index, len(w), code, rv))
-                near_own.append((index, len(w) + 1, code, rv))
-                index += 1
-            listed += ws
-            words[k] = (tuple(lefts), tuple(own), tuple(near_own))
         # s * g is one inverse-left step by the letter whose image is s^-1
         named = {img: name for name, img in model.letter_images.items()}
         # no shift: e_0 is the identity, id 0; s's digit in the top place,
@@ -756,13 +827,14 @@ class WindowedLanguage:
     def quasigeodesic(self) -> QuasiGeodesicReport:
         worst = Fraction(1)
         additive = 0
-        for g, ws in self.words_by_element.items():
-            n = self.ball.norm(g)
-            for w in ws:
+        ball, ends, words, _ = self._folded()
+        for k in ends:
+            n = ball.norms[k]
+            for _, m, _, _ in words[k][1]:
                 if n == 0:
-                    additive = max(additive, len(w))
-                elif len(w) > n:
-                    worst = max(worst, Fraction(len(w), n))
+                    additive = max(additive, m)
+                elif m > n:
+                    worst = max(worst, Fraction(m, n))
         return QuasiGeodesicReport(
             multiplicative=worst, additive=additive, window=self.radius
         )

@@ -296,6 +296,11 @@ class QuadExt:
             return self.b == 0 and other.b == 0 and self.a == other.a
         if isinstance(other, RationalLike):
             return self.b == 0 and self.a == other
+        # a rational quaternion is its x0, as it is to a Fraction; Python
+        # reaches here from Quaternion.__eq__ returning NotImplemented
+        if isinstance(other, Quaternion):
+            rational = other.x1 == other.x2 == other.x3 == 0
+            return rational and self.b == 0 and self.a == other.x0
         return NotImplemented
 
     def __lt__(self, other):

@@ -647,6 +647,11 @@ def test_fellow_traveller_outside_the_ball_raises():
     for rule in ("classical", "simultaneous"):
         with pytest.raises(OutOfWindow):
             lang.check_fellow_traveller(rule)
+    # the other checks read the words folded over the ball, which needs
+    # every window word inside it
+    for check in (lang.check_finite_to_one, lang.quasigeodesic):
+        with pytest.raises(OutOfWindow, match="radius 4, not 1"):
+            check()
     with pytest.raises(ValueError, match="unknown pair rule 'bogus'"):
         lang.check_fellow_traveller("bogus")
 
@@ -835,10 +840,27 @@ def test_a_shifted_pair_that_spells_s_u_is_walked_while_zeta_is_0():
         assert report.witness == FellowWitness(("y",), ("X", "y"), "X", 0, 1)
 
 
+def xy_or_x30_fsa():
+    """Accepts xy and x^30: at radius 12 the longest window word is xy,
+    while the live prefixes x, xx, ... run on to the radius."""
+    trans = [(i, "x", i + 1) for i in range(30)] + [(1, "y", 31)]
+    return Fsa(ALPHABET, 32, 0, (30, 31), trans)
+
+
+def test_the_fold_stops_at_the_longest_word():
+    model = z2_model()
+    lang = WindowedLanguage(xy_or_x30_fsa(), model, 12)
+    assert lang.words_by_element == {(1, 1): [("x", "y")]}
+    for rule in ("classical", "simultaneous"):
+        report = lang.check_fellow_traveller(rule)
+        assert report == reference_check_fellow_traveller(lang, rule)
+
+
 def test_ball_radius_follows_the_separation_bound():
     z2 = z2_model()
     # the longest word plus 2, but never below half the window
     assert WindowedLanguage(two_words_fsa(), z2, 64).ball.radius == 32
+    assert WindowedLanguage(xy_or_x30_fsa(), z2, 12).ball.radius == 6
     assert WindowedLanguage(two_words_fsa(), z2, 3).ball.radius == 4
     assert WindowedLanguage(z2_normal_form_fsa(), z2, 20).ball.radius == 22
     assert WindowedLanguage(z2_parity_fsa(), z2, 0).ball.radius == 2
@@ -865,16 +887,27 @@ def test_a_small_ball_is_refused_before_any_pair_is_walked(monkeypatch):
         lambda *pair: calls.append(pair) or separations(*pair),
     )
     model = z2_model()
+    # Z^2 with its letters in another order: its ball holds the same
+    # elements under other ids, so rows left from an earlier ball would
+    # walk the wrong ids
+    yx = GroupModel(
+        {name: model.letter_images[name] for name in "xyXY"},
+        mul=model.mul,
+        inv=model.inv,
+        identity=model.identity,
+    )
     lang = WindowedLanguage(z2_parity_fsa(), model, 6)
     for rule in ("classical", "simultaneous"):
         want = reference_check_fellow_traveller(lang, rule)
-        # L + 2 = 8: a radius-7 ball is too small, a radius-9 ball is not
+        # L + 2 = 8: a radius-7 ball is too small, a radius-9 ball is not,
+        # and a larger ball swapped in after that check is folded over too
         lang.ball = BallOracle(model, 7)
         with pytest.raises(OutOfWindow):
             lang.check_fellow_traveller(rule)
         assert calls == []
-        lang.ball = BallOracle(model, 9)
-        assert lang.check_fellow_traveller(rule) == want
+        for ball in (BallOracle(model, 9), BallOracle(yx, 10)):
+            lang.ball = ball
+            assert lang.check_fellow_traveller(rule) == want
         assert calls
         calls.clear()
 

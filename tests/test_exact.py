@@ -290,6 +290,17 @@ def test_equal_exact_numbers_hash_alike(x, y) -> None:
         assert hash(x) == hash(y)
 
 
+def test_rational_quaternions_equal_rational_field_elements() -> None:
+    # Quaternion.__eq__ gives way to QuadExt.__eq__, so equality is
+    # transitive across the exact types and a set keeps one of each value
+    for q, x in ((Quaternion(2), QuadExt(5, 2)), (Quaternion(0), QuadExt(2, 0))):
+        assert q == x and x == q and not q != x
+    assert len({Quaternion(2), QuadExt(5, 2), 2}) == 1
+    for q, x in ((Quaternion(2, 1), QuadExt(5, 2)), (Quaternion(2), QuadExt(5, 2, 1))):
+        assert q != x and x != q
+    assert Quaternion(2, 1) != QuadExt(5, 2, 1) != Quaternion(2)
+
+
 def test_field_parameter_is_an_int_whatever_ran_before() -> None:
     # the group's matrices are over Q(sqrt(2)), isom's constants over Q(sqrt(5))
     load_builtin_group().evaluate("a")
